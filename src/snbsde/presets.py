@@ -57,13 +57,54 @@ def _cosine_d2f(x):
     return -np.cos(np.asarray(x, dtype=float))
 
 
+# closed-form E[g(N)], N ~ Normal(m, s^2), for g = f, df, d2f of each payoff
+
+def _identity_e0(m, s):
+    return m
+
+
+def _identity_e1(m, s):
+    return np.ones_like(m)
+
+
+def _identity_e2(m, s):
+    return np.zeros_like(m)
+
+
+def _square_e0(m, s):
+    return m * m + s * s
+
+
+def _square_e1(m, s):
+    return 2.0 * m
+
+
+def _square_e2(m, s):
+    return np.full_like(m, 2.0)
+
+
+def _cosine_e0(m, s):
+    return np.cos(m) * np.exp(-0.5 * s * s)
+
+
+def _cosine_e1(m, s):
+    return -np.sin(m) * np.exp(-0.5 * s * s)
+
+
+def _cosine_e2(m, s):
+    return -np.cos(m) * np.exp(-0.5 * s * s)
+
+
 TERMINALS = {
     "identity": TerminalCondition("identity", _identity_f, _identity_df,
-                                  _identity_d2f, 1.0, 1.0),
+                                  _identity_d2f, 1.0, 1.0,
+                                  (_identity_e0, _identity_e1, _identity_e2)),
     "square": TerminalCondition("square", _square_f, _square_df,
-                                _square_d2f, 1.0, 2.0),
+                                _square_d2f, 1.0, 2.0,
+                                (_square_e0, _square_e1, _square_e2)),
     "cosine": TerminalCondition("cosine", _cosine_f, _cosine_df,
-                                _cosine_d2f, 1.0, 0.0),
+                                _cosine_d2f, 1.0, 0.0,
+                                (_cosine_e0, _cosine_e1, _cosine_e2)),
 }
 
 

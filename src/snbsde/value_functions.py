@@ -9,7 +9,8 @@ Z_t = epsilon sigma(t, X_t) u_x(t, X_t, theta).  Two backends provide u:
       u(t, x, theta) = e^{beta (T-t)} E[ Phi(x + (theta + eps sigma gamma)(T-t) - N) ],
       N ~ Normal(0, eps^2 sigma^2 (T-t)),
 
-  with the expectation computed by Gauss-Hermite quadrature.
+  with the expectation in closed form when the terminal declares one
+  (TerminalCondition.expectations) and by Gauss-Hermite quadrature otherwise.
 
 * PdeValueFunction (pde module): finite-difference solution bundle for
   general coefficients.
@@ -32,6 +33,9 @@ GH_NODES_DEFAULT = 64
 # hermgauss weights underflow to nan past ~300 nodes, so the ladder stops at 256
 GH_NODES_CAP = 256
 GH_AGREE_TOL = 1e-9
+# (mean, sd) pairs on which a declared closed-form expectation is spot-checked
+_CHECK_MEAN = np.array([0.0, 1.3, -0.7, 0.4, -2.1])
+_CHECK_SD = np.array([0.0, 0.0, 0.5, 1.0, 1.5])
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,11 @@ class TerminalCondition:
 
     growth_coeff and growth_power declare |Phi(x)| <= C (1 + |x|^p); the
     declaration is spot-checked on |x| <= 10 at construction.
+
+    expectations, when given, holds closed forms (mean, sd) -> E[g(N)] for
+    N ~ Normal(mean, sd^2) and g = f, df, d2f in that order.  expect() uses
+    them when declared and Gauss-Hermite quadrature otherwise; each declared
+    form is spot-checked against quadrature at construction.
     """
 
     name: str
@@ -48,6 +57,7 @@ class TerminalCondition:
     d2f: Callable
     growth_coeff: float
     growth_power: float
+    expectations: Optional[Tuple[Callable, Callable, Callable]] = None
 
     def __post_init__(self):
         xs = np.linspace(-10.0, 10.0, 41)
@@ -57,6 +67,34 @@ class TerminalCondition:
         bound = self.growth_coeff * (1.0 + np.abs(xs) ** self.growth_power)
         if np.any(np.abs(vals) > bound * (1.0 + 1e-9)):
             raise ConfigurationError(f"terminal {self.name} violates its declared growth bound")
+        if self.expectations is not None:
+            if len(self.expectations) != 3:
+                raise ConfigurationError(
+                    f"terminal {self.name} must declare expectations of f, df and d2f")
+            for order in range(3):
+                want = gauss_hermite_expectation(self.derivative(order), _CHECK_MEAN, _CHECK_SD)
+                got = np.asarray(self.expectations[order](_CHECK_MEAN, _CHECK_SD), dtype=float)
+                if not np.all(np.abs(got - want) <= GH_AGREE_TOL * (1.0 + np.abs(want))):
+                    raise ConfigurationError(
+                        f"terminal {self.name}: declared expectation of order {order} "
+                        "disagrees with Gauss-Hermite quadrature")
+
+    def derivative(self, order: int) -> Callable:
+        """f, df or d2f for order 0, 1 or 2."""
+        return (self.f, self.df, self.d2f)[order]
+
+    def expect(self, order: int, mean, sd) -> np.ndarray:
+        """E[g(N)] for N ~ Normal(mean, sd^2) and g = derivative(order), elementwise."""
+        if self.expectations is None:
+            return gauss_hermite_expectation(self.derivative(order), mean, sd)
+        mean, sd = np.broadcast_arrays(np.asarray(mean, dtype=float),
+                                       np.asarray(sd, dtype=float))
+        out = np.broadcast_to(np.asarray(self.expectations[order](mean, sd), dtype=float),
+                              mean.shape)
+        if not np.all(np.isfinite(out)):
+            raise EvaluationError(f"closed-form expectation of terminal {self.name} "
+                                  "returned a non-finite value")
+        return out
 
 
 @dataclass
@@ -153,38 +191,39 @@ class LinearValueFunction:
         sd = self.epsilon * s.sigma * np.sqrt(np.maximum(tau, 0.0))
         return tau, shift, sd
 
-    def _kernel(self, fn, t, x, theta):
-        """e^{beta tau} E[fn(x + shift - N)] with the terminal convention at t = T."""
+    def _kernel(self, order, t, x, theta):
+        """e^{beta tau} E[Phi^(order)(x + shift - N)] with the terminal convention at t = T."""
+        terminal = self.spec.terminal
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         theta = np.asarray(theta, dtype=float)
         t, x, theta = np.broadcast_arrays(t, x, theta)
         tau, shift, sd = self._shift_and_sd(t, theta)
-        out = np.exp(self.spec.beta * tau) * gauss_hermite_expectation(fn, x + shift, sd)
+        out = np.exp(self.spec.beta * tau) * terminal.expect(order, x + shift, sd)
         at_T = tau <= 0.0
         if np.any(at_T):
-            out = np.where(at_T, np.asarray(fn(x), dtype=float), out)
+            out = np.where(at_T, np.asarray(terminal.derivative(order)(x), dtype=float), out)
         return out if out.shape else float(out)
 
     # -- value and derivatives --------------------------------------------
 
     def value(self, t, x, theta):
-        return self._kernel(self.spec.terminal.f, t, x, theta)
+        return self._kernel(0, t, x, theta)
 
     def value_x(self, t, x, theta):
-        return self._kernel(self.spec.terminal.df, t, x, theta)
+        return self._kernel(1, t, x, theta)
 
     def value_theta(self, t, x, theta):
         tau = self.spec.horizon - np.asarray(t, dtype=float)
-        return tau * self._kernel(self.spec.terminal.df, t, x, theta)
+        return tau * self._kernel(1, t, x, theta)
 
     def value_theta_x(self, t, x, theta):
         tau = self.spec.horizon - np.asarray(t, dtype=float)
-        return tau * self._kernel(self.spec.terminal.d2f, t, x, theta)
+        return tau * self._kernel(2, t, x, theta)
 
     def value_theta_theta(self, t, x, theta):
         tau = self.spec.horizon - np.asarray(t, dtype=float)
-        return tau**2 * self._kernel(self.spec.terminal.d2f, t, x, theta)
+        return tau**2 * self._kernel(2, t, x, theta)
 
     # -- epsilon -> 0 limit ------------------------------------------------
 

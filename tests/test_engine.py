@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -70,6 +72,24 @@ def test_batch_results_chunk_invariant():
                   "xi", "r_y", "r_z", "terminal_abs_err", "sup_abs_y_err"):
         merged = np.concatenate((getattr(lo, field), getattr(hi, field)))
         assert np.array_equal(merged, getattr(whole, field)), field
+
+
+def test_batch_closed_form_matches_gauss_hermite():
+    # the preset's closed-form expectations against the Gauss-Hermite path
+    eps = 0.1
+    b = build_preset("linear-constant-drift", {"terminal": "cosine"})
+    gh = dataclasses.replace(b.linear, terminal=dataclasses.replace(b.linear.terminal,
+                                                                    expectations=None))
+    grid = TimeGrid(0.0, 1.0, 100)
+    kw = dict(plugin=True, residuals=True, sup_stride=3)
+    closed = run_batch(b.model, LinearValueFunction(b.linear, eps), 1.0, eps, grid, 0.1,
+                       (0.5, 0.9), SEED, range(6), **kw)
+    quad = run_batch(b.model, LinearValueFunction(gh, eps), 1.0, eps, grid, 0.1,
+                     (0.5, 0.9), SEED, range(6), **kw)
+    assert not np.any(closed.failed)
+    for field in ("y_hat", "z_hat", "y_true", "sup_abs_y_err"):
+        npt.assert_allclose(getattr(closed, field), getattr(quad, field), rtol=1e-12,
+                            err_msg=field)
 
 
 def test_simulate_batch_matches_scalar_and_flags_divergence():

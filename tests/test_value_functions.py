@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,6 +16,12 @@ def _linear_spec(terminal="cosine", sigma=1.0, beta=0.1, gamma=0.2):
     return LinearModelSpec(sigma=sigma, beta=beta, gamma=gamma,
                            terminal=TERMINALS[terminal],
                            theta_interval=(0.1, 1.9), x0=0.0, horizon=1.0)
+
+
+def _both_paths(spec):
+    """spec as given (closed-form expectations) and a copy priced by Gauss-Hermite."""
+    gh = dataclasses.replace(spec.terminal, expectations=None)
+    return spec, dataclasses.replace(spec, terminal=gh)
 
 
 def test_gauss_hermite_second_moment():
@@ -68,59 +76,81 @@ def test_linear_spec_validation():
 
 def test_value_matches_terminal_at_horizon():
     for name in ("identity", "square", "cosine"):
-        vf = LinearValueFunction(_linear_spec(name), 0.3)
-        for x in (-1.2, 0.0, 2.5):
-            assert vf.value(1.0, x, 0.5) == TERMINALS[name].f(x)
+        for spec in _both_paths(_linear_spec(name)):
+            vf = LinearValueFunction(spec, 0.3)
+            for x in (-1.2, 0.0, 2.5):
+                assert vf.value(1.0, x, 0.5) == TERMINALS[name].f(x)
 
 
 def test_identity_terminal_closed_form():
-    spec = _linear_spec("identity")
     eps = 0.25
-    vf = LinearValueFunction(spec, eps)
-    t, x, theta = 0.3, 1.1, 0.8
-    tau = spec.horizon - t
-    want = np.exp(spec.beta * tau) * (x + (theta + eps * spec.sigma * spec.gamma) * tau)
-    assert abs(vf.value(t, x, theta) - want) < 1e-12
-    # theta-derivative of the identity case is tau e^{beta tau}, state free
-    assert abs(vf.value_theta(0.5, x, theta) - 0.5 * np.exp(0.05)) < 1e-12
-    assert abs(vf.value_theta(0.5, x, theta) - 0.525635548188) < 1e-9
+    for spec in _both_paths(_linear_spec("identity")):
+        vf = LinearValueFunction(spec, eps)
+        t, x, theta = 0.3, 1.1, 0.8
+        tau = spec.horizon - t
+        want = np.exp(spec.beta * tau) * (x + (theta + eps * spec.sigma * spec.gamma) * tau)
+        assert abs(vf.value(t, x, theta) - want) < 1e-12
+        # theta-derivative of the identity case is tau e^{beta tau}, state free
+        assert abs(vf.value_theta(0.5, x, theta) - 0.5 * np.exp(0.05)) < 1e-12
+        assert abs(vf.value_theta(0.5, x, theta) - 0.525635548188) < 1e-9
 
 
 def test_square_terminal_closed_form():
-    spec = _linear_spec("square")
     eps = 0.2
-    vf = LinearValueFunction(spec, eps)
-    t, x, theta = 0.4, -0.7, 1.2
-    tau = spec.horizon - t
-    m = x + (theta + eps * spec.sigma * spec.gamma) * tau
-    want = np.exp(spec.beta * tau) * (m**2 + eps**2 * spec.sigma**2 * tau)
-    assert abs(vf.value(t, x, theta) - want) < 1e-11
+    for spec in _both_paths(_linear_spec("square")):
+        vf = LinearValueFunction(spec, eps)
+        t, x, theta = 0.4, -0.7, 1.2
+        tau = spec.horizon - t
+        m = x + (theta + eps * spec.sigma * spec.gamma) * tau
+        want = np.exp(spec.beta * tau) * (m**2 + eps**2 * spec.sigma**2 * tau)
+        assert abs(vf.value(t, x, theta) - want) < 1e-11
 
 
 def test_cosine_terminal_closed_form():
-    spec = _linear_spec("cosine")
     eps = 0.15
-    vf = LinearValueFunction(spec, eps)
-    t, x, theta = 0.25, 0.6, 0.9
-    tau = spec.horizon - t
-    var = eps**2 * spec.sigma**2 * tau
-    m = x + (theta + eps * spec.sigma * spec.gamma) * tau
-    want = np.exp(spec.beta * tau) * np.exp(-var / 2) * np.cos(m)
-    assert abs(vf.value(t, x, theta) - want) < 1e-10
+    for spec in _both_paths(_linear_spec("cosine")):
+        vf = LinearValueFunction(spec, eps)
+        t, x, theta = 0.25, 0.6, 0.9
+        tau = spec.horizon - t
+        var = eps**2 * spec.sigma**2 * tau
+        m = x + (theta + eps * spec.sigma * spec.gamma) * tau
+        want = np.exp(spec.beta * tau) * np.exp(-var / 2) * np.cos(m)
+        assert abs(vf.value(t, x, theta) - want) < 1e-10
 
 
 def test_derivatives_against_finite_differences():
-    vf = LinearValueFunction(_linear_spec("cosine"), 0.2)
-    t, x, theta = 0.35, 0.4, 1.1
-    h = 1e-5
-    fd_x = (vf.value(t, x + h, theta) - vf.value(t, x - h, theta)) / (2 * h)
-    assert abs(vf.value_x(t, x, theta) - fd_x) < 1e-7
-    fd_th = (vf.value(t, x, theta + h) - vf.value(t, x, theta - h)) / (2 * h)
-    assert abs(vf.value_theta(t, x, theta) - fd_th) < 1e-7
-    fd_thx = (vf.value_x(t, x, theta + h) - vf.value_x(t, x, theta - h)) / (2 * h)
-    assert abs(vf.value_theta_x(t, x, theta) - fd_thx) < 1e-7
-    fd_thth = (vf.value_theta(t, x, theta + h) - vf.value_theta(t, x, theta - h)) / (2 * h)
-    assert abs(vf.value_theta_theta(t, x, theta) - fd_thth) < 1e-7
+    for spec in _both_paths(_linear_spec("cosine")):
+        vf = LinearValueFunction(spec, 0.2)
+        t, x, theta = 0.35, 0.4, 1.1
+        h = 1e-5
+        fd_x = (vf.value(t, x + h, theta) - vf.value(t, x - h, theta)) / (2 * h)
+        assert abs(vf.value_x(t, x, theta) - fd_x) < 1e-7
+        fd_th = (vf.value(t, x, theta + h) - vf.value(t, x, theta - h)) / (2 * h)
+        assert abs(vf.value_theta(t, x, theta) - fd_th) < 1e-7
+        fd_thx = (vf.value_x(t, x, theta + h) - vf.value_x(t, x, theta - h)) / (2 * h)
+        assert abs(vf.value_theta_x(t, x, theta) - fd_thx) < 1e-7
+        fd_thth = (vf.value_theta(t, x, theta + h) - vf.value_theta(t, x, theta - h)) / (2 * h)
+        assert abs(vf.value_theta_theta(t, x, theta) - fd_thth) < 1e-7
+
+
+def test_wrong_closed_form_declaration_rejected():
+    # the sign of E[-sin N] flipped: caught by the spot check against quadrature
+    cosine = TERMINALS["cosine"]
+    e0, e1, e2 = cosine.expectations
+    with pytest.raises(ConfigurationError):
+        dataclasses.replace(cosine, expectations=(e0, lambda m, s: -e1(m, s), e2))
+
+
+def test_nonfinite_closed_form_rejected():
+    # correct where the spot check looks, infinite far away from it
+    identity = TERMINALS["identity"]
+    blows_up = dataclasses.replace(
+        identity, expectations=(lambda m, s: np.where(np.abs(m) > 50.0, np.inf, m),
+                                *identity.expectations[1:]))
+    vf = LinearValueFunction(dataclasses.replace(_linear_spec(), terminal=blows_up), 0.2)
+    assert np.isfinite(vf.value(0.5, 1.0, 1.0))
+    with pytest.raises(EvaluationError):
+        vf.value(0.5, [1.0, 100.0], 1.0)
 
 
 def test_limit_is_small_epsilon_value():
