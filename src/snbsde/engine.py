@@ -2,15 +2,17 @@
 
 Replications are statistically independent, so the harness advances many of
 them simultaneously: one array op per Euler step, per RK4 stage, per score
-update.  No state crosses replications; every iterative routine (grid-scan
-refinement, golden-section, composite quadrature) freezes a replication at
-its own convergence point, so each replication's numbers are a pure function
-of (seed, stream_id) and never depend on which other replications share the
-batch.  All reductions run along the time axis only, which keeps results
-bit-identical for any chunking of the replication set.
+update.  No state crosses replications; every iterative routine (the pilot's
+Gauss-Newton refinement, composite quadrature) freezes a replication at its
+own convergence point, so each replication's numbers are a pure function of
+(seed, stream_id) and never depend on which other replications share the
+batch.  All reductions run along one replication's own contiguous row or
+along the time axis, which keeps results bit-identical for any chunking of
+the replication set.
 
-The scalar single-path operations in `estimation` and `bsde` remain the
-reference implementations; the engine mirrors them and is pinned to them by
+The pilot here is also the scalar `estimation.mde_estimate`, which runs it on
+a one-row batch.  The scalar score and flow routines in `estimation` and
+`bsde` remain separate reference implementations, pinned to the engine by
 equivalence tests.
 """
 
@@ -20,14 +22,28 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimation import INFO_FLOOR, SCAN_POINTS, REFINE_FACTOR, _INVPHI, _trapezoid_weights
 from .grids import NoiseSource, TimeGrid
-from .models import BLOWUP_GUARD, ModelSpec, broadcast_eval, _rk4_values
+from .models import BLOWUP_GUARD, ModelSpec, broadcast_eval, rk4_sensitivity, _rk4_values
 
 # Element cap per value-function evaluation block; keeps the quadrature
 # work matrix (elements x nodes) around half a GB.
 EVAL_BLOCK = 500_000
 VECTOR_QUAD_TOL = 1e-10
+# Floor below which the information integral is treated as non-invertible.
+INFO_FLOOR = 1e-10
+# Coarse scan size of the 1-d minimizers, and their settling tolerance as a
+# fraction of the parameter interval.
+SCAN_POINTS = 64
+REFINE_FACTOR = 1e-8
+# Gauss-Newton passes after the scan before an unsettled pilot is flagged.
+PILOT_MAX_PASSES = 40
+
+
+def _trapezoid_weights(n_nodes: int, h: float) -> np.ndarray:
+    w = np.full(n_nodes, h)
+    w[0] = 0.5 * h
+    w[-1] = 0.5 * h
+    return w
 
 
 def _cumtrapz_rows(values: np.ndarray, h: float) -> np.ndarray:
@@ -68,64 +84,89 @@ def simulate_batch(model: ModelSpec, theta0: float, epsilon: float, grid: TimeGr
     return xs, w, diverged
 
 
+def _resolution(f: np.ndarray) -> np.ndarray:
+    """Smallest difference of window-objective values treated as real."""
+    return 1e-12 * np.maximum(1.0, np.abs(f))
+
+
+def _gauss_newton(xw: np.ndarray, x: np.ndarray, xdot: np.ndarray, w: np.ndarray):
+    """Window objective F = sum w (xw - x)^2 and Gauss-Newton step per row.
+
+    All arrays are C-ordered (k, nw+1) rows, so every sum runs along one
+    contiguous row and a row's numbers do not depend on the other rows.
+    """
+    r = xw - x
+    wxdot = w * xdot
+    f = np.sum(w * r**2, axis=1)
+    grad = np.sum(wxdot * r, axis=1)
+    curv = np.sum(wxdot * xdot, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.where(curv > 0.0, grad / curv, 0.0)
+    return f, step
+
+
 def pilot_batch(model: ModelSpec, X: np.ndarray, grid: TimeGrid, delta: float):
-    """Minimum-distance pilots for all rows of X; mirrors mde_estimate.
+    """Minimum-distance pilots for all rows of X on the window [0, delta].
+
+    Minimizes F(theta) = sum_k w_k (X_k - x_k(theta))^2, the trapezoidal
+    L^2 distance to the RK4 limit flow.  A SCAN_POINTS scan brackets each
+    row's minimum between the neighbours of its best candidate; Gauss-Newton
+    on the exact sensitivity of the RK4 flow then refines it inside that
+    bracket, one lockstep pass over the rows still moving.  A step that
+    raises F is halved.  A row settles once its step is at most half of
+    (hi - lo) * REFINE_FACTOR.
 
     Returns (theta_pilot, flat) where flat marks rows whose window objective
-    has no usable spread.
+    has no usable spread or that had not settled after PILOT_MAX_PASSES.
     """
     i = grid.node_index(delta)
     wgrid = grid.prefix(delta)
     xw = X[:, : i + 1]
     w = _trapezoid_weights(i + 1, wgrid.h)
     lo, hi = model.theta_interval
-    tol = (hi - lo) * REFINE_FACTOR
+    half_tol = 0.5 * (hi - lo) * REFINE_FACTOR
 
     cand = np.linspace(lo, hi, SCAN_POINTS)
-    flows = _rk4_values(model, cand, wgrid)  # (nw+1, 64)
+    flows, sens = rk4_sensitivity(model, cand, wgrid)  # (nw+1, 64) each
     obj = np.empty((X.shape[0], SCAN_POINTS))
+    buf = np.empty(xw.shape)  # w (xw - flow)^2 of one candidate, built in place
     for j in range(SCAN_POINTS):
-        obj[:, j] = np.sum(w * (xw - flows[:, j]) ** 2, axis=1)
-    spread = obj.max(axis=1) - obj.min(axis=1)
-    flat = spread <= 1e-12 * np.maximum(1.0, np.abs(obj.max(axis=1)))
+        np.square(np.subtract(xw, flows[:, j], out=buf), out=buf)
+        obj[:, j] = np.sum(np.multiply(w, buf, out=buf), axis=1)
+    top = obj.max(axis=1)
+    flat = ~(top - obj.min(axis=1) > _resolution(top))
 
     best = np.argmin(obj, axis=1)
     a = cand[np.maximum(best - 1, 0)]
     b = cand[np.minimum(best + 1, SCAN_POINTS - 1)]
 
-    def batch_obj(thetas):
-        fl = _rk4_values(model, thetas, wgrid)  # (nw+1, M)
-        return np.sum(w * (xw - fl.T) ** 2, axis=1)
-
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = batch_obj(c)
-    fd = batch_obj(d)
-    for _ in range(200):
-        live = ((b - a) > tol) & ~flat
-        if not np.any(live):
+    # the scan already holds the flow and sensitivity at each row's best candidate
+    theta = cand[best]
+    f_acc = obj[np.arange(X.shape[0]), best]
+    _, step = _gauss_newton(xw, np.ascontiguousarray(flows.T)[best],
+                            np.ascontiguousarray(sens.T)[best], w)
+    trial = np.clip(theta + step, a, b)
+    live = ~flat & (np.abs(trial - theta) > half_tol)
+    for _ in range(PILOT_MAX_PASSES):
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
             break
-        upd = (fc < fd) & live
-        oth = ~upd & live
-        # shrink toward c where fc < fd
-        b = np.where(upd, d, b)
-        d = np.where(upd, c, d)
-        fd = np.where(upd, fc, fd)
-        c_new = b - _INVPHI * (b - a)
-        # shrink toward d elsewhere
-        a = np.where(oth, c, a)
-        c = np.where(oth, d, c)
-        fc = np.where(oth, fd, fc)
-        d_new = a + _INVPHI * (b - a)
-        probe = np.where(upd, c_new, np.where(oth, d_new, c))
-        fprobe = batch_obj(probe)
-        c = np.where(upd, c_new, c)
-        fc = np.where(upd, fprobe, fc)
-        d = np.where(oth, d_new, d)
-        fd = np.where(oth, fprobe, fd)
-    theta = 0.5 * (a + b)
-    theta = np.where(flat, 0.5 * (lo + hi), theta)
-    return theta, flat
+        x, xdot = rk4_sensitivity(model, trial[idx], wgrid)
+        f, step = _gauss_newton(xw[idx], np.ascontiguousarray(x.T),
+                                np.ascontiguousarray(xdot.T), w)
+        th, tr = theta[idx], trial[idx]
+        # halve a step that raised F by more than the scan's flatness
+        # threshold, below which F differences are rounding; otherwise accept
+        # the trial and step on
+        rose = f - f_acc[idx] > _resolution(f_acc[idx])
+        theta[idx] = np.where(rose, th, tr)
+        f_acc[idx] = np.where(rose, f_acc[idx], f)
+        trial[idx] = np.where(rose, th + 0.5 * (tr - th),
+                              np.clip(tr + step, a[idx], b[idx]))
+        live[idx] = np.abs(trial[idx] - theta[idx]) > half_tol
+    flat |= live
+    theta_pilot = np.where(flat, 0.5 * (lo + hi), trial)
+    return theta_pilot, flat
 
 
 def flow_batch(model: ModelSpec, thetas: np.ndarray, grid: TimeGrid) -> np.ndarray:

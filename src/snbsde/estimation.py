@@ -34,16 +34,13 @@ from .errors import (
     QuadratureError,
     SingularInformationError,
 )
+from .engine import (INFO_FLOOR, REFINE_FACTOR, SCAN_POINTS, pilot_batch,
+                     _cumtrapz_rows, _trapezoid_weights)
 from .grids import Path, TimeGrid
-from .models import ModelSpec, broadcast_eval, _rk4_values, sensitivity_xdot, solve_limit_ode
+from .models import ModelSpec, broadcast_eval, sensitivity_xdot, solve_limit_ode
 
-# Floor below which the information integral is treated as non-invertible.
-INFO_FLOOR = 1e-10
 # Absolute tolerance of the state-primitive quadrature.
 PRIMITIVE_TOL = 1e-10
-# Coarse scan size and bisection tolerance factor of the 1-d minimizers.
-SCAN_POINTS = 64
-REFINE_FACTOR = 1e-8
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -97,28 +94,16 @@ class EstimateTrace:
             )
 
 
-def _trapezoid_weights(n_nodes: int, h: float) -> np.ndarray:
-    w = np.full(n_nodes, h)
-    w[0] = 0.5 * h
-    w[-1] = 0.5 * h
-    return w
-
-
-def _cumulative_trapezoid(values: np.ndarray, h: float) -> np.ndarray:
-    """Running trapezoid integral along the last axis, starting at 0."""
-    inner = 0.5 * h * (values[..., 1:] + values[..., :-1])
-    out = np.zeros(values.shape)
-    np.cumsum(inner, axis=-1, out=out[..., 1:])
-    return out
-
-
 def scan_then_golden(objective, lo: float, hi: float, batch_objective=None,
                      n_scan: int = SCAN_POINTS, tol: Optional[float] = None) -> float:
-    """Minimize a 1-d objective over [lo, hi].
+    """Minimize a 1-d objective over [lo, hi] without derivatives.
 
     Coarse grid scan (n_scan points) brackets the minimum, then golden-section
-    refinement shrinks the bracket to tol (default (hi-lo)*1e-8).  A flat scan
-    raises FlatObjectiveError since the minimizer is then meaningless.
+    refinement shrinks the bracket to tol (default (hi-lo)*REFINE_FACTOR).  A
+    flat scan raises FlatObjectiveError since the minimizer is then
+    meaningless.  full_mle uses it; the pilot has its own derivative-based
+    refinement in engine.pilot_batch, and the tests use this routine as an
+    independent check on it.
     """
     if tol is None:
         tol = (hi - lo) * REFINE_FACTOR
@@ -155,25 +140,19 @@ def mde_estimate(model: ModelSpec, X: Path, delta: float) -> float:
     """Minimum-distance pilot estimate on the learning window [0, delta].
 
     Minimizes the trapezoidal discretization of
-    int_0^delta (X_t - x_t(theta))^2 dt over the closure of theta_interval.
+    int_0^delta (X_t - x_t(theta))^2 dt over the closure of theta_interval,
+    by engine.pilot_batch on the one-row batch holding X.  Raises
+    FlatObjectiveError when the objective has no usable spread or its
+    refinement does not settle.
     """
-    i = X.grid.node_index(delta)
-    if i < 1:
+    if X.grid.node_index(delta) < 1:
         raise ConfigurationError("learning window too small for the grid")
-    wgrid = X.grid.prefix(delta)
-    xw = X.values[: i + 1]
-    w = _trapezoid_weights(i + 1, wgrid.h)
-
-    def objective(theta):
-        xv = _rk4_values(model, theta, wgrid)
-        return float(np.sum(w * (xw - xv) ** 2))
-
-    def batch_objective(thetas):
-        xv = _rk4_values(model, thetas, wgrid)
-        return np.sum(w[:, None] * (xw[:, None] - xv) ** 2, axis=0)
-
-    lo, hi = model.theta_interval
-    return scan_then_golden(objective, lo, hi, batch_objective=batch_objective)
+    theta, flagged = pilot_batch(model, X.values[None, :], X.grid, delta)
+    if flagged[0]:
+        raise FlatObjectiveError(
+            "window objective is flat or its refinement did not settle; "
+            "parameter not identifiable")
+    return float(theta[0])
 
 
 def fisher_profile(model: ModelSpec, theta: float, x: Path) -> np.ndarray:
@@ -181,7 +160,7 @@ def fisher_profile(model: ModelSpec, theta: float, x: Path) -> np.ndarray:
     times = x.times
     sdot = broadcast_eval(model.drift_dtheta(theta, times, x.values), times.shape)
     sig = broadcast_eval(model.diffusion(times, x.values), times.shape)
-    return _cumulative_trapezoid(sdot**2 / sig**2, x.grid.h)
+    return _cumtrapz_rows(sdot**2 / sig**2, x.grid.h)
 
 
 def fisher_information(model: ModelSpec, theta: float, x: Path, t: float) -> float:
@@ -418,9 +397,9 @@ def mde_asymptotic_variance(model: ModelSpec, theta: float, delta: float,
     xdot = sensitivity_xdot(model, theta, wgrid).values
     times = wgrid.times
     g = broadcast_eval(model.drift_dx(theta, times, x.values), times.shape)
-    psi = np.exp(_cumulative_trapezoid(g, wgrid.h))
+    psi = np.exp(_cumtrapz_rows(g, wgrid.h))
     sig = broadcast_eval(model.diffusion(times, x.values), times.shape)
-    c = _cumulative_trapezoid(psi * xdot, wgrid.h)
+    c = _cumtrapz_rows(psi * xdot, wgrid.h)
     tail_integral = c[-1] - c
     w = _trapezoid_weights(times.size, wgrid.h)
     numerator = float(np.sum(w * (sig**2 / psi**2) * tail_integral**2))

@@ -170,11 +170,13 @@ def validate_model(model: ModelSpec, n_samples: int = 5, rel_tol: float = 1e-5) 
                     raise ModelValidationError("drift violates declared Lipschitz bound in x")
 
 
-def _rk4_values(model: ModelSpec, theta, grid: TimeGrid):
-    """RK4 solution values of the limit ODE; theta may be a scalar or a vector.
+def _rk4(model: ModelSpec, theta, grid: TimeGrid, sensitivity: bool):
+    """Lockstep RK4 of the limit ODE, optionally with its theta-derivative.
 
-    Returns an array of shape (n+1,) for scalar theta, or (n+1, k) when theta
-    is a vector of k parameter candidates advanced in lockstep.
+    With sensitivity, the same four stages are applied to
+    xdot' = S_x(theta, t, x) xdot + S_theta(theta, t, x), xdot_0 = 0, which is
+    the exact derivative in theta of the discrete RK4 flow.  Finiteness is
+    checked once after the loop; the first non-finite node raises.
     """
     theta = np.asarray(theta, dtype=float)
     times = grid.times
@@ -183,20 +185,62 @@ def _rk4_values(model: ModelSpec, theta, grid: TimeGrid):
     out = np.empty((grid.n_steps + 1,) + theta.shape)
     out[0] = x
     S = model.drift
-    for k in range(grid.n_steps):
-        t = times[k]
-        k1 = S(theta, t, x)
-        k2 = S(theta, t + 0.5 * h, x + 0.5 * h * k1)
-        k3 = S(theta, t + 0.5 * h, x + 0.5 * h * k2)
-        k4 = S(theta, t + h, x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise IntegrationDivergedError(
-                f"limit ODE diverged at node {k + 1} (t={times[k + 1]:.6g})",
-                node_index=k + 1,
-            )
-        out[k + 1] = x
+    if sensitivity:
+        v = np.zeros(theta.shape)
+        dout = np.empty(out.shape)
+        dout[0] = v
+        S_x = model.drift_dx
+        S_th = model.drift_dtheta
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(grid.n_steps):
+            t = times[k]
+            tm = t + 0.5 * h
+            k1 = S(theta, t, x)
+            x2 = x + 0.5 * h * k1
+            k2 = S(theta, tm, x2)
+            x3 = x + 0.5 * h * k2
+            k3 = S(theta, tm, x3)
+            x4 = x + h * k3
+            k4 = S(theta, t + h, x4)
+            if sensitivity:
+                d1 = S_x(theta, t, x) * v + S_th(theta, t, x)
+                v2 = v + 0.5 * h * d1
+                d2 = S_x(theta, tm, x2) * v2 + S_th(theta, tm, x2)
+                v3 = v + 0.5 * h * d2
+                d3 = S_x(theta, tm, x3) * v3 + S_th(theta, tm, x3)
+                v4 = v + h * d3
+                d4 = S_x(theta, t + h, x4) * v4 + S_th(theta, t + h, x4)
+                v = v + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+                dout[k + 1] = v
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out[k + 1] = x
+    finite = np.isfinite(out[1:])
+    if sensitivity:
+        finite &= np.isfinite(dout[1:])
+    if not finite.all():
+        node = 1 + int(np.argmin(finite.reshape(grid.n_steps, -1).all(axis=1)))
+        raise IntegrationDivergedError(
+            f"limit ODE diverged at node {node} (t={times[node]:.6g})",
+            node_index=node,
+        )
+    if sensitivity:
+        return out, dout
     return out
+
+
+def _rk4_values(model: ModelSpec, theta, grid: TimeGrid):
+    """RK4 solution values of the limit ODE; theta may be a scalar or a vector.
+
+    Returns an array of shape (n+1,) for scalar theta, or (n+1, k) when theta
+    is a vector of k parameter candidates advanced in lockstep.
+    """
+    return _rk4(model, theta, grid, False)
+
+
+def rk4_sensitivity(model: ModelSpec, theta, grid: TimeGrid):
+    """RK4 flow and its exact theta-derivative, (x, xdot), each shaped as
+    _rk4_values returns them."""
+    return _rk4(model, theta, grid, True)
 
 
 def solve_limit_ode(model: ModelSpec, theta: float, grid: TimeGrid) -> Path:

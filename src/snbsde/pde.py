@@ -24,7 +24,8 @@ from .errors import (
     PdeDivergenceError,
     StabilityError,
 )
-from .models import ModelSpec, broadcast_eval
+from .grids import TimeGrid
+from .models import ModelSpec, broadcast_eval, _rk4_values
 from .value_functions import characteristics_limit_value
 
 # Explicit-scheme safety factors.
@@ -73,16 +74,9 @@ class PdeGrid:
 def default_domain(model: ModelSpec, n_samples: int = 33) -> Tuple[float, float]:
     """Default rectangle [x0 - 6 L, x0 + 6 L] with L the largest limit-flow
     excursion over the closure of theta_interval, plus one unit of margin."""
-    from .grids import TimeGrid
-    from .models import solve_limit_ode
-
     a, b = model.theta_interval
-    span = 0.0
-    grid = TimeGrid(0.0, model.horizon, 200)
-    for theta in np.linspace(a, b, n_samples):
-        x = solve_limit_ode(model, float(theta), grid)
-        span = max(span, float(np.max(np.abs(x.values - model.x0))))
-    lam = span + 1.0
+    flows = _rk4_values(model, np.linspace(a, b, n_samples), TimeGrid(0.0, model.horizon, 200))
+    lam = float(np.max(np.abs(flows - model.x0))) + 1.0
     return model.x0 - 6.0 * lam, model.x0 + 6.0 * lam
 
 

@@ -4,12 +4,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from snbsde import engine
 from snbsde.bsde import approximate_bsde, residual_decomposition
-from snbsde.engine import run_batch, simulate_batch, vector_simpson
-from snbsde.errors import ConfigurationError, SimulationDivergedError
-from snbsde.estimation import EstimationWindow
-from snbsde.grids import NoiseSource, TimeGrid
-from snbsde.models import ModelSpec, simulate_forward
+from snbsde.engine import (REFINE_FACTOR, pilot_batch, run_batch, simulate_batch,
+                           vector_simpson, _trapezoid_weights)
+from snbsde.errors import (ConfigurationError, FlatObjectiveError,
+                           SimulationDivergedError)
+from snbsde.estimation import EstimationWindow, mde_estimate, scan_then_golden
+from snbsde.grids import NoiseSource, Path, TimeGrid
+from snbsde.models import ModelSpec, rk4_sensitivity, simulate_forward, _rk4_values
 from snbsde.pde import PdeGrid, theta_derivatives_by_bundle
 from snbsde.presets import build_preset
 from snbsde.value_functions import LinearValueFunction
@@ -145,3 +148,133 @@ def test_run_batch_rejects_early_report():
     vf = LinearValueFunction(b.linear, 0.1)
     with pytest.raises(ConfigurationError):
         run_batch(b.model, vf, 1.0, 0.1, grid, 0.2, (0.1,), SEED, range(2))
+
+
+# -- minimum-distance pilot ------------------------------------------------
+
+PILOT_GRID = TimeGrid(0.0, 1.0, 1000)
+PILOT_CASES = [("linear-ou", {}, 0.5), ("custom-pde", {"drift_shape": "sine"}, 1.0)]
+
+
+def _pilot_paths(name, params, theta0, eps=0.05, m=37):
+    model = build_preset(name, params).model
+    X, _, diverged = simulate_batch(model, theta0, eps, PILOT_GRID, SEED, range(m))
+    assert not np.any(diverged)
+    return model, X
+
+
+def _count_passes(monkeypatch):
+    """Record the lane count of every RK4 sensitivity pass the pilot makes."""
+    counts = []
+    real = engine.rk4_sensitivity
+
+    def spy(model, theta, grid):
+        counts.append(np.size(theta))
+        return real(model, theta, grid)
+
+    monkeypatch.setattr(engine, "rk4_sensitivity", spy)
+    return counts
+
+
+def test_pilot_constant_drift_weighted_least_squares():
+    # x(theta) = x0 + theta t, so F is quadratic with the closed-form minimizer
+    # sum w t (X - x0) / sum w t^2
+    model, X = _pilot_paths("linear-constant-drift", {}, 1.0)
+    i = PILOT_GRID.node_index(0.1)
+    t = PILOT_GRID.times[: i + 1]
+    w = _trapezoid_weights(i + 1, PILOT_GRID.h)
+    want = np.sum(w * t * (X[:, : i + 1] - model.x0), axis=1) / np.sum(w * t * t)
+    theta, flat = pilot_batch(model, X, PILOT_GRID, 0.1)
+    assert not np.any(flat)
+    npt.assert_allclose(theta, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name,params,theta0", PILOT_CASES)
+def test_pilot_matches_golden_section_oracle(name, params, theta0):
+    # Golden section compares F values, whose differences within ~1e-8 of the
+    # minimum are rounding; its answer drifts with the residual size, by up to
+    # about 2 tol at eps = 0.05.  At eps = 0.02 it resolves the minimum to tol.
+    model, X = _pilot_paths(name, params, theta0, eps=0.02, m=6)
+    theta, flat = pilot_batch(model, X, PILOT_GRID, 0.1)
+    assert not np.any(flat)
+    i = PILOT_GRID.node_index(0.1)
+    wgrid = PILOT_GRID.prefix(0.1)
+    w = _trapezoid_weights(i + 1, wgrid.h)
+    lo, hi = model.theta_interval
+    for r in range(X.shape[0]):
+        xw = X[r, : i + 1]
+        golden = scan_then_golden(
+            lambda th: float(np.sum(w * (xw - _rk4_values(model, th, wgrid)) ** 2)), lo, hi)
+        assert abs(theta[r] - golden) <= (hi - lo) * REFINE_FACTOR
+    # the pilot is the stationary point of the discrete F: F'/F'' vanishes
+    x, xdot = rk4_sensitivity(model, theta, wgrid)
+    r = X[:, : i + 1] - x.T
+    newton = np.sum(w * r * xdot.T, axis=1) / np.sum(w * xdot.T**2, axis=1)
+    assert np.max(np.abs(newton)) < 1e-3 * (hi - lo) * REFINE_FACTOR
+
+
+def test_pilot_returns_bracket_end_at_edge_of_interval():
+    model = build_preset("linear-constant-drift").model
+    lo, hi = model.theta_interval
+    X, _, _ = simulate_batch(model, 0.0, 0.01, PILOT_GRID, SEED, range(2))
+    X_hi, _, _ = simulate_batch(model, 2.5, 0.01, PILOT_GRID, SEED, range(2))
+    theta, flat = pilot_batch(model, np.vstack((X, X_hi)), PILOT_GRID, 0.1)
+    assert not np.any(flat)
+    assert np.array_equal(theta, [lo, lo, hi, hi])
+
+
+@pytest.mark.parametrize("name,params,theta0", PILOT_CASES)
+def test_pilot_row_independent_of_batch(monkeypatch, name, params, theta0):
+    model, X = _pilot_paths(name, params, theta0)
+    counts = _count_passes(monkeypatch)
+    alone, passes = [], []
+    for r in range(X.shape[0]):
+        del counts[:]
+        th, _ = pilot_batch(model, X[r:r + 1], PILOT_GRID, 0.1)
+        alone.append(th[0])
+        passes.append(len(counts))
+    chunk, _ = pilot_batch(model, X, PILOT_GRID, 0.1)
+    assert np.array_equal(chunk, alone)
+
+    # the slowest row runs its last passes as the only live lane
+    last = int(np.argmax(passes))
+    quick = [r for r in range(X.shape[0]) if passes[r] < passes[last]]
+    del counts[:]
+    th, _ = pilot_batch(model, X[quick + [last]], PILOT_GRID, 0.1)
+    assert counts[-1] == 1
+    assert th[-1] == alone[last]
+
+
+def test_pilot_flags_unsettled_rows(monkeypatch):
+    name, params, theta0 = PILOT_CASES[1]
+    model, X = _pilot_paths(name, params, theta0, m=8)
+    settled, flat = pilot_batch(model, X, PILOT_GRID, 0.1)
+    assert not np.any(flat)
+    monkeypatch.setattr(engine, "PILOT_MAX_PASSES", 1)
+    capped, flat = pilot_batch(model, X, PILOT_GRID, 0.1)
+    assert np.any(flat)
+    r = int(np.argmax(flat))
+    with pytest.raises(FlatObjectiveError):
+        mde_estimate(model, Path(PILOT_GRID, X[r]), 0.1)
+    # rows that did settle within the cap keep their values
+    assert np.array_equal(capped[~flat], settled[~flat])
+
+
+def test_pilot_halves_steps_that_raise_the_objective(monkeypatch):
+    # inflate every long step so that it overshoots to the bracket end
+    name, params, theta0 = PILOT_CASES[1]
+    model, X = _pilot_paths(name, params, theta0, m=8)
+    want, _ = pilot_batch(model, X, PILOT_GRID, 0.1)
+    counts = _count_passes(monkeypatch)
+    real = engine._gauss_newton
+
+    def overshoot(*args):
+        f, step = real(*args)
+        return f, np.where(np.abs(step) > 1e-3, 40.0 * step, step)
+
+    monkeypatch.setattr(engine, "_gauss_newton", overshoot)
+    got, flat = pilot_batch(model, X, PILOT_GRID, 0.1)
+    assert not np.any(flat)
+    assert len(counts) > 4
+    lo, hi = model.theta_interval
+    npt.assert_allclose(got, want, rtol=0, atol=(hi - lo) * REFINE_FACTOR)

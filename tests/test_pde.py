@@ -4,8 +4,9 @@ import pytest
 
 from snbsde.errors import (ConfigurationError, DomainError,
                            PdeDivergenceError, StabilityError)
-from snbsde.models import ModelSpec
-from snbsde.pde import (PdeGrid, PdeSolution, eval_solution,
+from snbsde.grids import TimeGrid
+from snbsde.models import ModelSpec, solve_limit_ode, _rk4_values
+from snbsde.pde import (PdeGrid, PdeSolution, default_domain, eval_solution,
                         solve_semilinear_pde, theta_derivatives_by_bundle)
 from snbsde.presets import TERMINALS, build_preset
 from snbsde.value_functions import LinearModelSpec, LinearValueFunction
@@ -178,3 +179,20 @@ def test_bundle_spacing():
     with pytest.raises(ConfigurationError):
         theta_derivatives_by_bundle(b.model, b.driver, TERMINALS["identity"].f,
                                     1.0, 0.3, grid, dtheta=0.0)
+
+
+@pytest.mark.parametrize("name,params", [("linear-constant-drift", {}), ("linear-ou", {}),
+                                         ("custom-pde", {"drift_shape": "sine"}),
+                                         ("custom-pde", {"drift_shape": "tanh"})])
+def test_default_domain_batched_flows_match_scalar_loop(name, params):
+    model = build_preset(name, params).model
+    grid = TimeGrid(0.0, model.horizon, 200)
+    thetas = np.linspace(*model.theta_interval, 33)
+    batched = _rk4_values(model, thetas, grid)
+    span = 0.0
+    for j, theta in enumerate(thetas):
+        x = solve_limit_ode(model, float(theta), grid).values
+        assert np.array_equal(batched[:, j], x)
+        span = max(span, float(np.max(np.abs(x - model.x0))))
+    lam = span + 1.0
+    assert default_domain(model) == (model.x0 - 6.0 * lam, model.x0 + 6.0 * lam)
