@@ -10,6 +10,11 @@ batch.  All reductions run along one replication's own contiguous row or
 along the time axis, which keeps results bit-identical for any chunking of
 the replication set.
 
+A block builds only what its callers read, and drops each path-sized (M, n+1)
+array once it has been used.  `simulate_batch` returns the Brownian
+increments, not their running sum; `run_batch` keeps them, and builds the
+limiting Gaussian factor xi from them, only when residuals are requested.
+
 The pilot here is also the scalar `estimation.mde_estimate`, which runs it on
 a one-row batch.  The scalar score and flow routines in `estimation` and
 `bsde` remain separate reference implementations, pinned to the engine by
@@ -47,8 +52,11 @@ def _trapezoid_weights(n_nodes: int, h: float) -> np.ndarray:
 
 
 def _cumtrapz_rows(values: np.ndarray, h: float) -> np.ndarray:
-    out = np.zeros(values.shape)
-    np.cumsum(0.5 * h * (values[..., 1:] + values[..., :-1]), axis=-1, out=out[..., 1:])
+    out = np.empty(values.shape)
+    out[..., 0] = 0.0
+    incr = np.add(values[..., 1:], values[..., :-1], out=out[..., 1:])
+    incr *= 0.5 * h
+    np.cumsum(incr, axis=-1, out=incr)
     return out
 
 
@@ -56,32 +64,37 @@ def simulate_batch(model: ModelSpec, theta0: float, epsilon: float, grid: TimeGr
                    seed: int, stream_ids: Sequence[int]):
     """Euler-Maruyama paths for a block of replications.
 
-    Returns (X, W, diverged) with X, W of shape (M, n+1).  Diverged rows are
-    frozen at x0 from the blow-up node on and flagged; their numbers are
-    never used downstream.
+    Returns (X, dW, diverged): X of shape (M, n+1) and the Brownian
+    increments dW of shape (M, n), whose running sum from 0 is W.  Diverged
+    rows are frozen at x0 from the blow-up node on and flagged; their numbers
+    are never used downstream.
     """
     m = len(stream_ids)
     n = grid.n_steps
     h = grid.h
     times = grid.times
-    dw = np.empty((m, n))
+    # time-major buffers: each Euler step reads and writes contiguous rows
+    dw = np.empty((n, m))
     for r, sid in enumerate(stream_ids):
-        dw[r] = NoiseSource(seed, sid).increments(n, h)
-    x = np.full(m, float(model.x0))
-    xs = np.empty((m, n + 1))
-    xs[:, 0] = x
-    diverged = np.zeros(m, dtype=bool)
-    for k in range(n):
-        t = times[k]
-        s = broadcast_eval(model.drift(theta0, t, x), x.shape)
-        sig = broadcast_eval(model.diffusion(t, x), x.shape)
-        x = x + s * h + epsilon * sig * dw[:, k]
-        bad = ~np.isfinite(x) | (np.abs(x) > BLOWUP_GUARD)
-        diverged |= bad
-        x = np.where(diverged, model.x0, x)
-        xs[:, k + 1] = x
-    w = np.concatenate((np.zeros((m, 1)), np.cumsum(dw, axis=1)), axis=1)
-    return xs, w, diverged
+        dw[:, r] = NoiseSource(seed, sid).increments(n, h)
+    xs = np.empty((n + 1, m))
+    xs[0] = model.x0
+    # rows are independent, so a row that blows up runs on and is frozen
+    # after the loop, from its first node beyond the guard
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            t = times[k]
+            x = xs[k]
+            s = broadcast_eval(model.drift(theta0, t, x), x.shape)
+            sig = broadcast_eval(model.diffusion(t, x), x.shape)
+            xs[k + 1] = x + s * h + epsilon * sig * dw[k]
+        ok = xs <= BLOWUP_GUARD
+        ok &= xs >= -BLOWUP_GUARD
+    diverged = ~ok.all(axis=0)
+    for r in np.flatnonzero(diverged):
+        xs[np.argmin(ok[:, r]):, r] = model.x0
+    del ok
+    return np.ascontiguousarray(xs.T), dw.T, diverged
 
 
 def _resolution(f: np.ndarray) -> np.ndarray:
@@ -170,17 +183,18 @@ def pilot_batch(model: ModelSpec, X: np.ndarray, grid: TimeGrid, delta: float):
 
 
 def flow_batch(model: ModelSpec, thetas: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Limit flows for a vector of parameters, shape (M, n+1)."""
-    return _rk4_values(model, thetas, grid).T
+    """Limit flows for a vector of parameters, C-ordered rows of shape (M, n+1)."""
+    return np.ascontiguousarray(_rk4_values(model, thetas, grid).T)
 
 
 def fisher_profile_batch(model: ModelSpec, thetas: np.ndarray, flows: np.ndarray,
                          grid: TimeGrid) -> np.ndarray:
+    """Information profiles int_0^t (S_theta / sigma)^2 ds along each flow row."""
     times = grid.times[None, :]
     th = thetas[:, None]
-    sdot = broadcast_eval(model.drift_dtheta(th, times, flows), flows.shape)
-    sig = broadcast_eval(model.diffusion(times, flows), flows.shape)
-    return _cumtrapz_rows(sdot**2 / sig**2, grid.h)
+    q = np.square(broadcast_eval(model.drift_dtheta(th, times, flows), flows.shape))
+    q /= np.square(np.asarray(model.diffusion(times, flows), dtype=float))
+    return _cumtrapz_rows(q, grid.h)
 
 
 def score_tail_profile_batch(model: ModelSpec, thetas: np.ndarray, X: np.ndarray,
@@ -295,7 +309,12 @@ def score_head_batch(model: ModelSpec, thetas: np.ndarray, X: np.ndarray,
 
 @dataclass
 class BatchResult:
-    """Per-replication outputs of one engine block (all arrays length M)."""
+    """Per-replication outputs of one engine block (all arrays length M).
+
+    y_plugin is set only with plugin=True, xi, r_y and r_z only with
+    residuals=True (r_y and r_z also need epsilon > 0), and sup_abs_y_err only
+    with sup_stride > 0; otherwise they are None.
+    """
 
     stream_ids: np.ndarray
     diverged: np.ndarray
@@ -311,7 +330,7 @@ class BatchResult:
     z_hat: np.ndarray
     z_true: np.ndarray
     y_plugin: Optional[np.ndarray]
-    xi: np.ndarray                 # (M, R)
+    xi: Optional[np.ndarray]       # (M, R), limiting Gaussian factor; residuals only
     r_y: Optional[np.ndarray]
     r_z: Optional[np.ndarray]
     terminal_abs_err: np.ndarray
@@ -330,6 +349,27 @@ def _blocked_value(vf, method, t_nodes, x_rows, theta_rows):
     return out
 
 
+def _limit_factor(model: ModelSpec, theta0: float, grid: TimeGrid, dW: np.ndarray,
+                  nodes: np.ndarray) -> np.ndarray:
+    """Limiting Gaussian factor xi(t) = int_0^t (S_theta / sigma) dW / I(t)
+    along the flow at theta0, at the given nodes; shape (M, len(nodes))."""
+    times = grid.times
+    flow0 = _rk4_values(model, float(theta0), grid)
+    info0 = _cumtrapz_rows(
+        broadcast_eval(model.drift_dtheta(theta0, times, flow0), times.shape) ** 2
+        / broadcast_eval(model.diffusion(times, flow0), times.shape) ** 2,
+        grid.h,
+    )
+    wgt = broadcast_eval(model.drift_dtheta(theta0, times[:-1], flow0[:-1]),
+                         (grid.n_steps,)) / \
+        broadcast_eval(model.diffusion(times[:-1], flow0[:-1]), (grid.n_steps,))
+    cums = np.zeros((dW.shape[0], grid.n_steps + 1))
+    np.cumsum(wgt[None, :] * dW, axis=1, out=cums[:, 1:])
+    info_n = info0[None, nodes]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(info_n < INFO_FLOOR, 0.0, cums[:, nodes] / info_n)
+
+
 def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGrid,
               delta: float, report_times: Sequence[float], seed: int,
               stream_ids: Sequence[int], *, plugin: bool = False,
@@ -345,38 +385,33 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
     if np.any(r_idx < i):
         raise ConfigurationError("report times must not precede delta")
 
-    X, W, diverged = simulate_batch(model, theta0, epsilon, grid, seed, stream_ids)
+    X, dW, diverged = simulate_batch(model, theta0, epsilon, grid, seed, stream_ids)
+    xi_rep = _limit_factor(model, theta0, grid, dW, r_idx) if residuals else None
+    del dW
     theta_pilot, flat = pilot_batch(model, X, grid, delta)
 
     flows = flow_batch(model, theta_pilot, grid)
     info = fisher_profile_batch(model, theta_pilot, flows, grid)[:, i:]
+    del flows
     tail = score_tail_profile_batch(model, theta_pilot, X, grid, i)
     head, quad_failed = score_head_batch(model, theta_pilot, X, grid, i, epsilon)
 
+    rel = r_idx - i
     # information is nondecreasing, so a row is unusable only if its final value is
     info_bad = info[:, -1] < INFO_FLOOR
-    safe_info = np.where(info < INFO_FLOOR, np.inf, info)
-    raw = theta_pilot[:, None] + (tail + head[:, None]) / safe_info
+    low_rep = info[:, rel] < INFO_FLOOR
+    # raw = theta_pilot + (tail + head) / info, built in tail's buffer; below
+    # the information floor the correction is dropped and the node is clamped
+    np.copyto(info, np.inf, where=info < INFO_FLOOR)
+    raw = tail
+    raw += head[:, None]
+    raw /= info
+    del info
+    raw += theta_pilot[:, None]
     lo, hi = model.theta_interval
-    theta_prof = np.clip(raw, lo, hi)
-    clamp_prof = (raw < lo) | (raw > hi) | (info < INFO_FLOOR)
+    clamped = (raw[:, rel] < lo) | (raw[:, rel] > hi) | low_rep
+    theta_prof = np.clip(raw, lo, hi, out=raw)
 
-    # limiting Gaussian factor along the true flow
-    flow0 = _rk4_values(model, float(theta0), grid)
-    info0 = _cumtrapz_rows(
-        broadcast_eval(model.drift_dtheta(theta0, grid.times, flow0), grid.times.shape) ** 2
-        / broadcast_eval(model.diffusion(grid.times, flow0), grid.times.shape) ** 2,
-        grid.h,
-    )
-    wgt = broadcast_eval(model.drift_dtheta(theta0, grid.times[:-1], flow0[:-1]),
-                         (grid.n_steps,)) / \
-        broadcast_eval(model.diffusion(grid.times[:-1], flow0[:-1]), (grid.n_steps,))
-    cums = np.concatenate((np.zeros((X.shape[0], 1)),
-                           np.cumsum(wgt[None, :] * np.diff(W, axis=1), axis=1)), axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xi_full = np.where(info0[None, :] < INFO_FLOOR, 0.0, cums / info0[None, :])
-
-    rel = r_idx - i
     t_rep = grid.times[r_idx]
     x_rep = X[:, r_idx]
     th_rep = theta_prof[:, rel]
@@ -386,7 +421,6 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
     z_hat = epsilon * sig_rep * _blocked_value(vf, "value_x", t_rep, x_rep, th_rep)
     z_true = epsilon * sig_rep * _blocked_value(
         vf, "value_x", t_rep, x_rep, np.broadcast_to(theta0, th_rep.shape))
-    xi_rep = xi_full[:, r_idx]
 
     y_plugin = None
     if plugin:
@@ -434,7 +468,7 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
         theta_pilot=theta_pilot,
         report_times=report_times,
         theta_onestep=th_rep,
-        clamped=clamp_prof[:, rel],
+        clamped=clamped,
         y_hat=y_hat,
         y_true=y_true,
         z_hat=z_hat,

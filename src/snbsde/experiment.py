@@ -7,7 +7,7 @@ Wall time is reported only in the human summary, never in the CSV.
 """
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -207,7 +207,6 @@ class EpsilonBlock:
 def _concat_results(parts: List[engine.BatchResult]) -> engine.BatchResult:
     if len(parts) == 1:
         return parts[0]
-    first = parts[0]
 
     def cat(attr):
         vals = [getattr(p, attr) for p in parts]
@@ -215,27 +214,10 @@ def _concat_results(parts: List[engine.BatchResult]) -> engine.BatchResult:
             return None
         return np.concatenate(vals, axis=0)
 
-    return engine.BatchResult(
-        stream_ids=cat("stream_ids"),
-        diverged=cat("diverged"),
-        flat=cat("flat"),
-        quad_failed=cat("quad_failed"),
-        failed=cat("failed"),
-        theta_pilot=cat("theta_pilot"),
-        report_times=first.report_times,
-        theta_onestep=cat("theta_onestep"),
-        clamped=cat("clamped"),
-        y_hat=cat("y_hat"),
-        y_true=cat("y_true"),
-        z_hat=cat("z_hat"),
-        z_true=cat("z_true"),
-        y_plugin=cat("y_plugin"),
-        xi=cat("xi"),
-        r_y=cat("r_y"),
-        r_z=cat("r_z"),
-        terminal_abs_err=cat("terminal_abs_err"),
-        sup_abs_y_err=cat("sup_abs_y_err"),
-    )
+    merged = {f.name: cat(f.name) for f in fields(engine.BatchResult)
+              if f.name != "report_times"}
+    # the report times are shared by every chunk, not one entry per replication
+    return engine.BatchResult(report_times=parts[0].report_times, **merged)
 
 
 def run_epsilon_block(bundle: ModelBundle, config: ExperimentConfig,

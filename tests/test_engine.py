@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -77,6 +78,54 @@ def test_batch_results_chunk_invariant():
         assert np.array_equal(merged, getattr(whole, field)), field
 
 
+def test_residuals_feed_nothing_else():
+    # the limiting factor xi is built only for the residuals, so leaving them
+    # out must leave every other output bit for bit the same
+    eps = 0.05
+    b = build_preset("linear-ou")
+    grid = TimeGrid(0.0, 1.0, 200)
+    vf = _vf_for(b, eps)
+    args = (b.model, vf, 0.5, eps, grid, 0.1, (0.5, 1.0), SEED, range(6))
+    lean = run_batch(*args, plugin=True, sup_stride=3)
+    full = run_batch(*args, plugin=True, residuals=True, sup_stride=3)
+    optional = ("xi", "r_y", "r_z")
+    assert all(getattr(lean, name) is None for name in optional)
+    assert all(getattr(full, name) is not None for name in optional)
+    for f in dataclasses.fields(engine.BatchResult):
+        if f.name not in optional:
+            assert np.array_equal(getattr(lean, f.name), getattr(full, f.name)), f.name
+
+
+# Peak traced allocation of one closed-form block (M = 200, n = 2000,
+# sup_stride = 1, no residuals) in units of one (M, n+1) float64 array.  The
+# lean block reads 10.16 (numpy 2.4); keeping any one more path-sized array
+# alive to the end (the flows, the information or dW) reads 11.16, and a
+# block that keeps every stage alive read 18.0.
+PEAK_PATH_ARRAYS = 11.0
+
+
+def test_run_batch_peak_memory():
+    m, n, eps = 200, 2000, 0.05
+    b = build_preset("linear-constant-drift")
+    grid = TimeGrid(0.0, 1.0, n)
+    vf = LinearValueFunction(b.linear, eps)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        res = run_batch(b.model, vf, 1.0, eps, grid, 0.1, (0.5, 1.0), SEED, range(m),
+                        sup_stride=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert not np.any(res.failed)
+    ratio = peak / (m * (n + 1) * 8)
+    assert ratio < PEAK_PATH_ARRAYS, ratio
+
+
 def test_batch_closed_form_matches_gauss_hermite():
     # the preset's closed-form expectations against the Gauss-Hermite path
     eps = 0.1
@@ -105,17 +154,19 @@ def test_simulate_batch_matches_scalar_and_flags_divergence():
                       theta_interval=(0.5, 1.5), x0=1.0, horizon=1.0,
                       kappa=1.0, growth_const=10.0)
     grid = TimeGrid(0.0, 1.0, 100)
-    X, W, diverged = simulate_batch(cubic, 1.0, 2.0, grid, 99, range(8))
+    X, dW, diverged = simulate_batch(cubic, 1.0, 2.0, grid, 99, range(8))
     assert np.any(diverged) and not np.all(diverged)
     for r in range(8):
         if diverged[r]:
-            assert X[r, -1] == cubic.x0
-            with pytest.raises(SimulationDivergedError):
+            with pytest.raises(SimulationDivergedError) as err:
                 simulate_forward(cubic, 1.0, 2.0, grid, NoiseSource(99, r))
+            # frozen at x0 from the node where the scalar path stops, not before
+            k = err.value.node_index
+            assert np.all(X[r, k:] == cubic.x0) and X[r, k - 1] != cubic.x0
         else:
             Xs, Ws = simulate_forward(cubic, 1.0, 2.0, grid, NoiseSource(99, r))
             assert np.array_equal(X[r], Xs.values)
-            assert np.array_equal(W[r], Ws.values)
+            assert np.array_equal(np.concatenate(([0.0], np.cumsum(dW[r]))), Ws.values)
 
 
 def test_vector_simpson_analytic_rows():
