@@ -11,14 +11,14 @@ along the time axis, which keeps results bit-identical for any chunking of
 the replication set.
 
 A block builds only what its callers read, and drops each path-sized (M, n+1)
-array once it has been used.  `simulate_batch` returns the Brownian
-increments, not their running sum; `run_batch` keeps them, and builds the
-limiting Gaussian factor xi from them, only when residuals are requested.
+array once it has been used.  `simulate_batch` draws every noise row from one
+re-keyed Philox bit generator and returns the Brownian increments, not their
+running sum; `run_batch` keeps them, and builds the limiting Gaussian factor
+xi from them, only when residuals are requested.
 
-The pilot here is also the scalar `estimation.mde_estimate`, which runs it on
-a one-row batch.  The scalar score and flow routines in `estimation` and
-`bsde` remain separate reference implementations, pinned to the engine by
-equivalence tests.
+The pilot and the head score here are also the scalar
+`estimation.mde_estimate` and `estimation.score_head`, which run them on a
+one-row batch.
 """
 
 from dataclasses import dataclass, field
@@ -27,12 +27,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .grids import NoiseSource, TimeGrid
+from .grids import TimeGrid, increment_rows
 from .models import BLOWUP_GUARD, ModelSpec, broadcast_eval, rk4_sensitivity, _rk4_values
 
 # Element cap per value-function evaluation block; keeps the quadrature
 # work matrix (elements x nodes) around half a GB.
 EVAL_BLOCK = 500_000
+# Element cap of the engine's scratch blocks (512 KB of float64): the noise
+# rows awaiting their transpose, and one block of the head score's s-term
+# integrand.
+SCRATCH_BLOCK = 65_536
 VECTOR_QUAD_TOL = 1e-10
 # Floor below which the information integral is treated as non-invertible.
 INFO_FLOOR = 1e-10
@@ -64,6 +68,8 @@ def simulate_batch(model: ModelSpec, theta0: float, epsilon: float, grid: TimeGr
                    seed: int, stream_ids: Sequence[int]):
     """Euler-Maruyama paths for a block of replications.
 
+    Row r is driven by the stream (seed, stream_ids[r]), drawn by
+    grids.increment_rows bit for bit as NoiseSource(seed, sid).increments.
     Returns (X, dW, diverged): X of shape (M, n+1) and the Brownian
     increments dW of shape (M, n), whose running sum from 0 is W.  Diverged
     rows are frozen at x0 from the blow-up node on and flagged; their numbers
@@ -73,10 +79,16 @@ def simulate_batch(model: ModelSpec, theta0: float, epsilon: float, grid: TimeGr
     n = grid.n_steps
     h = grid.h
     times = grid.times
-    # time-major buffers: each Euler step reads and writes contiguous rows
+    # time-major buffers: each Euler step reads and writes contiguous rows.
+    # The noise is drawn in C-ordered blocks of rows, each transposed into dw
+    # at once, so no second full-size noise array is ever live.
     dw = np.empty((n, m))
-    for r, sid in enumerate(stream_ids):
-        dw[:, r] = NoiseSource(seed, sid).increments(n, h)
+    rows_per_block = max(1, SCRATCH_BLOCK // n)
+    rows = np.empty((min(rows_per_block, m), n))
+    for lo in range(0, m, rows_per_block):
+        ids = stream_ids[lo: lo + rows_per_block]
+        dw[:, lo: lo + len(ids)] = increment_rows(seed, ids, n, h, out=rows[: len(ids)]).T
+    del rows
     xs = np.empty((n + 1, m))
     xs[0] = model.x0
     # rows are independent, so a row that blows up runs on and is frozen
@@ -215,21 +227,25 @@ def score_tail_profile_batch(model: ModelSpec, thetas: np.ndarray, X: np.ndarray
 def vector_simpson(fn, n_rows: int, tol: float = VECTOR_QUAD_TOL, max_levels: int = 14):
     """Composite-Simpson quadrature on [0, 1] for a batch of integrands.
 
-    fn(u) maps quadrature nodes (k,) to integrand values (n_rows, k).  Interval
-    count doubles until each row's Richardson estimate settles to tol; settled
-    rows freeze so results do not depend on the rest of the batch.  Returns
-    (values, failed).
+    fn(u) maps quadrature nodes (k,) to integrand values (n_rows, k), each
+    node's column independent of the others.  Interval count doubles until
+    each row's Richardson estimate settles to tol; each doubling evaluates fn
+    at the new (odd) nodes only and reuses the rest.  Settled rows freeze so
+    results do not depend on the rest of the batch.  Returns (values, failed).
     """
     n = 2
-    u = np.linspace(0.0, 1.0, n + 1)
-    vals = fn(u)
+    vals = fn(np.linspace(0.0, 1.0, n + 1))
     s_prev = (1.0 / (3.0 * n)) * (vals[:, 0] + 4.0 * vals[:, 1] + vals[:, 2])
     result = np.zeros(n_rows)
     settled = np.zeros(n_rows, dtype=bool)
     for _ in range(max_levels):
         n *= 2
-        u = np.linspace(0.0, 1.0, n + 1)
-        vals = fn(u)
+        # n is a power of two, so the even nodes are the previous level's
+        # nodes bit for bit
+        finer = np.empty((n_rows, n + 1))
+        finer[:, ::2] = vals
+        finer[:, 1::2] = fn(np.linspace(0.0, 1.0, n + 1)[1::2])
+        vals = finer
         hu = 1.0 / n
         s = (hu / 3.0) * (vals[:, 0] + vals[:, -1]
                           + 4.0 * np.sum(vals[:, 1:-1:2], axis=1)
@@ -247,6 +263,13 @@ def vector_simpson(fn, n_rows: int, tol: float = VECTOR_QUAD_TOL, max_levels: in
     return result, ~settled
 
 
+def _state_weight(model: ModelSpec, th, s, z) -> np.ndarray:
+    """B(theta, s, z) = S_theta / sigma^2, broadcast over its arguments."""
+    shape = np.broadcast_shapes(np.shape(th), np.shape(s), np.shape(z))
+    return broadcast_eval(model.drift_dtheta(th, s, z), shape) / \
+        broadcast_eval(model.diffusion(s, z), shape) ** 2
+
+
 def _primitive_batch(model: ModelSpec, thetas: np.ndarray, s_time: float,
                      x_to: np.ndarray):
     """Vector state primitive A(theta_m, s, x_m) = int_{x0}^{x_m} B dz."""
@@ -255,42 +278,83 @@ def _primitive_batch(model: ModelSpec, thetas: np.ndarray, s_time: float,
 
     def integrand(u):
         z = model.x0 + span[:, None] * u[None, :]
-        shape = z.shape
-        b = broadcast_eval(model.drift_dtheta(th, s_time, z), shape) / \
-            broadcast_eval(model.diffusion(s_time, z), shape) ** 2
-        return b * span[:, None]
+        return _state_weight(model, th, s_time, z) * span[:, None]
 
     return vector_simpson(integrand, thetas.size)
 
 
+def _primitive_s_sum(model: ModelSpec, thetas: np.ndarray, xs: np.ndarray,
+                     times: np.ndarray, w: np.ndarray, h: float):
+    """Trapezoidal sum of the state primitive's central difference in s,
+
+        sum_k w_k (A(hi_k, X_k) - A(lo_k, X_k)) / (hi_k - lo_k),
+
+    with hi_k, lo_k = t_k +- h cut back to t_k at 0 and at the horizon.  Every
+    A(s, X_k) integrates over the same u in [0, 1] (z = x0 + (X_k - x0) u),
+    so the sum is one integral over u of a node-summed integrand, taken by
+    one vector_simpson over the rows; its tolerance bounds the error of the
+    whole sum.  The integrand is built in blocks of rows and u of at most
+    SCRATCH_BLOCK elements, each summing over the nodes along a contiguous
+    axis, so a row's value does not depend on the batch.  For a
+    time-homogeneous model B(hi, z) - B(lo, z) is exactly 0, and so is the
+    sum.  Returns (values, failed).
+    """
+    lo = times - h
+    lo = np.where(lo < 0.0, times, lo)
+    hi = times + h
+    hi = np.where(hi > model.horizon, times, hi)
+    if np.any(hi == lo):
+        raise ConfigurationError("cannot form a finite difference in s")
+    m, k = xs.shape
+    span = xs - model.x0
+    coef = span * (w / (hi - lo))
+    th = thetas[:, None, None]
+
+    def integrand(u):
+        out = np.empty((m, u.size))
+        u_per_block = max(1, min(u.size, SCRATCH_BLOCK // k))
+        rows_per_block = max(1, SCRATCH_BLOCK // (u_per_block * k))
+        for r0 in range(0, m, rows_per_block):
+            r = slice(r0, r0 + rows_per_block)
+            for c0 in range(0, u.size, u_per_block):
+                c = slice(c0, c0 + u_per_block)
+                # (rows, u, nodes): the node sum runs along the last axis
+                z = span[r, None, :] * u[None, c, None]
+                z += model.x0
+                db = _state_weight(model, th[r], hi, z)
+                db -= _state_weight(model, th[r], lo, z)
+                db *= coef[r, None, :]
+                np.sum(db, axis=2, out=out[r, c])
+        return out
+
+    return vector_simpson(integrand, m)
+
+
 def score_head_batch(model: ModelSpec, thetas: np.ndarray, X: np.ndarray,
                      grid: TimeGrid, i_delta: int, epsilon: float):
-    """Vector head score on [0, delta]; mirrors score_head.  Returns (head, failed)."""
+    """Head score on [0, delta] for every row of X; returns (head, failed).
+
+    Stochastic-integral-free form
+
+        A(theta, delta, X_delta)
+          - int_0^delta A_s(theta, s, X_s) ds
+          - (epsilon^2/2) int_0^delta B_x(theta, s, X_s) sigma(s, X_s)^2 ds
+          - int_0^delta (S_theta S / sigma^2)(theta, s, X_s) ds,
+
+    with trapezoidal time integrals, A_s by central difference in s of the
+    state primitive (see _primitive_s_sum) and B_x sigma^2 = S_theta_x -
+    2 S_theta sigma_x / sigma evaluated analytically.  `failed` flags rows
+    whose state-primitive quadrature did not settle.
+    """
     h = grid.h
     times = grid.times[: i_delta + 1]
     xs = X[:, : i_delta + 1]
     w = _trapezoid_weights(i_delta + 1, h)
-    m = thetas.size
     delta = float(times[-1])
 
     a_term, failed = _primitive_batch(model, thetas, delta, xs[:, -1])
-
-    a_s_sum = np.zeros(m)
-    horizon = model.horizon
-    for k in range(i_delta + 1):
-        t_node = float(times[k])
-        lo = t_node - h
-        hi = t_node + h
-        if lo < 0.0:
-            lo = t_node
-        if hi > horizon:
-            hi = t_node
-        if hi == lo:
-            raise ConfigurationError("cannot form a finite difference in s")
-        ap, f1 = _primitive_batch(model, thetas, hi, xs[:, k])
-        am, f2 = _primitive_batch(model, thetas, lo, xs[:, k])
-        failed = failed | f1 | f2
-        a_s_sum += w[k] * (ap - am) / (hi - lo)
+    a_s_sum, s_failed = _primitive_s_sum(model, thetas, xs, times, w, h)
+    failed = failed | s_failed
 
     th = thetas[:, None]
     tk = times[None, :]

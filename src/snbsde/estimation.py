@@ -35,12 +35,9 @@ from .errors import (
     SingularInformationError,
 )
 from .engine import (INFO_FLOOR, REFINE_FACTOR, SCAN_POINTS, pilot_batch,
-                     _cumtrapz_rows, _trapezoid_weights)
+                     score_head_batch, _cumtrapz_rows, _trapezoid_weights)
 from .grids import Path, TimeGrid
 from .models import ModelSpec, broadcast_eval, sensitivity_xdot, solve_limit_ode
-
-# Absolute tolerance of the state-primitive quadrature.
-PRIMITIVE_TOL = 1e-10
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -174,50 +171,6 @@ def fisher_information(model: ModelSpec, theta: float, x: Path, t: float) -> flo
     return value
 
 
-def _simpson(f, a, fa, b, fb, m, fm):
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adaptive_simpson(f, a, b, tol, max_depth=48):
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = _simpson(f, a, fa, b, fb, m, fm)
-    return _adaptive_simpson_rec(f, a, fa, b, fb, m, fm, whole, tol, max_depth)
-
-
-def _adaptive_simpson_rec(f, a, fa, b, fb, m, fm, whole, tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = _simpson(f, a, fa, m, fm, lm, flm)
-    right = _simpson(f, m, fm, b, fb, rm, frm)
-    err = left + right - whole
-    if abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    if depth <= 0:
-        raise QuadratureError("state-primitive quadrature did not converge")
-    return _adaptive_simpson_rec(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1) + \
-        _adaptive_simpson_rec(f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1)
-
-
-def score_primitive(model: ModelSpec, theta: float, s: float, x: float) -> float:
-    """State primitive A(theta, s, x) = int_{x0}^{x} S_theta/sigma^2 dz.
-
-    Adaptive Simpson quadrature to absolute tolerance 1e-10.
-    """
-    x0 = model.x0
-    if x == x0:
-        return 0.0
-
-    def integrand(z):
-        return float(model.drift_dtheta(theta, s, z)) / float(model.diffusion(s, z)) ** 2
-
-    if x > x0:
-        return _adaptive_simpson(integrand, x0, x, PRIMITIVE_TOL)
-    return -_adaptive_simpson(integrand, x, x0, PRIMITIVE_TOL)
-
-
 def score_tail_profile(model: ModelSpec, theta: float, X: Path, delta: float) -> np.ndarray:
     """Running tail score over the nodes of [delta, T]; first entry is 0.
 
@@ -246,62 +199,21 @@ def score_tail(model: ModelSpec, theta: float, X: Path, delta: float, t: float) 
     return float(score_tail_profile(model, theta, X, delta)[j - i])
 
 
-def _primitive_time_derivative(model, theta, t_node, x_node, h, horizon):
-    """d/ds of the state primitive at (t_node, x_node), central step h."""
-    if x_node == model.x0:
-        return 0.0
-    lo = t_node - h
-    hi = t_node + h
-    if lo < 0.0:
-        lo = t_node
-    if hi > horizon:
-        hi = t_node
-    if hi == lo:
-        raise ConfigurationError("cannot form a finite difference in s")
-    return (score_primitive(model, theta, hi, x_node) -
-            score_primitive(model, theta, lo, x_node)) / (hi - lo)
-
-
 def score_head(model: ModelSpec, theta: float, X: Path, delta: float, epsilon: float) -> float:
     """Head score statistic on the learning window [0, delta].
 
-    Stochastic-integral-free form:
-
-        A(theta, delta, X_delta)
-          - int_0^delta A_s(theta, s, X_s) ds
-          - (epsilon^2/2) int_0^delta B_x(theta, s, X_s) sigma(s, X_s)^2 ds
-          - int_0^delta (S_theta S / sigma^2)(theta, s, X_s) ds,
-
-    with A_s by central finite difference of the state primitive in s and
-    B_x sigma^2 = S_theta_x - 2 S_theta sigma_x / sigma evaluated analytically.
+    engine.score_head_batch (which states the stochastic-integral-free form)
+    on the one-row batch holding X.  Raises QuadratureError when its
+    state-primitive quadrature does not settle.
     """
     i = X.grid.node_index(delta)
     if i < 1:
         raise ConfigurationError("learning window too small for the grid")
-    h = X.grid.h
-    times = X.times[: i + 1]
-    xs = X.values[: i + 1]
-    w = _trapezoid_weights(i + 1, h)
-
-    a_term = score_primitive(model, theta, delta, float(xs[-1]))
-    a_s = np.array(
-        [
-            _primitive_time_derivative(model, theta, float(times[k]), float(xs[k]), h, model.horizon)
-            for k in range(i + 1)
-        ]
-    )
-    sdot = broadcast_eval(model.drift_dtheta(theta, times, xs), times.shape)
-    sig = broadcast_eval(model.diffusion(times, xs), times.shape)
-    sdot_x = broadcast_eval(model.drift_dtheta_dx(theta, times, xs), times.shape)
-    sig_x = broadcast_eval(model.diffusion_dx(times, xs), times.shape)
-    s_val = broadcast_eval(model.drift(theta, times, xs), times.shape)
-    bx_sigma2 = sdot_x - 2.0 * sdot * sig_x / sig
-    return float(
-        a_term
-        - np.sum(w * a_s)
-        - 0.5 * epsilon**2 * np.sum(w * bx_sigma2)
-        - np.sum(w * sdot * s_val / sig**2)
-    )
+    head, failed = score_head_batch(model, np.array([float(theta)]), X.values[None, :],
+                                    X.grid, i, epsilon)
+    if failed[0]:
+        raise QuadratureError("state-primitive quadrature did not converge")
+    return float(head[0])
 
 
 def onestep_trace(model: ModelSpec, theta_pilot: float, X: Path, delta: float,

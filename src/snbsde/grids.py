@@ -1,6 +1,7 @@
 """Uniform time grids, discrete paths, and reproducible Brownian noise."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -73,6 +74,45 @@ class Path:
         return float(self.values[self.grid.node_index(t)])
 
 
+def _check_u64(name: str, value) -> int:
+    v = int(value)
+    if not 0 <= v < 2**64:
+        raise ConfigurationError(f"{name} must be an unsigned 64-bit integer")
+    return v
+
+
+def increment_rows(seed: int, stream_ids: Sequence[int], n_steps: int, h: float,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Brownian increments for a block of streams, one C-ordered row each.
+
+    Row r holds the first n_steps draws of the Philox stream keyed by
+    (seed, stream_ids[r]), scaled to variance h: bit for bit
+    sqrt(h) * Generator(Philox(key=(seed << 64) | sid)).standard_normal(n_steps).
+    One bit generator is re-keyed per row through its `state` setter
+    (key = [sid, seed], counter 0, empty buffer) instead of constructing a
+    generator per row.  `out`, if given, is a C-ordered (len(stream_ids),
+    n_steps) float64 array filled in place and returned.
+    """
+    if n_steps < 1:
+        raise ConfigurationError("n_steps must be >= 1")
+    if h <= 0:
+        raise ConfigurationError("h must be positive")
+    seed = _check_u64("seed", seed)
+    if out is None:
+        out = np.empty((len(stream_ids), n_steps))
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    key = [0, seed]
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for r, sid in enumerate(stream_ids):
+        key[0] = _check_u64("stream_id", sid)
+        bitgen.state = state
+        gen.standard_normal(out=out[r])
+    out *= np.sqrt(h)
+    return out
+
+
 @dataclass(frozen=True)
 class NoiseSource:
     """Counter-based Gaussian increment stream.
@@ -80,27 +120,21 @@ class NoiseSource:
     Increments are a pure function of (seed, stream_id, step index): each
     (seed, stream_id) pair keys an independent Philox stream, and the k-th
     increment is the k-th draw of that stream.  Replications can therefore be
-    generated in any order, or in parallel, without changing any draw.
+    generated in any order, or in parallel, without changing any draw.  A
+    stream's increments are the one-row case of `increment_rows`, which the
+    batched engine uses for whole blocks of streams.
     """
 
     seed: int
     stream_id: int = 0
 
     def __post_init__(self):
-        for name in ("seed", "stream_id"):
-            v = getattr(self, name)
-            if not (0 <= int(v) < 2**64):
-                raise ConfigurationError(f"{name} must be an unsigned 64-bit integer")
+        _check_u64("seed", self.seed)
+        _check_u64("stream_id", self.stream_id)
 
     def increments(self, n_steps: int, h: float) -> np.ndarray:
         """n_steps Brownian increments with variance h each."""
-        if n_steps < 1:
-            raise ConfigurationError("n_steps must be >= 1")
-        if h <= 0:
-            raise ConfigurationError("h must be positive")
-        key = (int(self.seed) << 64) | int(self.stream_id)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        return np.sqrt(h) * gen.standard_normal(n_steps)
+        return increment_rows(self.seed, (self.stream_id,), n_steps, h)[0]
 
 
 def brownian_path(noise: NoiseSource, grid: TimeGrid) -> Path:

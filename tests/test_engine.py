@@ -7,11 +7,12 @@ import pytest
 
 from snbsde import engine
 from snbsde.bsde import approximate_bsde, residual_decomposition
-from snbsde.engine import (REFINE_FACTOR, pilot_batch, run_batch, simulate_batch,
-                           vector_simpson, _trapezoid_weights)
+from snbsde.engine import (REFINE_FACTOR, pilot_batch, run_batch, score_head_batch,
+                           simulate_batch, vector_simpson, _trapezoid_weights)
 from snbsde.errors import (ConfigurationError, FlatObjectiveError,
                            SimulationDivergedError)
-from snbsde.estimation import EstimationWindow, mde_estimate, scan_then_golden
+from snbsde.estimation import (EstimationWindow, mde_estimate, scan_then_golden,
+                               score_head)
 from snbsde.grids import NoiseSource, Path, TimeGrid
 from snbsde.models import ModelSpec, rk4_sensitivity, simulate_forward, _rk4_values
 from snbsde.pde import PdeGrid, theta_derivatives_by_bundle
@@ -191,6 +192,147 @@ def test_vector_simpson_reports_failures():
     _, failed = vector_simpson(lambda u: np.cos(40.0 * u)[None, :], 1,
                                max_levels=1)
     assert failed[0]
+
+
+# -- head score with a time-dependent state primitive ------------------------
+
+HEAD_GRID = TimeGrid(0.0, 1.0, 200)
+HEAD_EPS = 0.1
+HEAD_THETAS = np.linspace(0.5, 1.5, 6)
+
+# S = theta (1 + t) x, sigma = 1: A = (1 + s)(x^2 - x0^2)/2 is linear in s and
+# its integrand linear in u, so central differences and Simpson are exact
+TIME_LINEAR = ModelSpec(
+    drift=lambda th, t, x: th * (1.0 + t) * x,
+    drift_dtheta=lambda th, t, x: (1.0 + t) * x + 0.0 * th,
+    drift_ddtheta=lambda th, t, x: 0.0 * (th + t + x),
+    drift_dx=lambda th, t, x: th * (1.0 + t) + 0.0 * x,
+    drift_dtheta_dx=lambda th, t, x: 1.0 + t + 0.0 * (th + x),
+    diffusion=lambda t, x: 1.0 + 0.0 * (t + x),
+    diffusion_dx=lambda t, x: 0.0 * (t + x),
+    theta_interval=(0.1, 2.0), x0=1.0, horizon=1.0, kappa=1.0, growth_const=4.0)
+
+# S = theta (1 + t) sin x, sigma = 1 + t/2: A = (1 + s)/(1 + s/2)^2 (cos x0 - cos x)
+TIME_SINE = ModelSpec(
+    drift=lambda th, t, x: th * (1.0 + t) * np.sin(x),
+    drift_dtheta=lambda th, t, x: (1.0 + t) * np.sin(x) + 0.0 * th,
+    drift_ddtheta=lambda th, t, x: 0.0 * (th + t + x),
+    drift_dx=lambda th, t, x: th * (1.0 + t) * np.cos(x),
+    drift_dtheta_dx=lambda th, t, x: (1.0 + t) * np.cos(x) + 0.0 * th,
+    diffusion=lambda t, x: 1.0 + 0.5 * t + 0.0 * x,
+    diffusion_dx=lambda t, x: 0.0 * (t + x),
+    theta_interval=(0.1, 2.0), x0=0.7, horizon=1.0, kappa=1.0, growth_const=4.0)
+
+
+def _head_window(model, seed):
+    X, _, diverged = simulate_batch(model, 1.0, HEAD_EPS, HEAD_GRID, seed,
+                                    range(HEAD_THETAS.size))
+    assert not np.any(diverged)
+    i = HEAD_GRID.node_index(0.1)
+    t = HEAD_GRID.times[: i + 1]
+    return X, i, t, X[:, : i + 1], _trapezoid_weights(i + 1, HEAD_GRID.h)
+
+
+def _scalar_heads(model, X):
+    return np.array([score_head(model, th, Path(HEAD_GRID, X[r]), 0.1, HEAD_EPS)
+                     for r, th in enumerate(HEAD_THETAS)])
+
+
+def test_head_score_time_linear_closed_form():
+    X, i, t, xs, w = _head_window(TIME_LINEAR, 11)
+    s_term = np.sum(w * 0.5 * (xs**2 - 1.0), axis=1)  # sum_k w_k A_s(t_k, X_k)
+    assert np.all(np.abs(s_term) > 1e-3)
+    want = (0.5 * (1.0 + t[-1]) * (xs[:, -1] ** 2 - 1.0) - s_term
+            - 0.5 * HEAD_EPS**2 * np.sum(w * (1.0 + t))
+            - HEAD_THETAS * np.sum(w * (1.0 + t) ** 2 * xs**2, axis=1))
+    head, failed = score_head_batch(TIME_LINEAR, HEAD_THETAS, X, HEAD_GRID, i, HEAD_EPS)
+    assert not np.any(failed)
+    npt.assert_allclose(head, want, rtol=1e-12, atol=0)
+    npt.assert_allclose(_scalar_heads(TIME_LINEAR, X), want, rtol=1e-12, atol=0)
+
+
+def _sine_primitive(s, x):
+    return (1.0 + s) / (1.0 + 0.5 * s) ** 2 * (np.cos(TIME_SINE.x0) - np.cos(x))
+
+
+def test_head_score_time_dependent_matches_per_node_reference():
+    # reference: every node's central difference in s of the exact primitive
+    X, i, t, xs, w = _head_window(TIME_SINE, 12)
+    h = HEAD_GRID.h
+    lo = np.where(t - h < 0.0, t, t - h)
+    hi = t + h
+    s_term = np.sum(w * (_sine_primitive(hi, xs) - _sine_primitive(lo, xs)) / (hi - lo),
+                    axis=1)
+    assert np.all(np.abs(s_term) > 1e-6)
+    sig = 1.0 + 0.5 * t
+    want = (_sine_primitive(t[-1], xs[:, -1]) - s_term
+            - 0.5 * HEAD_EPS**2 * np.sum(w * (1.0 + t) * np.cos(xs), axis=1)
+            - np.sum(w * HEAD_THETAS[:, None] * (1.0 + t) ** 2 * np.sin(xs) ** 2 / sig**2,
+                     axis=1))
+    head, failed = score_head_batch(TIME_SINE, HEAD_THETAS, X, HEAD_GRID, i, HEAD_EPS)
+    assert not np.any(failed)
+    npt.assert_allclose(head, want, rtol=0, atol=1e-9)
+    npt.assert_allclose(_scalar_heads(TIME_SINE, X), want, rtol=0, atol=1e-9)
+
+
+def test_head_score_row_independent_of_batch_and_blocks(monkeypatch):
+    # compared on the s-term's integrand too: the s-term is small, so a
+    # last-bit change in it can vanish in the rounding of the head
+    X, i, t, xs, w = _head_window(TIME_SINE, 13)
+    integrands = []
+    real = engine.vector_simpson
+
+    def spy(fn, n_rows, **kw):
+        integrands.append(fn)
+        return real(fn, n_rows, **kw)
+
+    monkeypatch.setattr(engine, "vector_simpson", spy)
+    u = np.linspace(0.0, 1.0, 17)
+
+    def both(rows):
+        del integrands[:]
+        head, _ = score_head_batch(TIME_SINE, HEAD_THETAS[rows], X[rows], HEAD_GRID, i,
+                                   HEAD_EPS)
+        # the head makes two quadratures, A(delta, X_delta) and then the s-term
+        return head, integrands[-1](u)
+
+    whole = both(slice(None))
+    alone = both(slice(2, 3))
+    for got, want in zip(alone, whole):
+        assert np.array_equal(got[0], want[2])
+    # scratch blocks of a few rows and u nodes must not move a bit either
+    monkeypatch.setattr(engine, "SCRATCH_BLOCK", 50)
+    for got, want in zip(both(slice(None)), whole):
+        assert np.array_equal(got, want)
+
+
+# Peak traced allocation of score_head_batch at M = 1024, i = 100, in units of
+# one (M, i+1) float64 array: 8.05 with the s-term integrand in blocks of
+# SCRATCH_BLOCK elements (the closing trapezoid sums set it), 17.1 with the
+# whole (M, u nodes, i+1) integrand built at once.
+PEAK_HEAD_ARRAYS = 10.0
+
+
+@pytest.mark.parametrize("model", [TIME_LINEAR, TIME_SINE], ids=["linear", "sine"])
+def test_score_head_batch_peak_memory(model):
+    m, i = 1024, 100
+    grid = TimeGrid(0.0, 1.0, 1000)
+    X, _, _ = simulate_batch(model, 1.0, 0.05, grid, SEED, range(m))
+    thetas = np.full(m, 1.0)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _, failed = score_head_batch(model, thetas, X, grid, i, 0.05)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert not np.any(failed)
+    ratio = peak / (m * (i + 1) * 8)
+    assert ratio < PEAK_HEAD_ARRAYS, ratio
 
 
 def test_run_batch_rejects_early_report():

@@ -2,14 +2,16 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from snbsde.errors import (ConfigurationError, FlatObjectiveError,
+from snbsde import engine
+from snbsde.engine import _primitive_batch
+from snbsde.errors import (ConfigurationError, FlatObjectiveError, QuadratureError,
                            SingularInformationError)
 from snbsde.estimation import (EstimationWindow, fisher_information,
                                fisher_profile, full_mle,
                                mde_asymptotic_variance, mde_estimate,
                                one_step_mle, onestep_error_limit,
                                onestep_trace, scan_then_golden, score_head,
-                               score_primitive, score_tail)
+                               score_tail)
 from snbsde.grids import NoiseSource, Path, TimeGrid, brownian_path
 from snbsde.models import ModelSpec, simulate_forward, solve_limit_ode
 from snbsde.presets import build_preset
@@ -100,13 +102,13 @@ def test_fisher_floor_raises():
 
 
 def test_score_primitive_proportional_oracle():
-    # B = x/sigma^2 integrates to (x^2 - x0^2)/2 for sigma = 1
+    # B = x/sigma^2 integrates to (x^2 - x0^2)/2 for sigma = 1, and below the
+    # start point the sign flips with the orientation
     b = build_preset("linear-ou")
-    val = score_primitive(b.model, 0.7, 0.3, 2.5)
-    assert abs(val - 0.5 * (2.5**2 - 1.0)) < 1e-9
-    # and below the start point the sign flips with the orientation
-    val = score_primitive(b.model, 0.7, 0.3, 0.5)
-    assert abs(val - 0.5 * (0.5**2 - 1.0)) < 1e-9
+    x = np.array([2.5, 0.5])
+    vals, failed = _primitive_batch(b.model, np.full(2, 0.7), 0.3, x)
+    assert not np.any(failed)
+    npt.assert_allclose(vals, 0.5 * (x**2 - 1.0), rtol=0, atol=1e-9)
 
 
 def test_score_tail_left_point_convention():
@@ -128,6 +130,21 @@ def test_score_head_constant_drift_algebra():
         got = score_head(b.model, theta, X, 0.1, 0.05)
         want = X.values[100] - theta * 0.1
         assert abs(got - want) < 1e-10
+
+
+def test_score_head_raises_when_quadrature_fails(monkeypatch):
+    # the scalar score is the engine's at one row; a row the engine flags raises
+    real = engine.vector_simpson
+    monkeypatch.setattr(engine, "vector_simpson",
+                        lambda fn, n_rows: real(fn, n_rows, max_levels=0))
+    b = build_preset("custom-pde")
+    grid = TimeGrid(0.0, 1.0, 200)
+    X, _ = simulate_forward(b.model, 0.8, 0.05, grid, NoiseSource(9, 0))
+    _, failed = engine.score_head_batch(b.model, np.array([0.8]), X.values[None, :],
+                                        grid, 20, 0.05)
+    assert failed[0]
+    with pytest.raises(QuadratureError):
+        score_head(b.model, 0.8, X, 0.1, 0.05)
 
 
 def test_onestep_constant_drift_closed_form():

@@ -3,7 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from snbsde.errors import ConfigurationError
-from snbsde.grids import NoiseSource, Path, TimeGrid, brownian_path, window_grid
+from snbsde.grids import (NoiseSource, Path, TimeGrid, brownian_path, increment_rows,
+                          window_grid)
 
 
 def test_grid_nodes_and_step():
@@ -74,6 +75,53 @@ def test_noise_rejects_bad_ids():
         NoiseSource(-1, 0)
     with pytest.raises(ConfigurationError):
         NoiseSource(0, 2**64)
+    with pytest.raises(ConfigurationError):
+        increment_rows(2**64, [0], 4, 0.1)
+    with pytest.raises(ConfigurationError):
+        increment_rows(0, [0, -1], 4, 0.1)
+    with pytest.raises(ConfigurationError):
+        increment_rows(0, [0], 0, 0.1)
+    with pytest.raises(ConfigurationError):
+        increment_rows(0, [0], 4, 0.0)
+
+
+def _philox_oracle(seed, sid, n, h):
+    gen = np.random.Generator(np.random.Philox(key=(seed << 64) | sid))
+    return gen.standard_normal(n) * np.sqrt(h)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("n", [1, 1000])
+def test_increment_rows_match_a_fresh_philox_per_stream(seed, n):
+    # a re-keyed generator must draw exactly what a generator built from the
+    # 128-bit key (seed, stream id) draws, at the edges of both words
+    h = 1e-3
+    sids = [0, (3 << 32) | 17, 2**64 - 1]
+    rows = increment_rows(seed, sids, n, h)
+    assert rows.shape == (3, n) and rows.flags.c_contiguous
+    for r, sid in enumerate(sids):
+        want = _philox_oracle(seed, sid, n, h)
+        assert np.array_equal(rows[r], want)
+        assert np.array_equal(NoiseSource(seed, sid).increments(n, h), want)
+
+
+def test_increment_rows_golden_values():
+    # frozen draws; any change to the stream layout breaks every stored result
+    inc = NoiseSource(20240901, (2 << 32) | 17).increments(1000, 1e-3)
+    assert inc[0] == -0.028905906408198713
+    assert inc[1] == 0.009304402772468657
+    assert inc[999] == -0.016629017608506578
+
+
+def test_increment_row_independent_of_its_position():
+    ids = [5, 2**40 + 1, 0, 77]
+    rows = increment_rows(9, ids, 50, 0.02)
+    shuffled = increment_rows(9, ids[::-1], 50, 0.02)
+    npt.assert_array_equal(rows, shuffled[::-1])
+    into = np.full((2, 50), np.nan)
+    got = increment_rows(9, ids[2:], 50, 0.02, out=into)
+    assert got is into
+    npt.assert_array_equal(into, rows[2:])
 
 
 def test_brownian_path_starts_at_zero():
