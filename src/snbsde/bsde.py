@@ -19,18 +19,12 @@ from typing import Optional
 
 import numpy as np
 
+from .engine import INFO_FLOOR, residual_pair, value_pair, _limit_factor
 from .errors import ConfigurationError, SingularInformationError
-from .estimation import (
-    INFO_FLOOR,
-    EstimateTrace,
-    EstimationWindow,
-    fisher_information,
-    fisher_profile,
-    mde_estimate,
-    onestep_trace,
-)
+from .estimation import (EstimateTrace, EstimationWindow, fisher_information,
+                         mde_estimate, onestep_trace)
 from .grids import Path, TimeGrid, window_grid
-from .models import ModelSpec, broadcast_eval, solve_limit_ode
+from .models import ModelSpec, solve_limit_ode
 
 
 @dataclass
@@ -48,9 +42,6 @@ class BsdeApproximation:
     @property
     def times(self) -> np.ndarray:
         return self.y_hat.times
-
-    def node_index(self, t: float) -> int:
-        return self.y_hat.grid.node_index(t)
 
 
 @dataclass
@@ -70,69 +61,54 @@ def approximate_bsde(model: ModelSpec, vf, X: Path, W: Path,
 
     vf is any value-function backend exposing value/value_x (and the limit
     accessors for bounds).  When theta0 is given the oracle Y, Z and the
-    limiting Gaussian factor xi are attached for risk evaluation.
+    limiting Gaussian factor xi are attached for risk evaluation.  Every
+    stage is the engine's on the one-row batch holding X.
     """
     delta = window.delta
     i = X.grid.node_index(delta)
-    theta_pilot = mde_estimate(model, X, delta)
-    trace = onestep_trace(model, theta_pilot, X, delta, epsilon)
+    trace = onestep_trace(model, mde_estimate(model, X, delta), X, delta, epsilon)
 
     wgrid = window_grid(X.grid, delta)
     t_arr = X.times[i:]
-    x_arr = X.values[i:]
-    sig = broadcast_eval(model.diffusion(t_arr, x_arr), t_arr.shape)
-
-    y_hat = np.asarray(vf.value(t_arr, x_arr, trace.theta_onestep), dtype=float)
-    z_hat = epsilon * sig * np.asarray(vf.value_x(t_arr, x_arr, trace.theta_onestep), dtype=float)
-
+    x_row = X.values[None, i:]
+    y_hat, z_hat = value_pair(model, vf, epsilon, t_arr, x_row,
+                              trace.theta_onestep[None, :])
     out = BsdeApproximation(
-        x_obs=Path(wgrid, x_arr.copy()),
-        y_hat=Path(wgrid, y_hat),
-        z_hat=Path(wgrid, z_hat),
+        x_obs=Path(wgrid, X.values[i:].copy()),
+        y_hat=Path(wgrid, y_hat[0]),
+        z_hat=Path(wgrid, z_hat[0]),
         trace=trace,
     )
     if theta0 is None:
         return out
 
-    y_true = np.asarray(vf.value(t_arr, x_arr, theta0), dtype=float)
-    z_true = epsilon * sig * np.asarray(vf.value_x(t_arr, x_arr, theta0), dtype=float)
-
-    flow = solve_limit_ode(model, theta0, X.grid)
-    info0 = fisher_profile(model, theta0, flow)
-    if np.any(info0[i:] < INFO_FLOOR):
+    y_true, z_true = value_pair(model, vf, epsilon, t_arr, x_row,
+                                np.broadcast_to(theta0, x_row.shape))
+    xi, info0 = _limit_factor(model, theta0, X.grid, np.diff(W.values)[None, :],
+                              np.arange(i, X.grid.n_steps + 1))
+    if np.any(info0 < INFO_FLOOR):
         raise SingularInformationError("information below floor past the learning window")
-    tk = X.times[:-1]
-    xk = flow.values[:-1]
-    weight = broadcast_eval(model.drift_dtheta(theta0, tk, xk), tk.shape) / \
-        broadcast_eval(model.diffusion(tk, xk), tk.shape)
-    dw = np.diff(W.values)
-    cums = np.concatenate(([0.0], np.cumsum(weight * dw)))
-    xi = cums[i:] / info0[i:]
-
-    out.y_true = Path(wgrid, y_true)
-    out.z_true = Path(wgrid, z_true)
-    out.error_limit = Path(wgrid, xi)
+    out.y_true = Path(wgrid, y_true[0])
+    out.z_true = Path(wgrid, z_true[0])
+    out.error_limit = Path(wgrid, xi[0])
     return out
 
 
 def residual_decomposition(approx: BsdeApproximation, model: ModelSpec, vf,
                            theta0: float, epsilon: float) -> ResidualDecomposition:
-    """Normalized remainders after subtracting the first-order expansion."""
+    """Normalized remainders after subtracting the first-order expansion,
+    by the engine's residual formula on the one-row batch."""
     if approx.y_true is None or approx.error_limit is None:
         raise ConfigurationError("residuals need an approximation built with theta0")
     wgrid = approx.y_hat.grid
     if epsilon == 0.0:
         zeros = np.zeros(approx.y_hat.values.shape)
         return ResidualDecomposition(Path(wgrid, zeros), Path(wgrid, zeros.copy()), degenerate=True)
-    t_arr = approx.times
-    x_arr = approx.x_obs.values
-    xi = approx.error_limit.values
-    udot = np.asarray(vf.value_theta(t_arr, x_arr, theta0), dtype=float)
-    udot_x = np.asarray(vf.value_theta_x(t_arr, x_arr, theta0), dtype=float)
-    sig = broadcast_eval(model.diffusion(t_arr, x_arr), t_arr.shape)
-    r_y = (approx.y_hat.values - approx.y_true.values - epsilon * udot * xi) / epsilon
-    r_z = (approx.z_hat.values - approx.z_true.values - epsilon**2 * sig * udot_x * xi) / epsilon**2
-    return ResidualDecomposition(Path(wgrid, r_y), Path(wgrid, r_z))
+    r_y, r_z = residual_pair(model, vf, theta0, epsilon, approx.times,
+                             approx.x_obs.values[None, :], approx.error_limit.values,
+                             approx.y_hat.values - approx.y_true.values,
+                             approx.z_hat.values - approx.z_true.values)
+    return ResidualDecomposition(Path(wgrid, r_y[0]), Path(wgrid, r_z[0]))
 
 
 def efficiency_bounds(model: ModelSpec, vf, theta0: float, t: float,

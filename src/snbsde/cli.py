@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -22,39 +23,21 @@ from .bsde import approximate_bsde
 from .errors import ConfigurationError, SnbsdeError
 from .estimation import EstimationWindow, full_mle, mde_estimate, onestep_trace
 from .experiment import (ExperimentConfig, build_value_function, config_to_dict,
-                         run_monte_carlo, shrinking_window_study, _fmt)
+                         run_monte_carlo, shrinking_window_study, _fmt, _write_csv)
 from .grids import NoiseSource, TimeGrid
 from .models import simulate_forward
 from .pde import PdeGrid, default_domain, solve_semilinear_pde
 from .presets import build_preset
 
-_TOP_KEYS = {
-    "model", "model_params", "theta0", "epsilon", "epsilon_list", "delta",
-    "t_report", "n_steps", "n_replications", "base_seed", "backend",
-    "workers", "chunk_size", "plugin", "sup_stride", "pde", "study",
-}
+# ExperimentConfig's defaults plus the keys only the command line has: the
+# single-path noise level epsilon, the pde table (ExperimentConfig.pde_params
+# plus the pde-solve parameter theta) and the study table
+_DEFAULTS = {key: value for key, value in config_to_dict(ExperimentConfig()).items()
+             if key != "pde_params"}
+_DEFAULTS.update(epsilon=0.1, pde={}, study={})
+_TOP_KEYS = set(_DEFAULTS)
 _PDE_KEYS = {"x_min", "x_max", "n_x", "n_t", "dtheta", "theta"}
 _STUDY_KEYS = {"kappa_list", "sup_stride"}
-
-_DEFAULTS = {
-    "model": "linear-constant-drift",
-    "model_params": {},
-    "theta0": 1.0,
-    "epsilon": 0.1,
-    "epsilon_list": [0.1, 0.05, 0.02],
-    "delta": 0.1,
-    "t_report": [0.25, 0.5, 0.75],
-    "n_steps": 1000,
-    "n_replications": 200,
-    "base_seed": 20240901,
-    "backend": "closed-form",
-    "workers": 1,
-    "chunk_size": 1024,
-    "plugin": True,
-    "sup_stride": 0,
-    "pde": {},
-    "study": {},
-}
 
 # acceptance-scale replication count for --full; explicit settings still win
 _FULL_DEFAULTS = {
@@ -140,31 +123,20 @@ def _echo(cfg: dict, command: str, outdir: str) -> None:
 
 def _write_table(path, header, columns) -> None:
     rows = np.stack([np.asarray(c, dtype=float) for c in columns], axis=1)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{v:.12g}" for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, header, [dict(zip(header, row)) for row in rows])
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
-    return ExperimentConfig(
-        model=cfg["model"],
-        model_params=cfg["model_params"],
-        theta0=float(cfg["theta0"]),
-        epsilon_list=tuple(float(e) for e in cfg["epsilon_list"]),
-        delta=float(cfg["delta"]),
-        t_report=tuple(float(t) for t in cfg["t_report"]),
-        n_steps=int(cfg["n_steps"]),
-        n_replications=int(cfg["n_replications"]),
-        base_seed=int(cfg["base_seed"]),
-        backend=cfg["backend"],
-        workers=int(cfg["workers"]),
-        chunk_size=int(cfg["chunk_size"]),
-        plugin=bool(cfg["plugin"]),
-        sup_stride=int(cfg["sup_stride"]),
-        pde_params={k: v for k, v in cfg["pde"].items() if k != "theta"},
-    )
+    """ExperimentConfig of cfg, each entry coerced to the type of its default."""
+    def coerce(key):
+        default = _DEFAULTS[key]
+        if isinstance(default, list):
+            return tuple(float(v) for v in cfg[key])
+        return type(default)(cfg[key])
+
+    shared = [f.name for f in fields(ExperimentConfig) if f.name in _DEFAULTS]
+    return ExperimentConfig(pde_params={k: v for k, v in cfg["pde"].items() if k != "theta"},
+                            **{key: coerce(key) for key in shared})
 
 
 def _simulate_path(cfg: dict, bundle):
@@ -189,10 +161,9 @@ def cmd_estimate(cfg: dict, outdir: str) -> None:
     theta_pilot = mde_estimate(bundle.model, X, delta)
     trace = onestep_trace(bundle.model, theta_pilot, X, delta, epsilon)
     theta_full = full_mle(bundle.model, X, bundle.model.horizon, epsilon)
-    table = list(trace.rows())
     _write_table(os.path.join(outdir, "estimate.csv"),
                  ("t", "theta_onestep", "fisher", "delta_tail"),
-                 tuple(np.asarray(col) for col in zip(*table)))
+                 (trace.times, trace.theta_onestep, trace.fisher, trace.delta_tail))
     with open(os.path.join(outdir, "summary.txt"), "w") as fh:
         fh.write("estimate summary\n")
         fh.write(f"theta_pilot={_fmt(theta_pilot)}\n")

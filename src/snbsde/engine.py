@@ -16,19 +16,20 @@ re-keyed Philox bit generator and returns the Brownian increments, not their
 running sum; `run_batch` keeps them, and builds the limiting Gaussian factor
 xi from them, only when residuals are requested.
 
-The pilot and the head score here are also the scalar
-`estimation.mde_estimate` and `estimation.score_head`, which run them on a
-one-row batch.
+Each stage is also the scalar API: `estimation` and `bsde` run these
+functions on the one-row batch holding an observed path, and `refine_scan`
+also serves the full-likelihood comparator `estimation.full_mle`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .grids import TimeGrid, increment_rows
-from .models import BLOWUP_GUARD, ModelSpec, broadcast_eval, rk4_sensitivity, _rk4_values
+from .models import (ModelSpec, broadcast_eval, _euler_maruyama, rk4_sensitivity,
+                     _rk4_values)
 
 # Element cap per value-function evaluation block; keeps the quadrature
 # work matrix (elements x nodes) around half a GB.
@@ -44,7 +45,7 @@ INFO_FLOOR = 1e-10
 # fraction of the parameter interval.
 SCAN_POINTS = 64
 REFINE_FACTOR = 1e-8
-# Gauss-Newton passes after the scan before an unsettled pilot is flagged.
+# Gauss-Newton passes of refine_scan before an unsettled row is flagged.
 PILOT_MAX_PASSES = 40
 
 
@@ -77,8 +78,6 @@ def simulate_batch(model: ModelSpec, theta0: float, epsilon: float, grid: TimeGr
     """
     m = len(stream_ids)
     n = grid.n_steps
-    h = grid.h
-    times = grid.times
     # time-major buffers: each Euler step reads and writes contiguous rows.
     # The noise is drawn in C-ordered blocks of rows, each transposed into dw
     # at once, so no second full-size noise array is ever live.
@@ -87,21 +86,10 @@ def simulate_batch(model: ModelSpec, theta0: float, epsilon: float, grid: TimeGr
     rows = np.empty((min(rows_per_block, m), n))
     for lo in range(0, m, rows_per_block):
         ids = stream_ids[lo: lo + rows_per_block]
-        dw[:, lo: lo + len(ids)] = increment_rows(seed, ids, n, h, out=rows[: len(ids)]).T
+        dw[:, lo: lo + len(ids)] = increment_rows(seed, ids, n, grid.h, out=rows[: len(ids)]).T
     del rows
-    xs = np.empty((n + 1, m))
-    xs[0] = model.x0
-    # rows are independent, so a row that blows up runs on and is frozen
-    # after the loop, from its first node beyond the guard
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            t = times[k]
-            x = xs[k]
-            s = broadcast_eval(model.drift(theta0, t, x), x.shape)
-            sig = broadcast_eval(model.diffusion(t, x), x.shape)
-            xs[k + 1] = x + s * h + epsilon * sig * dw[k]
-        ok = xs <= BLOWUP_GUARD
-        ok &= xs >= -BLOWUP_GUARD
+    # a row that blows up is frozen from its first node beyond the guard
+    xs, ok = _euler_maruyama(model, theta0, epsilon, grid, dw)
     diverged = ~ok.all(axis=0)
     for r in np.flatnonzero(diverged):
         xs[np.argmin(ok[:, r]):, r] = model.x0
@@ -114,6 +102,12 @@ def _resolution(f: np.ndarray) -> np.ndarray:
     return 1e-12 * np.maximum(1.0, np.abs(f))
 
 
+def _step(grad: np.ndarray, curv: np.ndarray) -> np.ndarray:
+    """Newton-type step grad / curv per row, 0 where the curvature vanishes."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(curv > 0.0, grad / curv, 0.0)
+
+
 def _gauss_newton(xw: np.ndarray, x: np.ndarray, xdot: np.ndarray, w: np.ndarray):
     """Window objective F = sum w (xw - x)^2 and Gauss-Newton step per row.
 
@@ -123,23 +117,62 @@ def _gauss_newton(xw: np.ndarray, x: np.ndarray, xdot: np.ndarray, w: np.ndarray
     r = xw - x
     wxdot = w * xdot
     f = np.sum(w * r**2, axis=1)
-    grad = np.sum(wxdot * r, axis=1)
-    curv = np.sum(wxdot * xdot, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.where(curv > 0.0, grad / curv, 0.0)
-    return f, step
+    return f, _step(np.sum(wxdot * r, axis=1), np.sum(wxdot * xdot, axis=1))
+
+
+def refine_scan(cand: np.ndarray, obj: np.ndarray, first_step, evaluate):
+    """Bracketed Gauss-Newton refinement of scanned 1-d minima, one per row.
+
+    obj (k, len(cand)) holds each row's objective F at the increasing scan
+    candidates cand, which span the parameter interval [lo, hi].  A row whose
+    scan has no usable spread is flat.  Otherwise its minimum is bracketed
+    between the neighbours of its best candidate and refined inside that
+    bracket, one lockstep pass over the rows still moving:
+    first_step(best) gives each row's step at its best candidate, and
+    evaluate(idx, thetas) the pair (F, step) of the rows idx at their trial
+    values.  A step that raises F by more than the scan's flatness threshold,
+    below which F differences are rounding, is halved; otherwise the trial is
+    accepted and stepped on.  A row settles once its step is at most half of
+    (hi - lo) * REFINE_FACTOR.
+
+    Returns (theta, flat) where flat also marks rows that had not settled
+    after PILOT_MAX_PASSES; flat rows get the middle of the interval.
+    """
+    lo, hi = cand[0], cand[-1]
+    half_tol = 0.5 * (hi - lo) * REFINE_FACTOR
+    top = obj.max(axis=1)
+    flat = ~(top - obj.min(axis=1) > _resolution(top))
+
+    best = np.argmin(obj, axis=1)
+    a = cand[np.maximum(best - 1, 0)]
+    b = cand[np.minimum(best + 1, cand.size - 1)]
+    theta = cand[best]
+    f_acc = obj[np.arange(obj.shape[0]), best]
+    trial = np.clip(theta + first_step(best), a, b)
+    live = ~flat & (np.abs(trial - theta) > half_tol)
+    for _ in range(PILOT_MAX_PASSES):
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
+            break
+        f, step = evaluate(idx, trial[idx])
+        th, tr = theta[idx], trial[idx]
+        rose = f - f_acc[idx] > _resolution(f_acc[idx])
+        theta[idx] = np.where(rose, th, tr)
+        f_acc[idx] = np.where(rose, f_acc[idx], f)
+        trial[idx] = np.where(rose, th + 0.5 * (tr - th),
+                              np.clip(tr + step, a[idx], b[idx]))
+        live[idx] = np.abs(trial[idx] - theta[idx]) > half_tol
+    flat |= live
+    return np.where(flat, 0.5 * (lo + hi), trial), flat
 
 
 def pilot_batch(model: ModelSpec, X: np.ndarray, grid: TimeGrid, delta: float):
     """Minimum-distance pilots for all rows of X on the window [0, delta].
 
     Minimizes F(theta) = sum_k w_k (X_k - x_k(theta))^2, the trapezoidal
-    L^2 distance to the RK4 limit flow.  A SCAN_POINTS scan brackets each
-    row's minimum between the neighbours of its best candidate; Gauss-Newton
-    on the exact sensitivity of the RK4 flow then refines it inside that
-    bracket, one lockstep pass over the rows still moving.  A step that
-    raises F is halved.  A row settles once its step is at most half of
-    (hi - lo) * REFINE_FACTOR.
+    L^2 distance to the RK4 limit flow: a SCAN_POINTS scan over the closure
+    of theta_interval, then refine_scan with Gauss-Newton steps on the exact
+    sensitivity of the RK4 flow.
 
     Returns (theta_pilot, flat) where flat marks rows whose window objective
     has no usable spread or that had not settled after PILOT_MAX_PASSES.
@@ -148,50 +181,26 @@ def pilot_batch(model: ModelSpec, X: np.ndarray, grid: TimeGrid, delta: float):
     wgrid = grid.prefix(delta)
     xw = X[:, : i + 1]
     w = _trapezoid_weights(i + 1, wgrid.h)
-    lo, hi = model.theta_interval
-    half_tol = 0.5 * (hi - lo) * REFINE_FACTOR
 
-    cand = np.linspace(lo, hi, SCAN_POINTS)
+    cand = np.linspace(*model.theta_interval, SCAN_POINTS)
     flows, sens = rk4_sensitivity(model, cand, wgrid)  # (nw+1, 64) each
     obj = np.empty((X.shape[0], SCAN_POINTS))
     buf = np.empty(xw.shape)  # w (xw - flow)^2 of one candidate, built in place
     for j in range(SCAN_POINTS):
         np.square(np.subtract(xw, flows[:, j], out=buf), out=buf)
         obj[:, j] = np.sum(np.multiply(w, buf, out=buf), axis=1)
-    top = obj.max(axis=1)
-    flat = ~(top - obj.min(axis=1) > _resolution(top))
 
-    best = np.argmin(obj, axis=1)
-    a = cand[np.maximum(best - 1, 0)]
-    b = cand[np.minimum(best + 1, SCAN_POINTS - 1)]
+    def first_step(best):
+        # the scan already holds the flow and sensitivity at each row's best candidate
+        return _gauss_newton(xw, np.ascontiguousarray(flows.T)[best],
+                             np.ascontiguousarray(sens.T)[best], w)[1]
 
-    # the scan already holds the flow and sensitivity at each row's best candidate
-    theta = cand[best]
-    f_acc = obj[np.arange(X.shape[0]), best]
-    _, step = _gauss_newton(xw, np.ascontiguousarray(flows.T)[best],
-                            np.ascontiguousarray(sens.T)[best], w)
-    trial = np.clip(theta + step, a, b)
-    live = ~flat & (np.abs(trial - theta) > half_tol)
-    for _ in range(PILOT_MAX_PASSES):
-        idx = np.flatnonzero(live)
-        if idx.size == 0:
-            break
-        x, xdot = rk4_sensitivity(model, trial[idx], wgrid)
-        f, step = _gauss_newton(xw[idx], np.ascontiguousarray(x.T),
-                                np.ascontiguousarray(xdot.T), w)
-        th, tr = theta[idx], trial[idx]
-        # halve a step that raised F by more than the scan's flatness
-        # threshold, below which F differences are rounding; otherwise accept
-        # the trial and step on
-        rose = f - f_acc[idx] > _resolution(f_acc[idx])
-        theta[idx] = np.where(rose, th, tr)
-        f_acc[idx] = np.where(rose, f_acc[idx], f)
-        trial[idx] = np.where(rose, th + 0.5 * (tr - th),
-                              np.clip(tr + step, a[idx], b[idx]))
-        live[idx] = np.abs(trial[idx] - theta[idx]) > half_tol
-    flat |= live
-    theta_pilot = np.where(flat, 0.5 * (lo + hi), trial)
-    return theta_pilot, flat
+    def evaluate(idx, thetas):
+        x, xdot = rk4_sensitivity(model, thetas, wgrid)
+        return _gauss_newton(xw[idx], np.ascontiguousarray(x.T),
+                             np.ascontiguousarray(xdot.T), w)
+
+    return refine_scan(cand, obj, first_step, evaluate)
 
 
 def flow_batch(model: ModelSpec, thetas: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -215,10 +224,8 @@ def score_tail_profile_batch(model: ModelSpec, thetas: np.ndarray, X: np.ndarray
     tk = grid.times[None, i_delta:-1]
     xk = X[:, i_delta:-1]
     th = thetas[:, None]
-    shape = xk.shape
-    b = broadcast_eval(model.drift_dtheta(th, tk, xk), shape) / \
-        broadcast_eval(model.diffusion(tk, xk), shape) ** 2
-    incr = b * (X[:, i_delta + 1:] - xk - broadcast_eval(model.drift(th, tk, xk), shape) * h)
+    incr = _state_weight(model, th, tk, xk) * \
+        (X[:, i_delta + 1:] - xk - broadcast_eval(model.drift(th, tk, xk), xk.shape) * h)
     out = np.zeros((X.shape[0], X.shape[1] - i_delta))
     np.cumsum(incr, axis=1, out=out[:, 1:])
     return out
@@ -380,7 +387,6 @@ class BatchResult:
     with sup_stride > 0; otherwise they are None.
     """
 
-    stream_ids: np.ndarray
     diverged: np.ndarray
     flat: np.ndarray
     quad_failed: np.ndarray
@@ -413,17 +419,42 @@ def _blocked_value(vf, method, t_nodes, x_rows, theta_rows):
     return out
 
 
+def value_pair(model: ModelSpec, vf, epsilon: float, t_nodes: np.ndarray,
+               x_rows: np.ndarray, theta_rows: np.ndarray):
+    """(Y, Z) = (u, epsilon sigma u_x) at (t_nodes, x_rows, theta_rows), (M, K) each."""
+    sig = broadcast_eval(model.diffusion(t_nodes[None, :], x_rows), x_rows.shape)
+    y = _blocked_value(vf, "value", t_nodes, x_rows, theta_rows)
+    z = epsilon * sig * _blocked_value(vf, "value_x", t_nodes, x_rows, theta_rows)
+    return y, z
+
+
+def residual_pair(model: ModelSpec, vf, theta0: float, epsilon: float,
+                  t_nodes: np.ndarray, x_rows: np.ndarray, xi: np.ndarray,
+                  y_err: np.ndarray, z_err: np.ndarray):
+    """First-order residuals (r_Y, r_Z) from the errors y_err = Y_hat - Y and
+    z_err = Z_hat - Z, with udot and udot_x the theta-derivatives of u at theta0:
+
+        r_Y = (Y_hat - Y - eps udot xi) / eps,
+        r_Z = (Z_hat - Z - eps^2 sigma udot_x xi) / eps^2.
+    """
+    th0 = np.broadcast_to(theta0, x_rows.shape)
+    udot = _blocked_value(vf, "value_theta", t_nodes, x_rows, th0)
+    udot_x = _blocked_value(vf, "value_theta_x", t_nodes, x_rows, th0)
+    sig = broadcast_eval(model.diffusion(t_nodes[None, :], x_rows), x_rows.shape)
+    r_y = (y_err - epsilon * udot * xi) / epsilon
+    r_z = (z_err - epsilon**2 * sig * udot_x * xi) / epsilon**2
+    return r_y, r_z
+
+
 def _limit_factor(model: ModelSpec, theta0: float, grid: TimeGrid, dW: np.ndarray,
-                  nodes: np.ndarray) -> np.ndarray:
+                  nodes: np.ndarray):
     """Limiting Gaussian factor xi(t) = int_0^t (S_theta / sigma) dW / I(t)
-    along the flow at theta0, at the given nodes; shape (M, len(nodes))."""
+    along the flow at theta0, at the given nodes, with a left-point
+    stochastic sum.  Returns (xi, info): xi of shape (M, len(nodes)), 0 where
+    I(theta0, t) is below INFO_FLOOR, and I(theta0, t) at the nodes."""
     times = grid.times
     flow0 = _rk4_values(model, float(theta0), grid)
-    info0 = _cumtrapz_rows(
-        broadcast_eval(model.drift_dtheta(theta0, times, flow0), times.shape) ** 2
-        / broadcast_eval(model.diffusion(times, flow0), times.shape) ** 2,
-        grid.h,
-    )
+    info0 = fisher_profile_batch(model, np.array([float(theta0)]), flow0[None, :], grid)[0]
     wgt = broadcast_eval(model.drift_dtheta(theta0, times[:-1], flow0[:-1]),
                          (grid.n_steps,)) / \
         broadcast_eval(model.diffusion(times[:-1], flow0[:-1]), (grid.n_steps,))
@@ -431,7 +462,32 @@ def _limit_factor(model: ModelSpec, theta0: float, grid: TimeGrid, dW: np.ndarra
     np.cumsum(wgt[None, :] * dW, axis=1, out=cums[:, 1:])
     info_n = info0[None, nodes]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(info_n < INFO_FLOOR, 0.0, cums[:, nodes] / info_n)
+        return np.where(info_n < INFO_FLOOR, 0.0, cums[:, nodes] / info_n), info_n[0]
+
+
+def onestep_batch(model: ModelSpec, theta_pilot: np.ndarray, tail: np.ndarray,
+                  head: np.ndarray, info: np.ndarray, cols):
+    """One-step estimates theta_pilot + (tail + head) / I over the nodes of [delta, T].
+
+    tail and info are the (M, n+1-i) tail score and information profiles from
+    the window end, node i, on.  Both buffers are consumed: the estimates are
+    built in tail's, and info is set to inf below INFO_FLOOR, where the
+    correction is dropped and the node counts as clamped.  The estimates are
+    clipped to the closure of theta_interval.  Returns (theta, clamped,
+    info_bad): clamped only at the columns cols, and info_bad marking rows
+    whose information never reaches the floor.
+    """
+    # information is nondecreasing, so a row is unusable only if its final value is
+    info_bad = info[:, -1] < INFO_FLOOR
+    low = info[:, cols] < INFO_FLOOR
+    np.copyto(info, np.inf, where=info < INFO_FLOOR)
+    raw = tail
+    raw += head[:, None]
+    raw /= info
+    raw += theta_pilot[:, None]
+    lo, hi = model.theta_interval
+    clamped = (raw[:, cols] < lo) | (raw[:, cols] > hi) | low
+    return np.clip(raw, lo, hi, out=raw), clamped, info_bad
 
 
 def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGrid,
@@ -450,7 +506,7 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
         raise ConfigurationError("report times must not precede delta")
 
     X, dW, diverged = simulate_batch(model, theta0, epsilon, grid, seed, stream_ids)
-    xi_rep = _limit_factor(model, theta0, grid, dW, r_idx) if residuals else None
+    xi_rep = _limit_factor(model, theta0, grid, dW, r_idx)[0] if residuals else None
     del dW
     theta_pilot, flat = pilot_batch(model, X, grid, delta)
 
@@ -459,32 +515,16 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
     del flows
     tail = score_tail_profile_batch(model, theta_pilot, X, grid, i)
     head, quad_failed = score_head_batch(model, theta_pilot, X, grid, i, epsilon)
-
     rel = r_idx - i
-    # information is nondecreasing, so a row is unusable only if its final value is
-    info_bad = info[:, -1] < INFO_FLOOR
-    low_rep = info[:, rel] < INFO_FLOOR
-    # raw = theta_pilot + (tail + head) / info, built in tail's buffer; below
-    # the information floor the correction is dropped and the node is clamped
-    np.copyto(info, np.inf, where=info < INFO_FLOOR)
-    raw = tail
-    raw += head[:, None]
-    raw /= info
-    del info
-    raw += theta_pilot[:, None]
-    lo, hi = model.theta_interval
-    clamped = (raw[:, rel] < lo) | (raw[:, rel] > hi) | low_rep
-    theta_prof = np.clip(raw, lo, hi, out=raw)
+    theta_prof, clamped, info_bad = onestep_batch(model, theta_pilot, tail, head, info, rel)
+    del tail, info
 
     t_rep = grid.times[r_idx]
     x_rep = X[:, r_idx]
     th_rep = theta_prof[:, rel]
-    y_hat = _blocked_value(vf, "value", t_rep, x_rep, th_rep)
-    y_true = _blocked_value(vf, "value", t_rep, x_rep, np.broadcast_to(theta0, th_rep.shape))
-    sig_rep = broadcast_eval(model.diffusion(t_rep[None, :], x_rep), x_rep.shape)
-    z_hat = epsilon * sig_rep * _blocked_value(vf, "value_x", t_rep, x_rep, th_rep)
-    z_true = epsilon * sig_rep * _blocked_value(
-        vf, "value_x", t_rep, x_rep, np.broadcast_to(theta0, th_rep.shape))
+    y_hat, z_hat = value_pair(model, vf, epsilon, t_rep, x_rep, th_rep)
+    y_true, z_true = value_pair(model, vf, epsilon, t_rep, x_rep,
+                                np.broadcast_to(theta0, th_rep.shape))
 
     y_plugin = None
     if plugin:
@@ -493,11 +533,8 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
 
     r_y = r_z = None
     if residuals and epsilon > 0:
-        th0_rep = np.broadcast_to(theta0, th_rep.shape)
-        udot = _blocked_value(vf, "value_theta", t_rep, x_rep, th0_rep)
-        udot_x = _blocked_value(vf, "value_theta_x", t_rep, x_rep, th0_rep)
-        r_y = (y_hat - y_true - epsilon * udot * xi_rep) / epsilon
-        r_z = (z_hat - z_true - epsilon**2 * sig_rep * udot_x * xi_rep) / epsilon**2
+        r_y, r_z = residual_pair(model, vf, theta0, epsilon, t_rep, x_rep, xi_rep,
+                                 y_hat - y_true, z_hat - z_true)
 
     # terminal identity
     t_T = grid.times[-1:]
@@ -524,7 +561,6 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
 
     failed = diverged | flat | quad_failed | info_bad
     return BatchResult(
-        stream_ids=np.asarray(list(stream_ids)),
         diverged=diverged,
         flat=flat,
         quad_failed=quad_failed,

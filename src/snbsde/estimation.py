@@ -21,10 +21,17 @@ The one-step estimate at time t is
 
 with I the information integral of S_theta^2/sigma^2 along the limit flow at
 the pilot value, clamped to the closure of the admissible interval.
+
+The pilot, the scores, the information and the one-step estimates here are
+the engine's batched stages on the one-row batch holding the observed path,
+so a Monte Carlo replication and a single-path call compute the same numbers
+by the same code.  The engine's per-row flags
+become exceptions: a flat or unsettled pilot raises FlatObjectiveError, a
+head quadrature that does not settle QuadratureError, and information below
+the invertibility floor SingularInformationError.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,28 +41,23 @@ from .errors import (
     QuadratureError,
     SingularInformationError,
 )
-from .engine import (INFO_FLOOR, REFINE_FACTOR, SCAN_POINTS, pilot_batch,
-                     score_head_batch, _cumtrapz_rows, _trapezoid_weights)
+from .engine import (INFO_FLOOR, SCAN_POINTS, fisher_profile_batch, flow_batch,
+                     onestep_batch, pilot_batch, refine_scan, score_head_batch,
+                     score_tail_profile_batch, _cumtrapz_rows, _limit_factor,
+                     _step, _trapezoid_weights)
 from .grids import Path, TimeGrid
 from .models import ModelSpec, broadcast_eval, sensitivity_xdot, solve_limit_ode
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
 class EstimationWindow:
-    """Learning window length delta plus the evaluation times of interest."""
+    """Learning window [0, delta] of the pilot estimate."""
 
     delta: float
-    t_eval: Tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.delta <= 0:
             raise ConfigurationError("delta must be positive")
-        object.__setattr__(self, "t_eval", tuple(float(t) for t in self.t_eval))
-        for t in self.t_eval:
-            if t < self.delta:
-                raise ConfigurationError(f"evaluation time {t} precedes the window end {self.delta}")
 
 
 @dataclass
@@ -80,57 +82,12 @@ class EstimateTrace:
     def at(self, t: float) -> float:
         return float(self.theta_onestep[self.node_index(t)])
 
-    def rows(self):
-        """Rows (t, theta_onestep, fisher, delta_tail) for serialization."""
-        for k in range(self.times.size):
-            yield (
-                float(self.times[k]),
-                float(self.theta_onestep[k]),
-                float(self.fisher[k]),
-                float(self.delta_tail[k]),
-            )
 
-
-def scan_then_golden(objective, lo: float, hi: float, batch_objective=None,
-                     n_scan: int = SCAN_POINTS, tol: Optional[float] = None) -> float:
-    """Minimize a 1-d objective over [lo, hi] without derivatives.
-
-    Coarse grid scan (n_scan points) brackets the minimum, then golden-section
-    refinement shrinks the bracket to tol (default (hi-lo)*REFINE_FACTOR).  A
-    flat scan raises FlatObjectiveError since the minimizer is then
-    meaningless.  full_mle uses it; the pilot has its own derivative-based
-    refinement in engine.pilot_batch, and the tests use this routine as an
-    independent check on it.
-    """
-    if tol is None:
-        tol = (hi - lo) * REFINE_FACTOR
-    grid = np.linspace(lo, hi, n_scan)
-    if batch_objective is not None:
-        vals = np.asarray(batch_objective(grid), dtype=float)
-    else:
-        vals = np.array([objective(g) for g in grid], dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise FlatObjectiveError("objective is non-finite on the candidate grid")
-    spread = float(vals.max() - vals.min())
-    if spread <= 1e-12 * max(1.0, abs(float(vals.max()))):
-        raise FlatObjectiveError("objective is flat on the window; parameter not identifiable")
-    i = int(np.argmin(vals))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, n_scan - 1)]
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = objective(c)
-    fd = objective(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = objective(d)
-    return 0.5 * (a + b)
+def _window_end(X: Path, delta: float) -> int:
+    i = X.grid.node_index(delta)
+    if i < 1:
+        raise ConfigurationError("learning window too small for the grid")
+    return i
 
 
 def mde_estimate(model: ModelSpec, X: Path, delta: float) -> float:
@@ -138,12 +95,10 @@ def mde_estimate(model: ModelSpec, X: Path, delta: float) -> float:
 
     Minimizes the trapezoidal discretization of
     int_0^delta (X_t - x_t(theta))^2 dt over the closure of theta_interval,
-    by engine.pilot_batch on the one-row batch holding X.  Raises
-    FlatObjectiveError when the objective has no usable spread or its
-    refinement does not settle.
+    by engine.pilot_batch.  Raises FlatObjectiveError when the objective has
+    no usable spread or its refinement does not settle.
     """
-    if X.grid.node_index(delta) < 1:
-        raise ConfigurationError("learning window too small for the grid")
+    _window_end(X, delta)
     theta, flagged = pilot_batch(model, X.values[None, :], X.grid, delta)
     if flagged[0]:
         raise FlatObjectiveError(
@@ -154,10 +109,8 @@ def mde_estimate(model: ModelSpec, X: Path, delta: float) -> float:
 
 def fisher_profile(model: ModelSpec, theta: float, x: Path) -> np.ndarray:
     """Running information integral int_0^t S_theta^2/sigma^2 ds along x."""
-    times = x.times
-    sdot = broadcast_eval(model.drift_dtheta(theta, times, x.values), times.shape)
-    sig = broadcast_eval(model.diffusion(times, x.values), times.shape)
-    return _cumtrapz_rows(sdot**2 / sig**2, x.grid.h)
+    return fisher_profile_batch(model, np.array([float(theta)]), x.values[None, :],
+                                x.grid)[0]
 
 
 def fisher_information(model: ModelSpec, theta: float, x: Path, t: float) -> float:
@@ -171,46 +124,14 @@ def fisher_information(model: ModelSpec, theta: float, x: Path, t: float) -> flo
     return value
 
 
-def score_tail_profile(model: ModelSpec, theta: float, X: Path, delta: float) -> np.ndarray:
-    """Running tail score over the nodes of [delta, T]; first entry is 0.
-
-    Left-point (Ito) discretization of
-    int_delta^t (S_theta/sigma^2)(theta, s, X_s) [dX_s - S(theta, s, X_s) ds].
-    """
-    i = X.grid.node_index(delta)
-    times = X.times
-    h = X.grid.h
-    tk = times[i:-1]
-    xk = X.values[i:-1]
-    b = broadcast_eval(model.drift_dtheta(theta, tk, xk), tk.shape) / \
-        broadcast_eval(model.diffusion(tk, xk), tk.shape) ** 2
-    incr = b * (X.values[i + 1:] - xk - broadcast_eval(model.drift(theta, tk, xk), tk.shape) * h)
-    out = np.zeros(X.values.size - i)
-    np.cumsum(incr, out=out[1:])
-    return out
-
-
-def score_tail(model: ModelSpec, theta: float, X: Path, delta: float, t: float) -> float:
-    """Tail score statistic on [delta, t]."""
-    i = X.grid.node_index(delta)
-    j = X.grid.node_index(t)
-    if j < i:
-        raise ConfigurationError("t must not precede delta")
-    return float(score_tail_profile(model, theta, X, delta)[j - i])
-
-
 def score_head(model: ModelSpec, theta: float, X: Path, delta: float, epsilon: float) -> float:
     """Head score statistic on the learning window [0, delta].
 
-    engine.score_head_batch (which states the stochastic-integral-free form)
-    on the one-row batch holding X.  Raises QuadratureError when its
-    state-primitive quadrature does not settle.
+    engine.score_head_batch, which states the stochastic-integral-free form.
+    Raises QuadratureError when its state-primitive quadrature does not settle.
     """
-    i = X.grid.node_index(delta)
-    if i < 1:
-        raise ConfigurationError("learning window too small for the grid")
     head, failed = score_head_batch(model, np.array([float(theta)]), X.values[None, :],
-                                    X.grid, i, epsilon)
+                                    X.grid, _window_end(X, delta), epsilon)
     if failed[0]:
         raise QuadratureError("state-primitive quadrature did not converge")
     return float(head[0])
@@ -220,31 +141,30 @@ def onestep_trace(model: ModelSpec, theta_pilot: float, X: Path, delta: float,
                   epsilon: float) -> EstimateTrace:
     """One-step estimates at every grid node of [delta, T].
 
-    The tail score and the information integral are accumulated once, so the
-    whole profile costs the same as a single evaluation at t = T.
+    The engine's flow, information, tail and head stages, then
+    engine.onestep_batch on copies of the profiles, which the trace keeps.
+    Raises SingularInformationError when the information stays below the
+    floor on the whole of [delta, T].
     """
-    i = X.grid.node_index(delta)
-    x_pilot = solve_limit_ode(model, theta_pilot, X.grid)
-    info = fisher_profile(model, theta_pilot, x_pilot)[i:]
-    tail = score_tail_profile(model, theta_pilot, X, delta)
+    grid = X.grid
+    i = _window_end(X, delta)
+    th = np.array([float(theta_pilot)])
+    info = fisher_profile_batch(model, th, flow_batch(model, th, grid), grid)[:, i:]
+    tail = score_tail_profile_batch(model, th, X.values[None, :], grid, i)
     head = score_head(model, theta_pilot, X, delta, epsilon)
-    bad = info < INFO_FLOOR
-    if np.all(bad):
+    theta, clamped, info_bad = onestep_batch(model, th, tail.copy(), np.array([head]),
+                                             info.copy(), slice(None))
+    if info_bad[0]:
         raise SingularInformationError("information below floor on the whole window")
-    safe_info = np.where(bad, np.inf, info)
-    raw = theta_pilot + (tail + head) / safe_info
-    lo, hi = model.theta_interval
-    theta = np.clip(raw, lo, hi)
-    clamped = (raw < lo) | (raw > hi) | bad
     return EstimateTrace(
         theta_pilot=float(theta_pilot),
         delta=float(X.times[i]),
         times=X.times[i:].copy(),
-        theta_onestep=theta,
-        fisher=info,
-        delta_tail=tail,
-        delta_head=float(head),
-        clamped=clamped,
+        theta_onestep=theta[0],
+        fisher=info[0],
+        delta_tail=tail[0],
+        delta_head=head,
+        clamped=clamped[0],
     )
 
 
@@ -254,9 +174,7 @@ def one_step_mle(model: ModelSpec, theta_pilot: float, X: Path, delta: float,
     if not model.contains_theta(theta_pilot):
         raise ConfigurationError("theta_pilot outside closure of theta_interval")
     trace = onestep_trace(model, theta_pilot, X, delta, epsilon)
-    j = X.grid.node_index(t) - X.grid.node_index(delta)
-    if j < 0:
-        raise ConfigurationError("t must not precede delta")
+    j = trace.node_index(t)
     if trace.fisher[j] < INFO_FLOOR:
         raise SingularInformationError(f"information below floor at t={t}")
     return float(trace.theta_onestep[j])
@@ -265,32 +183,42 @@ def one_step_mle(model: ModelSpec, theta_pilot: float, X: Path, delta: float,
 def full_mle(model: ModelSpec, X: Path, t: float, epsilon: float) -> float:
     """Maximizer of the discretized log-likelihood on [0, t] (comparator).
 
-    Maximizes sum_k [S/(eps^2 sigma^2)] DX - sum_k [S^2/(2 eps^2 sigma^2)] h
-    by the same scan-and-refine search as the pilot.  The epsilon scale does
-    not move the argmax, so epsilon = 0 falls back to unit scale.
+    Minimizes F = sum_k [S^2 h / 2 - S DX] / (eps^2 sigma^2) over the closure
+    of theta_interval by a SCAN_POINTS scan and engine.refine_scan with the
+    Fisher-scoring step sum S_theta (DX - S h) / sigma^2 over
+    sum S_theta^2 h / sigma^2, which for a drift linear in theta lands on the
+    minimizer in one step.  The epsilon scale does not move the argmin, so
+    epsilon = 0 falls back to unit scale.  Raises FlatObjectiveError when F
+    has no usable spread or its refinement does not settle.
     """
     j = X.grid.node_index(t)
     if j < 1:
         raise ConfigurationError("need at least one step before t")
     h = X.grid.h
-    tk = X.times[:j]
-    xk = X.values[:j]
-    dx = X.values[1 : j + 1] - xk
-    sig2 = broadcast_eval(model.diffusion(tk, xk), tk.shape) ** 2
+    tk = X.times[None, :j]
+    xk = X.values[None, :j]
+    dx = X.values[None, 1 : j + 1] - xk
     scale = epsilon**2 if epsilon > 0 else 1.0
+    inv_var = 1.0 / (scale * broadcast_eval(model.diffusion(tk, xk), tk.shape) ** 2)
 
-    def neg_loglik(theta):
-        s = broadcast_eval(model.drift(theta, tk, xk), tk.shape)
-        return float(-np.sum(s * dx / (scale * sig2)) + np.sum(s**2 * h / (2.0 * scale * sig2)))
+    def f_and_step(thetas):
+        th = thetas[:, None]
+        shape = (thetas.size, j)
+        s = broadcast_eval(model.drift(th, tk, xk), shape)
+        sdot = broadcast_eval(model.drift_dtheta(th, tk, xk), shape)
+        f = np.sum((0.5 * h * s - dx) * s * inv_var, axis=1)
+        return f, _step(np.sum(sdot * (dx - s * h) * inv_var, axis=1),
+                        np.sum(sdot**2 * h * inv_var, axis=1))
 
-    def batch(thetas):
-        s = model.drift(np.asarray(thetas)[None, :], tk[:, None], xk[:, None])
-        s = broadcast_eval(s, (tk.size, np.asarray(thetas).size))
-        return -np.sum(s * (dx / (scale * sig2))[:, None], axis=0) + \
-            np.sum(s**2 * (h / (2.0 * scale * sig2))[:, None], axis=0)
-
-    lo, hi = model.theta_interval
-    return scan_then_golden(neg_loglik, lo, hi, batch_objective=batch)
+    cand = np.linspace(*model.theta_interval, SCAN_POINTS)
+    obj, steps = f_and_step(cand)
+    theta, flat = refine_scan(cand, obj[None, :], lambda best: steps[best],
+                              lambda idx, thetas: f_and_step(thetas))
+    if flat[0]:
+        raise FlatObjectiveError(
+            "likelihood is flat or its refinement did not settle; "
+            "parameter not identifiable")
+    return float(theta[0])
 
 
 def mde_asymptotic_variance(model: ModelSpec, theta: float, delta: float,
@@ -326,14 +254,13 @@ def onestep_error_limit(model: ModelSpec, theta0: float, W: Path, t: float) -> f
 
         xi_t = I(theta0, t)^{-1} int_0^t (S_theta/sigma)(theta0, s, x_s) dW_s,
 
-    with x the limit flow at theta0 and a left-point stochastic sum.
+    with x the limit flow at theta0 and a left-point stochastic sum; the
+    engine's limiting factor at the node t.  Raises SingularInformationError
+    when I(theta0, t) is below the floor.
     """
-    x = solve_limit_ode(model, theta0, W.grid)
-    info = fisher_information(model, theta0, x, t)
-    j = W.grid.node_index(t)
-    tk = W.times[:j]
-    xk = x.values[:j]
-    weight = broadcast_eval(model.drift_dtheta(theta0, tk, xk), tk.shape) / \
-        broadcast_eval(model.diffusion(tk, xk), tk.shape)
-    dw = W.values[1 : j + 1] - W.values[:j]
-    return float(np.sum(weight * dw) / info)
+    xi, info = _limit_factor(model, theta0, W.grid, np.diff(W.values)[None, :],
+                             np.array([W.grid.node_index(t)]))
+    if info[0] < INFO_FLOOR:
+        raise SingularInformationError(
+            f"information {info[0]:.3e} below floor {INFO_FLOOR} at t={t}")
+    return float(xi[0, 0])

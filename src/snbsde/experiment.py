@@ -197,7 +197,6 @@ def normality_diagnostics(samples: np.ndarray, target_variance: float) -> Normal
 class EpsilonBlock:
     """Raw per-replication engine output for one noise level."""
 
-    epsilon: float
     result: engine.BatchResult
     n_failed: int
     n_diverged: int
@@ -247,7 +246,7 @@ def run_epsilon_block(bundle: ModelBundle, config: ExperimentConfig,
             f"{n_failed} of {m} replications failed at epsilon={epsilon} "
             f"(diverged {int(np.sum(res.diverged))}, flat {int(np.sum(res.flat))}, "
             f"quadrature {int(np.sum(res.quad_failed))})")
-    return EpsilonBlock(epsilon, res, n_failed, int(np.sum(res.diverged)), vf)
+    return EpsilonBlock(res, n_failed, int(np.sum(res.diverged)), vf)
 
 
 @dataclass
@@ -401,7 +400,6 @@ def _schedule_power(kappa: float, eps: float) -> float:
 @dataclass
 class StudyReport:
     config: ExperimentConfig
-    kappa_list: Tuple[float, ...]
     rows: List[dict]
     contracted: Dict[str, bool]
     wall_time_s: float
@@ -492,8 +490,7 @@ def shrinking_window_study(config: ExperimentConfig,
         contracted[name] = (ran_all and len(q95s) == len(eps_list)
                             and all(b < a for a, b in zip(q95s[:-1], q95s[1:])))
 
-    return StudyReport(config, tuple(float(k) for k in kappa_list), rows,
-                       contracted, time.perf_counter() - t_start)
+    return StudyReport(config, rows, contracted, time.perf_counter() - t_start)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

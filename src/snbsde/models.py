@@ -15,7 +15,7 @@ whole path arrays.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class ModelSpec:
     ----------
     drift : callable (theta, t, x) -> S
     drift_dtheta : callable, derivative of S in theta
-    drift_ddtheta : callable, second derivative of S in theta
     drift_dx : callable, derivative of S in x
     drift_dtheta_dx : callable, mixed derivative of S in theta and x
     diffusion : callable (t, x) -> sigma, with sigma(t,x)^2 >= kappa > 0
@@ -62,7 +61,6 @@ class ModelSpec:
 
     drift: Callable
     drift_dtheta: Callable
-    drift_ddtheta: Callable
     drift_dx: Callable
     drift_dtheta_dx: Callable
     diffusion: Callable
@@ -81,15 +79,6 @@ class ModelSpec:
             raise ConfigurationError("horizon must be positive")
         if self.kappa <= 0:
             raise ConfigurationError("kappa must be positive")
-
-    def clamp_theta(self, theta: float) -> Tuple[float, bool]:
-        """Project theta onto the closure of theta_interval."""
-        a, b = self.theta_interval
-        if theta < a:
-            return a, True
-        if theta > b:
-            return b, True
-        return theta, False
 
     def contains_theta(self, theta: float) -> bool:
         a, b = self.theta_interval
@@ -142,11 +131,6 @@ def validate_model(model: ModelSpec, n_samples: int = 5, rel_tol: float = 1e-5) 
                     _central_diff(lambda u: float(model.drift(u, t, x)), th, h_th),
                 )
                 check(
-                    "drift_ddtheta",
-                    float(model.drift_ddtheta(th, t, x)),
-                    _central_diff(lambda u: float(model.drift_dtheta(u, t, x)), th, h_th),
-                )
-                check(
                     "drift_dx",
                     float(model.drift_dx(th, t, x)),
                     _central_diff(lambda u: float(model.drift(th, t, u)), x, h_x),
@@ -170,8 +154,9 @@ def validate_model(model: ModelSpec, n_samples: int = 5, rel_tol: float = 1e-5) 
                     raise ModelValidationError("drift violates declared Lipschitz bound in x")
 
 
-def _rk4(model: ModelSpec, theta, grid: TimeGrid, sensitivity: bool):
-    """Lockstep RK4 of the limit ODE, optionally with its theta-derivative.
+def _rk4(model: ModelSpec, theta, grid: TimeGrid, sensitivity: bool, x_start=None):
+    """Lockstep RK4 of the limit ODE from x_start (x0 by default) at the
+    start of the grid, optionally with its theta-derivative.
 
     With sensitivity, the same four stages are applied to
     xdot' = S_x(theta, t, x) xdot + S_theta(theta, t, x), xdot_0 = 0, which is
@@ -181,7 +166,8 @@ def _rk4(model: ModelSpec, theta, grid: TimeGrid, sensitivity: bool):
     theta = np.asarray(theta, dtype=float)
     times = grid.times
     h = grid.h
-    x = np.broadcast_to(np.asarray(model.x0, dtype=float), theta.shape).copy()
+    x = np.broadcast_to(np.asarray(model.x0 if x_start is None else x_start, dtype=float),
+                        theta.shape).copy()
     out = np.empty((grid.n_steps + 1,) + theta.shape)
     out[0] = x
     S = model.drift
@@ -228,13 +214,13 @@ def _rk4(model: ModelSpec, theta, grid: TimeGrid, sensitivity: bool):
     return out
 
 
-def _rk4_values(model: ModelSpec, theta, grid: TimeGrid):
+def _rk4_values(model: ModelSpec, theta, grid: TimeGrid, x_start=None):
     """RK4 solution values of the limit ODE; theta may be a scalar or a vector.
 
     Returns an array of shape (n+1,) for scalar theta, or (n+1, k) when theta
     is a vector of k parameter candidates advanced in lockstep.
     """
-    return _rk4(model, theta, grid, False)
+    return _rk4(model, theta, grid, False, x_start)
 
 
 def rk4_sensitivity(model: ModelSpec, theta, grid: TimeGrid):
@@ -247,6 +233,31 @@ def solve_limit_ode(model: ModelSpec, theta: float, grid: TimeGrid) -> Path:
     """Solve dx/dt = S(theta, t, x), x(t_start) = x0 with fixed-step RK4."""
     values = _rk4_values(model, float(theta), grid)
     return Path(grid, values)
+
+
+def _euler_maruyama(model: ModelSpec, theta, epsilon: float, grid: TimeGrid,
+                   dw: np.ndarray):
+    """Lockstep Euler-Maruyama paths from x0 for time-major increments dw (n, M).
+
+    Returns time-major (xs, ok), both (n+1, M), with ok false at the nodes
+    beyond the blow-up guard or non-finite.  Rows are independent, so a row
+    that blows up runs on without touching the others.
+    """
+    h = grid.h
+    times = grid.times
+    xs = np.empty((grid.n_steps + 1, dw.shape[1]))
+    xs[0] = model.x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(grid.n_steps):
+            t = times[k]
+            x = xs[k]
+            # scalar coefficients broadcast in the update itself
+            s = np.asarray(model.drift(theta, t, x), dtype=float)
+            sig = np.asarray(model.diffusion(t, x), dtype=float)
+            xs[k + 1] = x + s * h + epsilon * sig * dw[k]
+        ok = xs <= BLOWUP_GUARD
+        ok &= xs >= -BLOWUP_GUARD
+    return xs, ok
 
 
 def simulate_forward(
@@ -265,24 +276,13 @@ def simulate_forward(
         raise ConfigurationError("epsilon must be nonnegative")
     if not model.contains_theta(theta):
         raise ConfigurationError(f"theta={theta} outside closure of theta_interval")
-    h = grid.h
-    times = grid.times
-    dw = noise.increments(grid.n_steps, h)
-    x = float(model.x0)
-    xs = np.empty(grid.n_steps + 1)
-    xs[0] = x
-    S = model.drift
-    sig = model.diffusion
-    for k in range(grid.n_steps):
-        t = times[k]
-        x = x + float(S(theta, t, x)) * h + epsilon * float(sig(t, x)) * dw[k]
-        if not np.isfinite(x) or abs(x) > BLOWUP_GUARD:
-            raise SimulationDivergedError(
-                f"simulated path exceeded guard at node {k + 1}", node_index=k + 1
-            )
-        xs[k + 1] = x
-    w = np.concatenate(([0.0], np.cumsum(dw)))
-    return Path(grid, xs), Path(grid, w)
+    dw = noise.increments(grid.n_steps, grid.h)
+    xs, ok = _euler_maruyama(model, theta, epsilon, grid, dw[:, None])
+    if not ok.all():
+        k = int(np.argmin(ok[:, 0]))
+        raise SimulationDivergedError(f"simulated path exceeded guard at node {k}",
+                                      node_index=k)
+    return Path(grid, xs[:, 0]), Path(grid, np.concatenate(([0.0], np.cumsum(dw))))
 
 
 def sensitivity_xdot(model: ModelSpec, theta: float, grid: TimeGrid) -> Path:

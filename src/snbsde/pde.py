@@ -92,10 +92,6 @@ class PdeSolution:
     internal_dt: float
     upwind_fraction: float
 
-    @property
-    def dt(self) -> float:
-        return self.grid.horizon / (self.values.shape[0] - 1)
-
     @cached_property
     def x_derivative_values(self) -> np.ndarray:
         """Nodal u_x rows: central in the interior, one-sided at the edges."""
@@ -284,10 +280,6 @@ class PdeValueFunction:
     def value_theta_x(self, t, x, theta):
         _, first, second, d = self._taylor(t, x, theta, "ux")
         return first + d * second
-
-    def value_theta_theta(self, t, x, theta):
-        _, _, second, _ = self._taylor(t, x, theta, "u")
-        return second
 
     # -- epsilon -> 0 limit by characteristics -----------------------------
 

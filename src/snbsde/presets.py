@@ -8,7 +8,7 @@ declared derivatives and bounds at build time.
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -191,9 +191,9 @@ def _zero_diffusion_dx(t, x):
 
 
 _DRIFT_SHAPES = {
-    "sine": (_sine_drift, _sine_drift_dtheta, _zero_theta_x,
+    "sine": (_sine_drift, _sine_drift_dtheta,
              _sine_drift_dx, _sine_drift_dtheta_dx),
-    "tanh": (_tanh_drift, _tanh_drift_dtheta, _zero_theta_x,
+    "tanh": (_tanh_drift, _tanh_drift_dtheta,
              _tanh_drift_dx, _tanh_drift_dtheta_dx),
 }
 
@@ -269,7 +269,6 @@ def build_preset(name: str, params: Optional[dict] = None) -> ModelBundle:
         model = ModelSpec(
             drift=_const_drift,
             drift_dtheta=_const_drift_dtheta,
-            drift_ddtheta=_zero_theta_x,
             drift_dx=_zero_theta_x,
             drift_dtheta_dx=_zero_theta_x,
             diffusion=diffusion,
@@ -285,7 +284,6 @@ def build_preset(name: str, params: Optional[dict] = None) -> ModelBundle:
         model = ModelSpec(
             drift=_prop_drift,
             drift_dtheta=_prop_drift_dtheta,
-            drift_ddtheta=_zero_theta_x,
             drift_dx=_prop_drift_dx,
             drift_dtheta_dx=_prop_drift_dtheta_dx,
             diffusion=diffusion,
@@ -302,11 +300,10 @@ def build_preset(name: str, params: Optional[dict] = None) -> ModelBundle:
         if shape not in _DRIFT_SHAPES:
             raise ConfigurationError(
                 f"unknown drift_shape '{shape}'; choose from {', '.join(sorted(_DRIFT_SHAPES))}")
-        s, s_th, s_thth, s_x, s_thx = _DRIFT_SHAPES[shape]
+        s, s_th, s_x, s_thx = _DRIFT_SHAPES[shape]
         model = ModelSpec(
             drift=s,
             drift_dtheta=s_th,
-            drift_ddtheta=s_thth,
             drift_dx=s_x,
             drift_dtheta_dx=s_thx,
             diffusion=diffusion,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
 from .grids import TimeGrid
-from .models import ModelSpec, broadcast_eval, _rk4_values
+from .models import ModelSpec, _rk4_values
 
 GH_NODES_DEFAULT = 64
 # hermgauss weights underflow to nan past ~300 nodes, so the ladder stops at 256
@@ -221,10 +221,6 @@ class LinearValueFunction:
         tau = self.spec.horizon - np.asarray(t, dtype=float)
         return tau * self._kernel(2, t, x, theta)
 
-    def value_theta_theta(self, t, x, theta):
-        tau = self.spec.horizon - np.asarray(t, dtype=float)
-        return tau**2 * self._kernel(2, t, x, theta)
-
     # -- epsilon -> 0 limit ------------------------------------------------
 
     def _limit_kernel(self, fn, t, x, theta):
@@ -266,31 +262,17 @@ def characteristics_limit_value(model: ModelSpec, driver: Callable, terminal: Ca
         raise ConfigurationError("t beyond horizon")
     if t == T:
         return float(terminal(x))
-    # forward flow on 2*n half-steps
-    m = 2 * n_steps
-    h2 = (T - t) / m
-    ts = t + h2 * np.arange(m + 1)
-    xs = np.empty(m + 1)
-    xv = float(x)
-    xs[0] = xv
-    for k in range(m):
-        s = ts[k]
-        k1 = float(model.drift(theta, s, xv))
-        k2 = float(model.drift(theta, s + 0.5 * h2, xv + 0.5 * h2 * k1))
-        k3 = float(model.drift(theta, s + 0.5 * h2, xv + 0.5 * h2 * k2))
-        k4 = float(model.drift(theta, s + h2, xv + h2 * k3))
-        xv = xv + (h2 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(xv):
-            raise ConfigurationError("limit flow diverged on the characteristic")
-        xs[k + 1] = xv
+    half_steps = TimeGrid(t, T, 2 * n_steps)
+    ts = half_steps.times
+    xs = _rk4_values(model, float(theta), half_steps, x_start=float(x))
     # backward transport on full steps
-    h = 2.0 * h2
+    h = 2.0 * half_steps.h
     y = float(terminal(xs[-1]))
 
     def g(idx, yv):
         return -float(driver(ts[idx], xs[idx], yv, 0.0))
 
-    for k in range(m, 0, -2):
+    for k in range(half_steps.n_steps, 0, -2):
         k1 = g(k, y)
         k2 = g(k - 1, y - 0.5 * h * k1)
         k3 = g(k - 1, y - 0.5 * h * k2)

@@ -196,7 +196,7 @@ def test_criterion_05_pde_solver_cross_checks(capsys):
         sup_err = max(sup_err, float(np.max(np.abs(sol.values[i, inner] - exact))))
     # (b) pure-diffusion oracle: u(t, x) = e^{-a (T - t)} cos x
     hmodel = ModelSpec(
-        drift=_zero3, drift_dtheta=_zero3, drift_ddtheta=_zero3,
+        drift=_zero3, drift_dtheta=_zero3,
         drift_dx=_zero3, drift_dtheta_dx=_zero3,
         diffusion=_half_sigma, diffusion_dx=_zero2,
         theta_interval=(-1.0, 1.0), x0=0.0, horizon=1.0,

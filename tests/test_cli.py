@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from snbsde import cli
 from snbsde.cli import main
+from snbsde.experiment import ExperimentConfig, config_to_dict
 
 
 def _read_csv(path):
@@ -61,6 +63,14 @@ def test_full_flag_scales_defaults_but_yields_to_overrides(tmp_path):
     assert echo3["n_replications"] == 40
 
 
+def test_defaults_come_from_experiment_config():
+    shared = config_to_dict(ExperimentConfig())
+    assert cli._TOP_KEYS == set(cli._DEFAULTS)
+    assert set(cli._DEFAULTS) - set(shared) == {"epsilon", "pde", "study"}
+    for key in set(cli._DEFAULTS) & set(shared):
+        assert cli._DEFAULTS[key] == shared[key], key
+
+
 def test_seed_changes_paths(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -111,9 +121,9 @@ def test_estimate_command(tmp_path):
     assert header == ["t", "theta_onestep", "fisher", "delta_tail"]
     summary = (out / "summary.txt").read_text()
     full = float(summary.split("theta_full_mle=")[1].split("\n")[0])
-    # constant drift: the one-step profile lands on the full estimate at T,
-    # up to the golden-section tolerance of the latter
-    assert abs(data[-1, 1] - full) < 5e-7
+    # constant drift: the one-step profile at T and the full estimate are
+    # both the closed form X_T / T
+    assert abs(data[-1, 1] - full) < 1e-10
     assert "theta_pilot=" in summary and "n_clamped=" in summary
 
 

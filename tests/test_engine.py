@@ -11,8 +11,7 @@ from snbsde.engine import (REFINE_FACTOR, pilot_batch, run_batch, score_head_bat
                            simulate_batch, vector_simpson, _trapezoid_weights)
 from snbsde.errors import (ConfigurationError, FlatObjectiveError,
                            SimulationDivergedError)
-from snbsde.estimation import (EstimationWindow, mde_estimate, scan_then_golden,
-                               score_head)
+from snbsde.estimation import EstimationWindow, mde_estimate, score_head
 from snbsde.grids import NoiseSource, Path, TimeGrid
 from snbsde.models import ModelSpec, rk4_sensitivity, simulate_forward, _rk4_values
 from snbsde.pde import PdeGrid, theta_derivatives_by_bundle
@@ -49,9 +48,9 @@ def test_batch_matches_scalar_pipeline(name, theta0):
         approx = approximate_bsde(b.model, vf, X, W, EstimationWindow(0.1), eps,
                                   theta0=theta0)
         dec = residual_decomposition(approx, b.model, vf, theta0, eps)
-        assert abs(res.theta_pilot[r] - approx.trace.theta_pilot) < 1e-9
-        npt.assert_allclose(res.theta_onestep[r], approx.trace.theta_onestep[rel],
-                            rtol=0, atol=1e-9)
+        # the scalar pipeline is the engine on one row of the same bits
+        assert res.theta_pilot[r] == approx.trace.theta_pilot
+        assert np.array_equal(res.theta_onestep[r], approx.trace.theta_onestep[rel])
         npt.assert_allclose(res.y_hat[r], approx.y_hat.values[rel], rtol=0, atol=1e-9)
         npt.assert_allclose(res.z_hat[r], approx.z_hat.values[rel], rtol=0, atol=1e-9)
         npt.assert_allclose(res.y_true[r], approx.y_true.values[rel], rtol=0, atol=1e-9)
@@ -148,7 +147,6 @@ def test_batch_closed_form_matches_gauss_hermite():
 def test_simulate_batch_matches_scalar_and_flags_divergence():
     cubic = ModelSpec(drift=lambda th, t, x: th * x**3,
                       drift_dtheta=lambda th, t, x: x**3,
-                      drift_ddtheta=lambda th, t, x: 0.0,
                       drift_dx=lambda th, t, x: 3.0 * th * x**2,
                       drift_dtheta_dx=lambda th, t, x: 3.0 * x**2,
                       diffusion=lambda t, x: 1.0, diffusion_dx=lambda t, x: 0.0,
@@ -167,6 +165,12 @@ def test_simulate_batch_matches_scalar_and_flags_divergence():
         else:
             Xs, Ws = simulate_forward(cubic, 1.0, 2.0, grid, NoiseSource(99, r))
             assert np.array_equal(X[r], Xs.values)
+            # both share one Euler loop, so check it against plain float steps
+            x = [cubic.x0]
+            for k in range(grid.n_steps):
+                x.append(x[-1] + float(cubic.drift(1.0, grid.times[k], x[-1])) * grid.h
+                         + 2.0 * float(cubic.diffusion(grid.times[k], x[-1])) * dW[r, k])
+            assert np.array_equal(X[r], x)
             assert np.array_equal(np.concatenate(([0.0], np.cumsum(dW[r]))), Ws.values)
 
 
@@ -205,7 +209,6 @@ HEAD_THETAS = np.linspace(0.5, 1.5, 6)
 TIME_LINEAR = ModelSpec(
     drift=lambda th, t, x: th * (1.0 + t) * x,
     drift_dtheta=lambda th, t, x: (1.0 + t) * x + 0.0 * th,
-    drift_ddtheta=lambda th, t, x: 0.0 * (th + t + x),
     drift_dx=lambda th, t, x: th * (1.0 + t) + 0.0 * x,
     drift_dtheta_dx=lambda th, t, x: 1.0 + t + 0.0 * (th + x),
     diffusion=lambda t, x: 1.0 + 0.0 * (t + x),
@@ -216,7 +219,6 @@ TIME_LINEAR = ModelSpec(
 TIME_SINE = ModelSpec(
     drift=lambda th, t, x: th * (1.0 + t) * np.sin(x),
     drift_dtheta=lambda th, t, x: (1.0 + t) * np.sin(x) + 0.0 * th,
-    drift_ddtheta=lambda th, t, x: 0.0 * (th + t + x),
     drift_dx=lambda th, t, x: th * (1.0 + t) * np.cos(x),
     drift_dtheta_dx=lambda th, t, x: (1.0 + t) * np.cos(x) + 0.0 * th,
     diffusion=lambda t, x: 1.0 + 0.5 * t + 0.0 * x,
@@ -384,9 +386,9 @@ def test_pilot_constant_drift_weighted_least_squares():
 
 @pytest.mark.parametrize("name,params,theta0", PILOT_CASES)
 def test_pilot_matches_golden_section_oracle(name, params, theta0):
-    # Golden section compares F values, whose differences within ~1e-8 of the
-    # minimum are rounding; its answer drifts with the residual size, by up to
-    # about 2 tol at eps = 0.05.  At eps = 0.02 it resolves the minimum to tol.
+    # The oracle is the global minimum of F over a dense theta grid, which no
+    # local search can mistake for a nearby stationary point; the test keeps
+    # its name from an earlier golden-section oracle so that its id is stable.
     model, X = _pilot_paths(name, params, theta0, eps=0.02, m=6)
     theta, flat = pilot_batch(model, X, PILOT_GRID, 0.1)
     assert not np.any(flat)
@@ -394,11 +396,12 @@ def test_pilot_matches_golden_section_oracle(name, params, theta0):
     wgrid = PILOT_GRID.prefix(0.1)
     w = _trapezoid_weights(i + 1, wgrid.h)
     lo, hi = model.theta_interval
-    for r in range(X.shape[0]):
-        xw = X[r, : i + 1]
-        golden = scan_then_golden(
-            lambda th: float(np.sum(w * (xw - _rk4_values(model, th, wgrid)) ** 2)), lo, hi)
-        assert abs(theta[r] - golden) <= (hi - lo) * REFINE_FACTOR
+    xw = X[:, : i + 1]
+    f_pilot = np.sum(w * (xw - _rk4_values(model, theta, wgrid).T) ** 2, axis=1)
+    dense = _rk4_values(model, np.linspace(lo, hi, 4001), wgrid)
+    f_dense = np.array([np.sum(w[:, None] * (xw[r, :, None] - dense) ** 2, axis=0).min()
+                        for r in range(X.shape[0])])
+    assert np.all(f_pilot <= f_dense + engine._resolution(f_dense))
     # the pilot is the stationary point of the discrete F: F'/F'' vanishes
     x, xdot = rk4_sensitivity(model, theta, wgrid)
     r = X[:, : i + 1] - x.T

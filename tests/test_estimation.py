@@ -4,17 +4,18 @@ import pytest
 
 from snbsde import engine
 from snbsde.engine import _primitive_batch
+from snbsde.bsde import approximate_bsde
 from snbsde.errors import (ConfigurationError, FlatObjectiveError, QuadratureError,
                            SingularInformationError)
 from snbsde.estimation import (EstimationWindow, fisher_information,
                                fisher_profile, full_mle,
                                mde_asymptotic_variance, mde_estimate,
                                one_step_mle, onestep_error_limit,
-                               onestep_trace, scan_then_golden, score_head,
-                               score_tail)
-from snbsde.grids import NoiseSource, Path, TimeGrid, brownian_path
+                               onestep_trace, score_head)
+from snbsde.grids import NoiseSource, TimeGrid, brownian_path
 from snbsde.models import ModelSpec, simulate_forward, solve_limit_ode
 from snbsde.presets import build_preset
+from snbsde.value_functions import LinearValueFunction
 
 # int_0^1 exp(2*0.5*t) dt = e - 1, information of the proportional drift
 # along its own flow from x0 = 1 at theta = 0.5
@@ -30,7 +31,6 @@ def _flat_model():
     return ModelSpec(
         drift=lambda th, t, x: 1.0 + 0.0 * x + 0.0 * th,
         drift_dtheta=lambda th, t, x: 0.0 * x + 0.0 * th,
-        drift_ddtheta=lambda th, t, x: 0.0 * x + 0.0 * th,
         drift_dx=lambda th, t, x: 0.0 * x + 0.0 * th,
         drift_dtheta_dx=lambda th, t, x: 0.0 * x + 0.0 * th,
         diffusion=lambda t, x: 1.0 + 0.0 * x,
@@ -40,22 +40,9 @@ def _flat_model():
     )
 
 
-def test_scan_then_golden_quadratic():
-    target = 1.2345678
-    found = scan_then_golden(lambda th: (th - target) ** 2, 0.0, 2.0)
-    assert abs(found - target) < 5e-8
-
-
-def test_scan_then_golden_flat_raises():
-    with pytest.raises(FlatObjectiveError):
-        scan_then_golden(lambda th: 3.0, 0.0, 2.0)
-
-
 def test_window_validation():
     with pytest.raises(ConfigurationError):
         EstimationWindow(0.0)
-    with pytest.raises(ConfigurationError):
-        EstimationWindow(0.2, (0.1,))
 
 
 def test_mde_noiseless_recovery():
@@ -114,9 +101,9 @@ def test_score_primitive_proportional_oracle():
 def test_score_tail_left_point_convention():
     b = build_preset("linear-constant-drift")
     grid = TimeGrid(0.0, 1.0, 4)
-    X = Path(grid, np.array([0.0, 0.3, 0.5, 0.6, 1.0]))
+    X = np.array([[0.0, 0.3, 0.5, 0.6, 1.0]])
     # B = 1, increments sum to (X_t - X_delta) - theta (t - delta)
-    got = score_tail(b.model, 1.2, X, 0.25, 1.0)
+    got = engine.score_tail_profile_batch(b.model, np.array([1.2]), X, grid, 1)[0, -1]
     want = (1.0 - 0.3) - 1.2 * 0.75
     assert abs(got - want) < 1e-12
 
@@ -182,7 +169,28 @@ def test_full_mle_constant_drift_closed_form():
     grid = TimeGrid(0.0, 1.0, 1000)
     X, _ = simulate_forward(b.model, 1.0, 0.05, grid, NoiseSource(31, 0))
     est = full_mle(b.model, X, 1.0, 0.05)
-    assert abs(est - X.values[-1] / 1.0) < 5e-8
+    assert abs(est - X.values[-1] / 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["linear-constant-drift", "linear-ou", "custom-pde"])
+def test_full_mle_matches_closed_form_discrete_mle(name):
+    # every preset drift is theta times g(x) with sigma = 1, so the discrete
+    # likelihood is quadratic with maximizer sum g DX / sum g^2 h
+    b = build_preset(name)
+    grid = TimeGrid(0.0, 1.0, 1000)
+    X, _ = simulate_forward(b.model, 0.8, 0.05, grid, NoiseSource(32, 0))
+    xk = X.values[:-1]
+    g = b.model.drift_dtheta(1.0, X.times[:-1], xk)
+    want = np.sum(g * np.diff(X.values)) / np.sum(g * g * grid.h)
+    assert b.model.contains_theta(want)
+    assert abs(full_mle(b.model, X, 1.0, 0.05) - want) <= 1e-12
+
+
+def test_full_mle_flat_raises():
+    grid = TimeGrid(0.0, 1.0, 100)
+    X, _ = simulate_forward(_flat_model(), 1.0, 0.1, grid, NoiseSource(3, 0))
+    with pytest.raises(FlatObjectiveError):
+        full_mle(_flat_model(), X, 1.0, 0.1)
 
 
 def test_pilot_limit_variance_oracle():
@@ -210,3 +218,68 @@ def test_error_limit_factor_constant_drift():
     xi = onestep_error_limit(b.model, 1.0, W, 0.5)
     # left-point sum of dW equals W_t exactly on the grid
     assert abs(xi - W.at(0.5) / 0.5) < 1e-12
+
+
+def _info_free_model():
+    # S = max(theta - 1, 0)^2 moves the flow only for theta > 1, so from a
+    # resting path the window objective is lowest, and has no slope, on
+    # theta <= 1: the pilot lands at the lower end, where S_theta and with
+    # it the information vanish
+    return ModelSpec(
+        drift=lambda th, t, x: np.maximum(th - 1.0, 0.0) ** 2 + 0.0 * x,
+        drift_dtheta=lambda th, t, x: 2.0 * np.maximum(th - 1.0, 0.0) + 0.0 * x,
+        drift_dx=lambda th, t, x: 0.0 * x + 0.0 * th,
+        drift_dtheta_dx=lambda th, t, x: 0.0 * x + 0.0 * th,
+        diffusion=lambda t, x: 1.0 + 0.0 * x,
+        diffusion_dx=lambda t, x: 0.0 * x,
+        theta_interval=(0.1, 1.9), x0=0.0, horizon=1.0,
+        kappa=1.0, growth_const=2.0,
+    )
+
+
+def _flag_case(flag, monkeypatch):
+    """(model, X, W, epsilon) whose one-row engine pass raises the given flag."""
+    grid = TimeGrid(0.0, 1.0, 200)
+    if flag == "flat":
+        model, theta0, eps = _flat_model(), 1.0, 0.1
+    elif flag == "quad_failed":
+        real = engine.vector_simpson
+        monkeypatch.setattr(engine, "vector_simpson",
+                            lambda fn, n_rows: real(fn, n_rows, max_levels=1))
+        model, theta0, eps = build_preset("custom-pde").model, 0.8, 0.3
+    else:
+        model, theta0, eps = _info_free_model(), 0.5, 0.0
+    X, W = simulate_forward(model, theta0, eps, grid, NoiseSource(9, 0))
+    return model, X, W, eps
+
+
+_FLAG_ERRORS = {"flat": FlatObjectiveError, "quad_failed": QuadratureError,
+                "info_bad": SingularInformationError}
+
+_VIEWS = {
+    "approximate_bsde": lambda model, X, W, eps: approximate_bsde(
+        model, LinearValueFunction(build_preset("linear-constant-drift").linear, eps),
+        X, W, EstimationWindow(0.1), eps),
+    # the one-step views take the pilot, so they run behind the scalar pilot
+    "onestep_trace": lambda model, X, W, eps: onestep_trace(
+        model, mde_estimate(model, X, 0.1), X, 0.1, eps),
+    "one_step_mle": lambda model, X, W, eps: one_step_mle(
+        model, mde_estimate(model, X, 0.1), X, 0.1, 0.5, eps),
+}
+
+
+@pytest.mark.parametrize("view", sorted(_VIEWS))
+@pytest.mark.parametrize("flag", sorted(_FLAG_ERRORS))
+def test_engine_flags_reach_their_exceptions(monkeypatch, flag, view):
+    model, X, W, eps = _flag_case(flag, monkeypatch)
+    # the engine itself raises nothing: it flags the row
+    i = X.grid.node_index(0.1)
+    theta, flat = engine.pilot_batch(model, X.values[None, :], X.grid, 0.1)
+    _, quad_failed = engine.score_head_batch(model, theta, X.values[None, :], X.grid, i, eps)
+    info = engine.fisher_profile_batch(model, theta, engine.flow_batch(model, theta, X.grid),
+                                       X.grid)
+    flags = {"flat": flat[0], "quad_failed": quad_failed[0],
+             "info_bad": info[0, -1] < engine.INFO_FLOOR}
+    assert flags[flag]
+    with pytest.raises(_FLAG_ERRORS[flag]):
+        _VIEWS[view](model, X, W, eps)

@@ -61,7 +61,6 @@ def test_simulation_divergence_guard():
 
     model = ModelSpec(
         drift=hot, drift_dtheta=hot_dtheta,
-        drift_ddtheta=lambda th, t, x: 0.0 * x,
         drift_dx=lambda th, t, x: 3.0 * th * x**2,
         drift_dtheta_dx=lambda th, t, x: 3.0 * x**2,
         diffusion=lambda t, x: 1.0 + 0.0 * x,
@@ -117,7 +116,6 @@ def _cubic_model():
     return ModelSpec(
         drift=lambda th, t, x: th * x**3,
         drift_dtheta=lambda th, t, x: x**3,
-        drift_ddtheta=lambda th, t, x: 0.0 * x,
         drift_dx=lambda th, t, x: 3.0 * th * x**2,
         drift_dtheta_dx=lambda th, t, x: 3.0 * x**2,
         diffusion=lambda t, x: 1.0 + 0.0 * x,
@@ -165,7 +163,6 @@ def test_validate_model_catches_wrong_derivative():
     broken = ModelSpec(
         drift=b.model.drift,
         drift_dtheta=lambda th, t, x: 2.0 * np.asarray(x, dtype=float),  # off by 2
-        drift_ddtheta=b.model.drift_ddtheta,
         drift_dx=b.model.drift_dx,
         drift_dtheta_dx=b.model.drift_dtheta_dx,
         diffusion=b.model.diffusion,
@@ -182,7 +179,7 @@ def test_validate_model_catches_diffusion_floor():
     b = build_preset("linear-constant-drift")
     broken = ModelSpec(
         drift=b.model.drift, drift_dtheta=b.model.drift_dtheta,
-        drift_ddtheta=b.model.drift_ddtheta, drift_dx=b.model.drift_dx,
+        drift_dx=b.model.drift_dx,
         drift_dtheta_dx=b.model.drift_dtheta_dx,
         diffusion=b.model.diffusion, diffusion_dx=b.model.diffusion_dx,
         theta_interval=b.model.theta_interval, x0=b.model.x0,
@@ -191,10 +188,3 @@ def test_validate_model_catches_diffusion_floor():
     )
     with pytest.raises(ModelValidationError):
         validate_model(broken)
-
-
-def test_theta_clamp():
-    b = build_preset("linear-constant-drift")
-    assert b.model.clamp_theta(1.0) == (1.0, False)
-    assert b.model.clamp_theta(5.0) == (1.9, True)
-    assert b.model.clamp_theta(-5.0) == (0.1, True)

@@ -129,8 +129,6 @@ def test_derivatives_against_finite_differences():
         assert abs(vf.value_theta(t, x, theta) - fd_th) < 1e-7
         fd_thx = (vf.value_x(t, x, theta + h) - vf.value_x(t, x, theta - h)) / (2 * h)
         assert abs(vf.value_theta_x(t, x, theta) - fd_thx) < 1e-7
-        fd_thth = (vf.value_theta(t, x, theta + h) - vf.value_theta(t, x, theta - h)) / (2 * h)
-        assert abs(vf.value_theta_theta(t, x, theta) - fd_thth) < 1e-7
 
 
 def test_wrong_closed_form_declaration_rejected():
