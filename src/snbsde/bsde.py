@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import INFO_FLOOR, residual_pair, value_pair, _limit_factor
+from .engine import INFO_FLOOR, limit_weights, residual_pair, value_pair, _limit_factor
 from .errors import ConfigurationError, SingularInformationError
 from .estimation import (EstimateTrace, EstimationWindow, fisher_information,
                          mde_estimate, onestep_trace)
@@ -84,8 +84,8 @@ def approximate_bsde(model: ModelSpec, vf, X: Path, W: Path,
 
     y_true, z_true = value_pair(model, vf, epsilon, t_arr, x_row,
                                 np.broadcast_to(theta0, x_row.shape))
-    xi, info0 = _limit_factor(model, theta0, X.grid, np.diff(W.values)[None, :],
-                              np.arange(i, X.grid.n_steps + 1))
+    xi, info0 = _limit_factor(limit_weights(model, theta0, X.grid),
+                              np.diff(W.values)[None, :], np.arange(i, X.grid.n_steps + 1))
     if np.any(info0 < INFO_FLOOR):
         raise SingularInformationError("information below floor past the learning window")
     out.y_true = Path(wgrid, y_true[0])

@@ -16,17 +16,31 @@ re-keyed Philox bit generator and returns the Brownian increments, not their
 running sum; `run_batch` keeps them, and builds the limiting Gaussian factor
 xi from them, only when residuals are requested.
 
+No stage integrates a limit flow per replication.  The flow depends on a row
+only through one scalar theta, so a ThetaTable samples what the engine reads
+of it (the window flow and its RK4 sensitivity on [0, delta], the
+information profile on [delta, T]) at Chebyshev points of theta_interval,
+and each row reads its values by barycentric interpolation: the pilot's
+Gauss-Newton passes at their trial values, the one-step at the pilot.  A
+block builds one table, and the flow at theta0 behind xi, and hands them to
+every chunk.  The table depends on the block only and its contraction sums
+over the nodes in the same order for every row, so the chunking still moves
+no bit.  A table part whose interpolant misses direct RK4 at its probe points
+(a drift not smooth in theta, or one that blows up near an edge of
+theta_interval) falls back to the RK4 per row.
+
 Each stage is also the scalar API: `estimation` and `bsde` run these
 functions on the one-row batch holding an observed path, and `refine_scan`
 also serves the full-likelihood comparator `estimation.full_mle`.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, IntegrationDivergedError
 from .grids import TimeGrid, increment_rows
 from .models import (ModelSpec, broadcast_eval, _euler_maruyama, rk4_sensitivity,
                      _rk4_values)
@@ -47,6 +61,12 @@ SCAN_POINTS = 64
 REFINE_FACTOR = 1e-8
 # Gauss-Newton passes of refine_scan before an unsettled row is flagged.
 PILOT_MAX_PASSES = 40
+# Chebyshev points of a ThetaTable; the fractions of theta_interval, none of
+# them a table point, at which a new table is checked against direct RK4; and
+# the relative accuracy it must meet there to be used.
+TABLE_NODES = 24
+TABLE_PROBES = (0.0137, 0.3183, 0.6931, 0.9862)
+TABLE_TOL = 1e-12
 
 
 def _trapezoid_weights(n_nodes: int, h: float) -> np.ndarray:
@@ -166,39 +186,169 @@ def refine_scan(cand: np.ndarray, obj: np.ndarray, first_step, evaluate):
     return np.where(flat, 0.5 * (lo + hi), trial), flat
 
 
-def pilot_batch(model: ModelSpec, X: np.ndarray, grid: TimeGrid, delta: float):
+def _chebyshev_points(lo: float, hi: float, k: int) -> np.ndarray:
+    """k second-kind Chebyshev points of [lo, hi], increasing, ends exact."""
+    pts = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.pi * np.arange(k) / (k - 1))
+    pts[0], pts[-1] = lo, hi
+    return pts
+
+
+def _barycentric_rows(nodes: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """(k, K) barycentric weights of the interpolant through second-kind
+    Chebyshev points; a theta on a node gets that node's unit row."""
+    wts = np.where(np.arange(nodes.size) % 2 == 0, 1.0, -1.0)
+    wts[[0, -1]] *= 0.5
+    d = thetas[:, None] - nodes[None, :]
+    on = d == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = wts / d
+    hit = on.any(axis=1)
+    c[hit] = on[hit]
+    c /= np.sum(c, axis=1, keepdims=True)
+    return c
+
+
+def _contract(c: np.ndarray, values: np.ndarray) -> np.ndarray:
+    # einsum without `optimize` sums over the nodes in their order for every
+    # output entry, so a row's value does not depend on the other rows; a BLAS
+    # product (c @ values) may block the rows and change the last bit
+    return np.einsum("mk,kn->mn", c, values)
+
+
+def _within(got: np.ndarray, want: np.ndarray) -> bool:
+    """Every row of got within TABLE_TOL of want, relative to the row's sup norm."""
+    err = np.max(np.abs(got - want), axis=1)
+    return bool(np.all(err <= TABLE_TOL * np.max(np.abs(want), axis=1)))
+
+
+class ThetaTable:
+    """What the engine reads of the limit flow, once per (model, grid, delta).
+
+    The flow depends on a replication only through one scalar theta, so the
+    window flow and its RK4 sensitivity on [0, delta] and the information
+    profile on [delta, T] are sampled at TABLE_NODES Chebyshev points of the
+    closed theta_interval and read back by barycentric interpolation
+    (Trefethen, Approximation Theory and Approximation Practice, ch. 5).
+    `scan` holds the pilot's scan candidates with their exact window flow and
+    sensitivity.  Each part is built on first use and then kept, so a block
+    that hands one table to all its chunks builds each part once, and a
+    single path builds only the parts it reads.  The content depends only on
+    (model, grid, delta), never on the replications, so a row's numbers do
+    not depend on the chunk it runs in.
+
+    A node part is checked when it is built: its interpolant at the
+    TABLE_PROBES fractions of theta_interval must match direct RK4 within
+    TABLE_TOL, relative to the sup norm of each profile.  If it misses, or
+    the RK4 diverges at a node or a probe, the part is None and its reads run
+    the RK4 per row, as the engine did before tables: a drift that is not
+    smooth in theta, or that blows up near an edge of theta_interval, costs
+    time but never changes an answer or aborts a block.
+    """
+
+    def __init__(self, model: ModelSpec, grid: TimeGrid, delta: float):
+        self.model = model
+        self.grid = grid
+        self.i_delta = grid.node_index(delta)
+        self.wgrid = grid.prefix(delta)
+        self.nodes = _chebyshev_points(*model.theta_interval, TABLE_NODES)
+
+    def _direct_window(self, thetas):
+        x, xdot = rk4_sensitivity(self.model, thetas, self.wgrid)
+        return np.ascontiguousarray(x.T), np.ascontiguousarray(xdot.T)
+
+    def _direct_info(self, thetas):
+        flows = flow_batch(self.model, thetas, self.grid)
+        return (fisher_profile_batch(self.model, thetas, flows, self.grid)[:, self.i_delta:],)
+
+    def _checked(self, direct):
+        lo, hi = self.model.theta_interval
+        probes = lo + (hi - lo) * np.asarray(TABLE_PROBES)
+        try:
+            values = direct(np.concatenate((self.nodes, probes)))
+        except IntegrationDivergedError:
+            return None
+        k = self.nodes.size
+        c = _barycentric_rows(self.nodes, probes)
+        with np.errstate(invalid="ignore"):
+            ok = all(_within(_contract(c, v[:k]), v[k:]) for v in values)
+        return tuple(np.ascontiguousarray(v[:k]) for v in values) if ok else None
+
+    @cached_property
+    def scan(self):
+        """(candidates, flow, sensitivity): SCAN_POINTS points spanning the
+        closed theta_interval and their (SCAN_POINTS, i+1) window rows."""
+        cand = np.linspace(*self.model.theta_interval, SCAN_POINTS)
+        return (cand,) + self._direct_window(cand)
+
+    @cached_property
+    def node_window(self):
+        """(flow, sensitivity) rows (K, i+1) at the nodes, or None."""
+        return self._checked(self._direct_window)
+
+    @cached_property
+    def node_info(self):
+        """Information rows (K, n+1-i) at the nodes, or None."""
+        part = self._checked(self._direct_info)
+        return None if part is None else part[0]
+
+    def window(self, thetas: np.ndarray):
+        """Window flow and its RK4 sensitivity at thetas, C-ordered (k, i+1) rows."""
+        if self.node_window is None:
+            return self._direct_window(thetas)
+        c = _barycentric_rows(self.nodes, thetas)
+        return tuple(_contract(c, v) for v in self.node_window)
+
+    def info(self, thetas: np.ndarray) -> np.ndarray:
+        """Information profiles on [delta, T] at thetas, (k, n+1-i) rows."""
+        if self.node_info is None:
+            return self._direct_info(thetas)[0]
+        return _contract(_barycentric_rows(self.nodes, thetas), self.node_info)
+
+
+def _table_for(model: ModelSpec, grid: TimeGrid, delta: float,
+               table: Optional[ThetaTable]) -> ThetaTable:
+    if table is None:
+        return ThetaTable(model, grid, delta)
+    if table.model is not model or table.grid != grid or \
+            table.i_delta != grid.node_index(delta):
+        raise ConfigurationError("theta table was built for another model, grid or window")
+    return table
+
+
+def pilot_batch(model: ModelSpec, X: np.ndarray, grid: TimeGrid, delta: float,
+                table: Optional[ThetaTable] = None):
     """Minimum-distance pilots for all rows of X on the window [0, delta].
 
     Minimizes F(theta) = sum_k w_k (X_k - x_k(theta))^2, the trapezoidal
     L^2 distance to the RK4 limit flow: a SCAN_POINTS scan over the closure
-    of theta_interval, then refine_scan with Gauss-Newton steps on the exact
-    sensitivity of the RK4 flow.
+    of theta_interval, then refine_scan with Gauss-Newton steps on the
+    sensitivity of the RK4 flow.  The scan reads the table's exact candidate
+    flows; each Gauss-Newton pass reads x and its sensitivity at the live
+    rows' trial values from the table's interpolants (from RK4 per row when
+    the table fell back).  Without a table, the one of (model, grid, delta)
+    is built, so a single path gets the numbers a block gets.
 
     Returns (theta_pilot, flat) where flat marks rows whose window objective
     has no usable spread or that had not settled after PILOT_MAX_PASSES.
     """
-    i = grid.node_index(delta)
-    wgrid = grid.prefix(delta)
+    table = _table_for(model, grid, delta, table)
+    i = table.i_delta
     xw = X[:, : i + 1]
-    w = _trapezoid_weights(i + 1, wgrid.h)
+    w = _trapezoid_weights(i + 1, table.wgrid.h)
 
-    cand = np.linspace(*model.theta_interval, SCAN_POINTS)
-    flows, sens = rk4_sensitivity(model, cand, wgrid)  # (nw+1, 64) each
+    cand, flows, sens = table.scan
     obj = np.empty((X.shape[0], SCAN_POINTS))
     buf = np.empty(xw.shape)  # w (xw - flow)^2 of one candidate, built in place
     for j in range(SCAN_POINTS):
-        np.square(np.subtract(xw, flows[:, j], out=buf), out=buf)
+        np.square(np.subtract(xw, flows[j], out=buf), out=buf)
         obj[:, j] = np.sum(np.multiply(w, buf, out=buf), axis=1)
 
     def first_step(best):
         # the scan already holds the flow and sensitivity at each row's best candidate
-        return _gauss_newton(xw, np.ascontiguousarray(flows.T)[best],
-                             np.ascontiguousarray(sens.T)[best], w)[1]
+        return _gauss_newton(xw, flows[best], sens[best], w)[1]
 
     def evaluate(idx, thetas):
-        x, xdot = rk4_sensitivity(model, thetas, wgrid)
-        return _gauss_newton(xw[idx], np.ascontiguousarray(x.T),
-                             np.ascontiguousarray(xdot.T), w)
+        return _gauss_newton(xw[idx], *table.window(thetas), w)
 
     return refine_scan(cand, obj, first_step, evaluate)
 
@@ -220,14 +370,22 @@ def fisher_profile_batch(model: ModelSpec, thetas: np.ndarray, flows: np.ndarray
 
 def score_tail_profile_batch(model: ModelSpec, thetas: np.ndarray, X: np.ndarray,
                              grid: TimeGrid, i_delta: int) -> np.ndarray:
+    """Tail score profiles sum_{i_delta <= k < j} B (X_{k+1} - X_k - S h) at
+    every node j of [delta, T], for every row of X.  Built in blocks of rows
+    of at most SCRATCH_BLOCK increments, so besides the (M, n+1-i) result no
+    path-sized array is allocated."""
     h = grid.h
     tk = grid.times[None, i_delta:-1]
-    xk = X[:, i_delta:-1]
-    th = thetas[:, None]
-    incr = _state_weight(model, th, tk, xk) * \
-        (X[:, i_delta + 1:] - xk - broadcast_eval(model.drift(th, tk, xk), xk.shape) * h)
-    out = np.zeros((X.shape[0], X.shape[1] - i_delta))
-    np.cumsum(incr, axis=1, out=out[:, 1:])
+    m, k = X.shape[0], X.shape[1] - 1 - i_delta
+    out = np.zeros((m, k + 1))
+    rows_per_block = max(1, SCRATCH_BLOCK // max(k, 1))
+    for lo in range(0, m, rows_per_block):
+        r = slice(lo, lo + rows_per_block)
+        xk = X[r, i_delta:-1]
+        th = thetas[r, None]
+        incr = _state_weight(model, th, tk, xk) * \
+            (X[r, i_delta + 1:] - xk - broadcast_eval(model.drift(th, tk, xk), xk.shape) * h)
+        np.cumsum(incr, axis=1, out=out[r, 1:])
     return out
 
 
@@ -446,19 +604,27 @@ def residual_pair(model: ModelSpec, vf, theta0: float, epsilon: float,
     return r_y, r_z
 
 
-def _limit_factor(model: ModelSpec, theta0: float, grid: TimeGrid, dW: np.ndarray,
-                  nodes: np.ndarray):
-    """Limiting Gaussian factor xi(t) = int_0^t (S_theta / sigma) dW / I(t)
-    along the flow at theta0, at the given nodes, with a left-point
-    stochastic sum.  Returns (xi, info): xi of shape (M, len(nodes)), 0 where
-    I(theta0, t) is below INFO_FLOOR, and I(theta0, t) at the nodes."""
+def limit_weights(model: ModelSpec, theta0: float, grid: TimeGrid):
+    """What the limiting Gaussian factor reads of the flow at theta0: the
+    left-point weights (S_theta / sigma)(theta0, t_k, x_k), k < n, and the
+    information profile I(theta0, t) at every node."""
     times = grid.times
     flow0 = _rk4_values(model, float(theta0), grid)
     info0 = fisher_profile_batch(model, np.array([float(theta0)]), flow0[None, :], grid)[0]
     wgt = broadcast_eval(model.drift_dtheta(theta0, times[:-1], flow0[:-1]),
                          (grid.n_steps,)) / \
         broadcast_eval(model.diffusion(times[:-1], flow0[:-1]), (grid.n_steps,))
-    cums = np.zeros((dW.shape[0], grid.n_steps + 1))
+    return wgt, info0
+
+
+def _limit_factor(limit, dW: np.ndarray, nodes: np.ndarray):
+    """Limiting Gaussian factor xi(t) = int_0^t (S_theta / sigma) dW / I(t)
+    along the flow at theta0, at the given nodes, with a left-point
+    stochastic sum; limit is limit_weights(model, theta0, grid).  Returns
+    (xi, info): xi of shape (M, len(nodes)), 0 where I(theta0, t) is below
+    INFO_FLOOR, and I(theta0, t) at the nodes."""
+    wgt, info0 = limit
+    cums = np.zeros((dW.shape[0], wgt.size + 1))
     np.cumsum(wgt[None, :] * dW, axis=1, out=cums[:, 1:])
     info_n = info0[None, nodes]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -493,26 +659,38 @@ def onestep_batch(model: ModelSpec, theta_pilot: np.ndarray, tail: np.ndarray,
 def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGrid,
               delta: float, report_times: Sequence[float], seed: int,
               stream_ids: Sequence[int], *, plugin: bool = False,
-              residuals: bool = False, sup_stride: int = 0) -> BatchResult:
+              residuals: bool = False, sup_stride: int = 0,
+              table: Optional[ThetaTable] = None, limit=None) -> BatchResult:
     """Full pipeline for one block of replications.
 
     sup_stride > 0 additionally tracks sup |Y_hat - Y| over every
     sup_stride-th node of [delta, T].
+
+    table is the ThetaTable of (model, grid, delta) and limit is
+    limit_weights(model, theta0, grid); a caller running many chunks of one
+    block builds each once and passes it to every chunk, and either is built
+    here when not given.  The pilot reads the window flow and sensitivity
+    from the table, and the one-step reads each row's information
+    profile from it at the row's pilot, so no per-row flow is integrated
+    unless the table fell back to RK4 per row.  The table depends only on
+    the block, so the results do not depend on the chunking.
     """
     i = grid.node_index(delta)
     report_times = np.asarray([float(t) for t in report_times])
     r_idx = np.array([grid.node_index(t) for t in report_times])
     if np.any(r_idx < i):
         raise ConfigurationError("report times must not precede delta")
+    table = _table_for(model, grid, delta, table)
 
     X, dW, diverged = simulate_batch(model, theta0, epsilon, grid, seed, stream_ids)
-    xi_rep = _limit_factor(model, theta0, grid, dW, r_idx)[0] if residuals else None
+    xi_rep = None
+    if residuals:
+        limit = limit_weights(model, theta0, grid) if limit is None else limit
+        xi_rep = _limit_factor(limit, dW, r_idx)[0]
     del dW
-    theta_pilot, flat = pilot_batch(model, X, grid, delta)
+    theta_pilot, flat = pilot_batch(model, X, grid, delta, table)
 
-    flows = flow_batch(model, theta_pilot, grid)
-    info = fisher_profile_batch(model, theta_pilot, flows, grid)[:, i:]
-    del flows
+    info = table.info(theta_pilot)
     tail = score_tail_profile_batch(model, theta_pilot, X, grid, i)
     head, quad_failed = score_head_batch(model, theta_pilot, X, grid, i, epsilon)
     rel = r_idx - i

@@ -41,10 +41,10 @@ from .errors import (
     QuadratureError,
     SingularInformationError,
 )
-from .engine import (INFO_FLOOR, SCAN_POINTS, fisher_profile_batch, flow_batch,
+from .engine import (INFO_FLOOR, SCAN_POINTS, fisher_profile_batch, limit_weights,
                      onestep_batch, pilot_batch, refine_scan, score_head_batch,
-                     score_tail_profile_batch, _cumtrapz_rows, _limit_factor,
-                     _step, _trapezoid_weights)
+                     score_tail_profile_batch, ThetaTable, _cumtrapz_rows,
+                     _limit_factor, _step, _trapezoid_weights)
 from .grids import Path, TimeGrid
 from .models import ModelSpec, broadcast_eval, sensitivity_xdot, solve_limit_ode
 
@@ -141,15 +141,16 @@ def onestep_trace(model: ModelSpec, theta_pilot: float, X: Path, delta: float,
                   epsilon: float) -> EstimateTrace:
     """One-step estimates at every grid node of [delta, T].
 
-    The engine's flow, information, tail and head stages, then
-    engine.onestep_batch on copies of the profiles, which the trace keeps.
+    The engine's information (read from the theta table of (model, grid,
+    delta) at theta_pilot), tail and head stages, then engine.onestep_batch
+    on copies of the profiles, which the trace keeps.
     Raises SingularInformationError when the information stays below the
     floor on the whole of [delta, T].
     """
     grid = X.grid
     i = _window_end(X, delta)
     th = np.array([float(theta_pilot)])
-    info = fisher_profile_batch(model, th, flow_batch(model, th, grid), grid)[:, i:]
+    info = ThetaTable(model, grid, delta).info(th)
     tail = score_tail_profile_batch(model, th, X.values[None, :], grid, i)
     head = score_head(model, theta_pilot, X, delta, epsilon)
     theta, clamped, info_bad = onestep_batch(model, th, tail.copy(), np.array([head]),
@@ -258,8 +259,8 @@ def onestep_error_limit(model: ModelSpec, theta0: float, W: Path, t: float) -> f
     engine's limiting factor at the node t.  Raises SingularInformationError
     when I(theta0, t) is below the floor.
     """
-    xi, info = _limit_factor(model, theta0, W.grid, np.diff(W.values)[None, :],
-                             np.array([W.grid.node_index(t)]))
+    xi, info = _limit_factor(limit_weights(model, theta0, W.grid),
+                             np.diff(W.values)[None, :], np.array([W.grid.node_index(t)]))
     if info[0] < INFO_FLOOR:
         raise SingularInformationError(
             f"information {info[0]:.3e} below floor {INFO_FLOOR} at t={t}")

@@ -147,7 +147,6 @@ def build_value_function(bundle: ModelBundle, config: ExperimentConfig,
 class NormalityReport:
     n: int
     var_ratio: float
-    ks_stat: float
     ks_p: float
 
 
@@ -169,8 +168,8 @@ def _ks_uniform_p(lam: float) -> float:
 def normality_diagnostics(samples: np.ndarray, target_variance: float) -> NormalityReport:
     """Compare a sample against the centered normal with the given variance.
 
-    Returns the sample/target variance ratio plus a one-sample KS statistic
-    with its asymptotic p-value.
+    Returns the sample/target variance ratio plus the asymptotic p-value of
+    a one-sample KS statistic.
     """
     samples = np.asarray(samples, dtype=float)
     n = samples.size
@@ -190,7 +189,7 @@ def normality_diagnostics(samples: np.ndarray, target_variance: float) -> Normal
     grid_lo = np.arange(0, n) / n
     d = float(max(np.max(grid_hi - cdf), np.max(cdf - grid_lo)))
     p = _ks_uniform_p(np.sqrt(n) * d)
-    return NormalityReport(n, sample_var / target_variance, d, p)
+    return NormalityReport(n, sample_var / target_variance, p)
 
 
 @dataclass
@@ -232,13 +231,16 @@ def run_epsilon_block(bundle: ModelBundle, config: ExperimentConfig,
     vf = build_value_function(bundle, config, epsilon)
     m = config.n_replications
     chunk = max(1, min(config.chunk_size, -(-m // config.workers)))
+    # what every chunk reads of the limit flow, built once for the block
+    table = engine.ThetaTable(bundle.model, grid, delta)
+    limit = engine.limit_weights(bundle.model, config.theta0, grid) if residuals else None
     parts = []
     for lo in range(0, m, chunk):
         ids = [(eps_index << 32) | r for r in range(lo, min(lo + chunk, m))]
         parts.append(engine.run_batch(
             bundle.model, vf, config.theta0, epsilon, grid, delta,
             report_times, config.base_seed, ids, plugin=config.plugin,
-            residuals=residuals, sup_stride=sup_stride))
+            residuals=residuals, sup_stride=sup_stride, table=table, limit=limit))
     res = _concat_results(parts)
     n_failed = int(np.sum(res.failed))
     if n_failed > FAILURE_FRACTION_CAP * m:

@@ -85,8 +85,6 @@ class PdeSolution:
     """Stored rows of the backward solution; row j holds u(j * horizon / n_t, .)."""
 
     grid: PdeGrid
-    theta: float
-    epsilon: float
     values: np.ndarray
     substeps: int
     internal_dt: float
@@ -189,8 +187,6 @@ def solve_semilinear_pde(model: ModelSpec, driver: Callable, terminal: Callable,
 
     return PdeSolution(
         grid=grid,
-        theta=float(theta),
-        epsilon=float(epsilon),
         values=rows,
         substeps=substeps,
         internal_dt=dt,
@@ -240,14 +236,12 @@ class PdeValueFunction:
     """
 
     def __init__(self, model: ModelSpec, driver: Callable, terminal: Callable,
-                 theta_center: float, epsilon: float,
-                 minus: PdeSolution, center: PdeSolution, plus: PdeSolution,
-                 dtheta: float):
+                 theta_center: float, minus: PdeSolution, center: PdeSolution,
+                 plus: PdeSolution, dtheta: float):
         self.model = model
         self.driver = driver
         self.terminal = terminal
         self.theta_center = float(theta_center)
-        self.epsilon = float(epsilon)
         self._minus = minus
         self._center = center
         self._plus = plus
@@ -343,5 +337,4 @@ def theta_derivatives_by_bundle(model: ModelSpec, driver: Callable, terminal: Ca
     minus = solve_semilinear_pde(model, driver, terminal, theta - dtheta, epsilon, grid)
     center = solve_semilinear_pde(model, driver, terminal, theta, epsilon, grid)
     plus = solve_semilinear_pde(model, driver, terminal, theta + dtheta, epsilon, grid)
-    return PdeValueFunction(model, driver, terminal, theta, epsilon,
-                            minus, center, plus, dtheta)
+    return PdeValueFunction(model, driver, terminal, theta, minus, center, plus, dtheta)

@@ -10,7 +10,7 @@ from snbsde.bsde import approximate_bsde, residual_decomposition
 from snbsde.engine import (REFINE_FACTOR, pilot_batch, run_batch, score_head_batch,
                            simulate_batch, vector_simpson, _trapezoid_weights)
 from snbsde.errors import (ConfigurationError, FlatObjectiveError,
-                           SimulationDivergedError)
+                           IntegrationDivergedError, SimulationDivergedError)
 from snbsde.estimation import EstimationWindow, mde_estimate, score_head
 from snbsde.grids import NoiseSource, Path, TimeGrid
 from snbsde.models import ModelSpec, rk4_sensitivity, simulate_forward, _rk4_values
@@ -59,23 +59,34 @@ def test_batch_matches_scalar_pipeline(name, theta0):
         npt.assert_allclose(res.r_z[r], dec.r_z.values[rel], rtol=0, atol=1e-7)
 
 
-def test_batch_results_chunk_invariant():
-    # splitting a block in two must reproduce every number bit for bit
+@pytest.mark.parametrize("name,params,theta0", [
+    ("linear-constant-drift", {}, 1.0),
+    ("custom-pde", {"drift_shape": "sine"}, 1.0),
+    ("linear-ou", {}, 0.5)], ids=["constant", "sine", "linear-ou"])
+def test_batch_results_chunk_invariant(name, params, theta0):
+    # splitting a block into uneven chunks that share the block's theta table
+    # and limit weights must reproduce every number of a block that builds
+    # its own, bit for bit
     eps = 0.05
-    b = build_preset("linear-constant-drift")
+    b = build_preset(name, params)
     grid = TimeGrid(0.0, 1.0, 200)
-    vf = LinearValueFunction(b.linear, eps)
+    vf = _vf_for(b, eps)
     kw = dict(plugin=True, residuals=True, sup_stride=3)
-    whole = run_batch(b.model, vf, 1.0, eps, grid, 0.1, (0.5, 1.0), SEED,
-                      range(10), **kw)
-    lo = run_batch(b.model, vf, 1.0, eps, grid, 0.1, (0.5, 1.0), SEED,
-                   range(5), **kw)
-    hi = run_batch(b.model, vf, 1.0, eps, grid, 0.1, (0.5, 1.0), SEED,
-                   range(5, 10), **kw)
-    for field in ("theta_pilot", "theta_onestep", "y_hat", "z_hat", "y_plugin",
-                  "xi", "r_y", "r_z", "terminal_abs_err", "sup_abs_y_err"):
-        merged = np.concatenate((getattr(lo, field), getattr(hi, field)))
-        assert np.array_equal(merged, getattr(whole, field)), field
+    args = (b.model, vf, theta0, eps, grid, 0.1, (0.5, 1.0), SEED)
+    whole = run_batch(*args, range(10), **kw)
+    table = engine.ThetaTable(b.model, grid, 0.1)
+    limit = engine.limit_weights(b.model, theta0, grid)
+    parts = [run_batch(*args, range(lo, hi), table=table, limit=limit, **kw)
+             for lo, hi in ((0, 3), (3, 4), (4, 10))]
+    assert not np.any(whole.failed)
+    assert table.node_window is not None and table.node_info is not None
+    for f in dataclasses.fields(engine.BatchResult):
+        got = getattr(whole, f.name)
+        if f.name == "report_times":
+            assert all(np.array_equal(p.report_times, got) for p in parts)
+            continue
+        merged = np.concatenate([getattr(p, f.name) for p in parts])
+        assert np.array_equal(merged, got), f.name
 
 
 def test_residuals_feed_nothing_else():
@@ -98,9 +109,10 @@ def test_residuals_feed_nothing_else():
 
 # Peak traced allocation of one closed-form block (M = 200, n = 2000,
 # sup_stride = 1, no residuals) in units of one (M, n+1) float64 array.  The
-# lean block reads 10.16 (numpy 2.4); keeping any one more path-sized array
-# alive to the end (the flows, the information or dW) reads 11.16, and a
-# block that keeps every stage alive read 18.0.
+# lean block reads 10.36 (numpy 2.4), of which about 0.2 is its theta table
+# (24 information rows at M = 200); keeping the (M, n+1-i) information
+# alive to the end reads 11.26, and a block that keeps every stage alive
+# read 18.0.
 PEAK_PATH_ARRAYS = 11.0
 
 
@@ -359,15 +371,16 @@ def _pilot_paths(name, params, theta0, eps=0.05, m=37):
 
 
 def _count_passes(monkeypatch):
-    """Record the lane count of every RK4 sensitivity pass the pilot makes."""
+    """Record the lane count of every Gauss-Newton pass the pilot makes: each
+    pass reads the window flow and sensitivity of its live rows once."""
     counts = []
-    real = engine.rk4_sensitivity
+    real = engine.ThetaTable.window
 
-    def spy(model, theta, grid):
-        counts.append(np.size(theta))
-        return real(model, theta, grid)
+    def spy(table, thetas):
+        counts.append(np.size(thetas))
+        return real(table, thetas)
 
-    monkeypatch.setattr(engine, "rk4_sensitivity", spy)
+    monkeypatch.setattr(engine.ThetaTable, "window", spy)
     return counts
 
 
@@ -474,3 +487,146 @@ def test_pilot_halves_steps_that_raise_the_objective(monkeypatch):
     assert len(counts) > 4
     lo, hi = model.theta_interval
     npt.assert_allclose(got, want, rtol=0, atol=(hi - lo) * REFINE_FACTOR)
+
+
+# -- theta tables ----------------------------------------------------------
+
+TABLE_GRID = TimeGrid(0.0, 1.0, 1000)
+
+
+def _rel_sup(got, want):
+    return np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+
+
+def _direct_info(model, thetas, grid, i):
+    return engine.fisher_profile_batch(model, thetas, engine.flow_batch(model, thetas, grid),
+                                       grid)[:, i:]
+
+
+@pytest.mark.parametrize("name,params", [("linear-ou", {}),
+                                         ("custom-pde", {"drift_shape": "sine"}),
+                                         ("custom-pde", {"drift_shape": "tanh"})],
+                         ids=["linear-ou", "sine", "tanh"])
+def test_theta_table_matches_direct_rk4(name, params):
+    model = build_preset(name, params).model
+    table = engine.ThetaTable(model, TABLE_GRID, 0.1)
+    assert table.node_window is not None and table.node_info is not None
+    lo, hi = model.theta_interval
+    thetas = np.random.default_rng(7).uniform(lo, hi, 200)
+    x, xdot = table.window(thetas)
+    x_d, xdot_d = rk4_sensitivity(model, thetas, table.wgrid)
+    assert np.max(_rel_sup(x, x_d.T)) <= 1e-12
+    assert np.max(_rel_sup(xdot[:, 1:], xdot_d.T[:, 1:])) <= 1e-12
+    info = table.info(thetas)
+    assert np.max(_rel_sup(info, _direct_info(model, thetas, TABLE_GRID, table.i_delta))) <= 1e-12
+
+
+def test_theta_table_edge_pilots_read_node_values():
+    # paths steeper or flatter than every flow in theta_interval put the
+    # pilot on an end of the interval, which is a table node: the table must
+    # hand back the RK4 values there, not an interpolant
+    eps = 0.01
+    b = build_preset("custom-pde", {"drift_shape": "sine"})
+    model = b.model
+    lo, hi = model.theta_interval
+    grid = TimeGrid(0.0, 1.0, 200)
+    X_lo, _, _ = simulate_batch(model, -0.5, eps, grid, SEED, range(2))
+    X_hi, _, _ = simulate_batch(model, 3.0, eps, grid, SEED, range(2))
+    X = np.vstack((X_lo, X_hi))
+    table = engine.ThetaTable(model, grid, 0.1)
+    assert table.nodes[0] == lo and table.nodes[-1] == hi
+    theta, flat = pilot_batch(model, X, grid, 0.1, table)
+    assert not np.any(flat)
+    assert np.array_equal(theta, [lo, lo, hi, hi])
+    x, xdot = table.window(theta)
+    x_d, xdot_d = rk4_sensitivity(model, theta, table.wgrid)
+    assert np.array_equal(x, x_d.T) and np.array_equal(xdot, xdot_d.T)
+    assert table.node_window is not None
+    info = table.info(theta)
+    assert table.node_info is not None
+    assert np.array_equal(info, _direct_info(model, theta, grid, table.i_delta))
+    assert np.array_equal(info, table.node_info[[0, 0, -1, -1]])
+
+
+class _LinearValue:
+    """u = theta x: enough of a value function to run a block."""
+
+    def value(self, t, x, theta):
+        return np.broadcast_to(theta * x, np.broadcast_shapes(np.shape(t), np.shape(x)))
+
+    def value_x(self, t, x, theta):
+        return np.broadcast_to(theta + 0.0 * x, np.broadcast_shapes(np.shape(t), np.shape(x)))
+
+
+def _g_kink(th):
+    return th + 0.5 * np.abs(th - 1.0)
+
+
+# S = g(theta) x with g kinked at theta = 1: smooth in x, not in theta
+KINK = ModelSpec(
+    drift=lambda th, t, x: _g_kink(th) * x,
+    drift_dtheta=lambda th, t, x: (1.0 + 0.5 * np.sign(th - 1.0)) * x,
+    drift_dx=lambda th, t, x: _g_kink(th) + 0.0 * x,
+    drift_dtheta_dx=lambda th, t, x: 1.0 + 0.5 * np.sign(th - 1.0) + 0.0 * x,
+    diffusion=lambda t, x: 1.0 + 0.0 * x, diffusion_dx=lambda t, x: 0.0 * x,
+    theta_interval=(0.1, 1.9), x0=1.0, horizon=1.0, kappa=1.0, growth_const=4.0)
+
+# S = theta x^2 from x0 = 1: the flow 1 / (1 - theta t) blows up inside
+# [delta, T] for theta > 1 only, near the upper end of theta_interval
+BLOWUP = ModelSpec(
+    drift=lambda th, t, x: th * x**2,
+    drift_dtheta=lambda th, t, x: x**2 + 0.0 * th,
+    drift_dx=lambda th, t, x: 2.0 * th * x,
+    drift_dtheta_dx=lambda th, t, x: 2.0 * x + 0.0 * th,
+    diffusion=lambda t, x: 1.0 + 0.0 * x, diffusion_dx=lambda t, x: 0.0 * x,
+    theta_interval=(0.1, 1.2), x0=1.0, horizon=1.0, kappa=1.0, growth_const=4.0)
+
+
+def test_theta_table_guard_falls_back_to_rows_on_a_kink():
+    eps, delta, theta0 = 0.05, 0.1, 0.8
+    grid = TimeGrid(0.0, 1.0, 200)
+    i = grid.node_index(delta)
+    table = engine.ThetaTable(KINK, grid, delta)
+    assert table.node_window is None and table.node_info is None
+    res = run_batch(KINK, _LinearValue(), theta0, eps, grid, delta, (0.5, 1.0), SEED,
+                    range(6), table=table)
+    assert not np.any(res.failed)
+    # the per-row path by hand: scan, Gauss-Newton on RK4 per row, then the
+    # information along each row's own RK4 flow
+    X, _, _ = simulate_batch(KINK, theta0, eps, grid, SEED, range(6))
+    wgrid = grid.prefix(delta)
+    xw = X[:, : i + 1]
+    w = _trapezoid_weights(i + 1, wgrid.h)
+    cand = np.linspace(*KINK.theta_interval, engine.SCAN_POINTS)
+    x, xdot = (np.ascontiguousarray(a.T) for a in rk4_sensitivity(KINK, cand, wgrid))
+    obj = np.stack([np.sum(w * (xw - x[j]) ** 2, axis=1) for j in range(cand.size)], axis=1)
+
+    def evaluate(idx, thetas):
+        xe, xdote = rk4_sensitivity(KINK, thetas, wgrid)
+        return engine._gauss_newton(xw[idx], np.ascontiguousarray(xe.T),
+                                    np.ascontiguousarray(xdote.T), w)
+
+    pilot, _ = engine.refine_scan(cand, obj,
+                                  lambda best: engine._gauss_newton(xw, x[best], xdot[best], w)[1],
+                                  evaluate)
+    assert np.array_equal(res.theta_pilot, pilot)
+    tail = engine.score_tail_profile_batch(KINK, pilot, X, grid, i)
+    head, _ = score_head_batch(KINK, pilot, X, grid, i, eps)
+    rel = np.array([grid.node_index(t) for t in (0.5, 1.0)]) - i
+    theta, _, _ = engine.onestep_batch(KINK, pilot, tail, head,
+                                       _direct_info(KINK, pilot, grid, i), rel)
+    assert np.array_equal(res.theta_onestep, theta[:, rel])
+
+
+def test_theta_table_survives_a_flow_that_diverges_near_an_edge():
+    grid = TimeGrid(0.0, 1.0, 200)
+    with pytest.raises(IntegrationDivergedError):
+        _rk4_values(BLOWUP, BLOWUP.theta_interval[1], grid)
+    # the window interpolant passes its check; the information on [delta, T]
+    # falls back to RK4 per row
+    table = engine.ThetaTable(BLOWUP, grid, 0.1)
+    assert table.node_window is not None and table.node_info is None
+    res = run_batch(BLOWUP, _LinearValue(), 0.5, 0.05, grid, 0.1, (0.5, 1.0), SEED,
+                    range(6), table=table)
+    assert not np.any(res.failed)
+    assert np.all(np.abs(res.theta_onestep - 0.5) < 0.5)

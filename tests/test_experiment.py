@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from snbsde import engine
 from snbsde.errors import ConfigurationError, DiagnosticError
 from snbsde.experiment import (ExperimentConfig, _ks_uniform_p, config_to_dict,
-                               normality_diagnostics, run_monte_carlo,
-                               shrinking_window_study)
+                               normality_diagnostics, run_epsilon_block,
+                               run_monte_carlo, shrinking_window_study)
 
 BASE = dict(model="linear-constant-drift", model_params={"terminal": "identity"},
             theta0=1.0, epsilon_list=(0.1,), delta=0.1, t_report=(0.5,),
@@ -105,6 +106,30 @@ def test_reports_identical_across_chunking(tmp_path):
         getattr(a, writer)(fa)
         getattr(b, writer)(fb)
         assert fa.read_bytes() == fb.read_bytes(), name
+
+
+def test_epsilon_block_builds_its_tables_once(monkeypatch):
+    # the theta table and the limit weights depend on the block only, so a
+    # block of many chunks integrates the limit flow only for them: once for
+    # the scan and once for the window nodes (rk4_sensitivity), once for the
+    # information nodes (flow_batch) and once at theta0 (limit_weights)
+    calls = {"rk4_sensitivity": 0, "flow_batch": 0, "limit_weights": 0, "run_batch": 0}
+    for name in calls:
+        real = getattr(engine, name)
+
+        def spy(*args, _name=name, _real=real, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(engine, name, spy)
+    config = ExperimentConfig(**{**BASE, "model": "linear-ou", "model_params": {},
+                                 "backend": "pde", "theta0": 0.5, "chunk_size": 40,
+                                 "pde_params": {"n_x": 64, "n_t": 50}})
+    block = run_epsilon_block(config.validate(), config, 0.1, 0, residuals=True)
+    assert calls == {"rk4_sensitivity": 2, "flow_batch": 1, "limit_weights": 1,
+                     "run_batch": 4}
+    assert not np.any(block.result.failed)
+    assert block.result.xi.shape == (config.n_replications, 1)
 
 
 def test_shrinking_window_study_structure(tmp_path):
