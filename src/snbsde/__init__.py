@@ -16,7 +16,7 @@ from .errors import (ConfigurationError, DiagnosticError, DomainError,
                      FlatObjectiveError, IntegrationDivergedError,
                      ModelValidationError, PdeDivergenceError, QuadratureError,
                      SimulationDivergedError, SingularInformationError,
-                     SnbsdeError, StabilityError)
+                     SnbsdeError)
 from .estimation import (EstimateTrace, EstimationWindow, fisher_information,
                          fisher_profile, full_mle, mde_asymptotic_variance,
                          mde_estimate, one_step_mle, onestep_error_limit,
@@ -44,7 +44,6 @@ __all__ = [
     "ExperimentAbortedError", "FlatObjectiveError", "IntegrationDivergedError",
     "ModelValidationError", "PdeDivergenceError", "QuadratureError",
     "SimulationDivergedError", "SingularInformationError", "SnbsdeError",
-    "StabilityError",
     "EstimateTrace", "EstimationWindow", "fisher_information",
     "fisher_profile", "full_mle", "mde_asymptotic_variance", "mde_estimate",
     "one_step_mle", "onestep_error_limit", "onestep_trace",

@@ -42,10 +42,6 @@ class QuadratureError(SnbsdeError):
     """Adaptive quadrature failed to reach its tolerance."""
 
 
-class StabilityError(SnbsdeError):
-    """Explicit scheme cannot be stabilized within the refinement cap."""
-
-
 class PdeDivergenceError(SnbsdeError):
     """Finite-difference solution became non-finite during time stepping."""
 

@@ -382,6 +382,8 @@ def run_monte_carlo(config: ExperimentConfig) -> ExperimentReport:
             "pilot_var_limit": pilot_var_limit,
             "var_ratio": pilot_var / pilot_var_limit,
         })
+        # the next block runs without this one's value function and results
+        del block, res
 
     return ExperimentReport(config, rows, pilot_rows, plugin_rows, failures,
                             time.perf_counter() - t_start)

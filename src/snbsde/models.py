@@ -35,9 +35,11 @@ def broadcast_eval(value, shape):
     """Coerce a model-callable result to float64 with the expected shape.
 
     Lets coefficient functions that are constant in some argument return a
-    plain scalar without breaking vectorized callers.
+    plain scalar without breaking vectorized callers.  A result that already
+    has the shape is returned as it is.
     """
-    return np.broadcast_to(np.asarray(value, dtype=float), shape)
+    value = np.asarray(value, dtype=float)
+    return value if value.shape == shape else np.broadcast_to(value, shape)
 
 
 @dataclass

@@ -1,17 +1,29 @@
-"""Finite-difference backend for the semilinear value-function PDE
+"""Grid backend for the semilinear value-function PDE
 
     u_t + S(theta, t, x) u_x + (eps^2 sigma^2 / 2) u_xx
         = -f(t, x, u, eps sigma u_x),        u(T, x) = Phi(x),
 
-solved backward in time with an explicit scheme.  Space derivatives switch
-between central differences (diffusion-dominated nodes) and first-order
-upwinding where |S| dx exceeds eps^2 sigma^2.  Boundary rows use a linear
-extension (u_xx = 0, one-sided u_x), which deliberately trades boundary-layer
-accuracy for unconditional simplicity; callers are expected to pick rectangles
-wide enough that the region of interest stays away from the edges.
+solved backward in time by a semi-Lagrangian Crank-Nicolson scheme (Falcone
+and Ferretti, Semi-Lagrangian Approximation Schemes for Linear and
+Hamilton-Jacobi Equations, SIAM 2014).  One step from t1 back to
+t0 = t1 - dt
+
+* traces the departure point x_d = x + dt S(theta, t0 + dt/2, x + (dt/2) S(theta, t0, x))
+  along the characteristic (midpoint rule);
+* interpolates g = u + (dt/2) ((eps^2 sigma^2 / 2) u_xx + f) at x_d with the
+  four-point cubic through the nearest nodes;
+* solves (I - (dt/4) eps^2 sigma^2 D2) u0 = g(x_d) + (dt/2) f(t0, .), with the
+  driver at t0 taken by Heun's predictor-corrector.
+
+Transport follows the characteristic instead of a difference stencil and the
+diffusion is implicit, so the step is unconditionally stable and adds no
+first-order numerical viscosity: one step per stored row at any eps.  Boundary rows use a linear extension (u_xx = 0,
+one-sided u_x, departure points beyond the edge extrapolated linearly), which
+trades boundary-layer accuracy for simplicity; callers are expected to pick
+rectangles wide enough that the region of interest stays away from the edges.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Tuple
 
@@ -22,28 +34,21 @@ from .errors import (
     DomainError,
     EvaluationError,
     PdeDivergenceError,
-    StabilityError,
 )
 from .grids import TimeGrid
 from .models import ModelSpec, broadcast_eval, _rk4_values
 from .value_functions import characteristics_limit_value
 
-# Explicit-scheme safety factors.
-DIFFUSION_NUMBER_MAX = 0.45
-COURANT_MAX = 0.45
-# Cap on internal time steps during stability auto-refinement.
-INTERNAL_STEP_CAP = 2_000_000
-# Cap on stored time rows.
-STORED_ROWS_CAP = 2000
+# Stored time rows (one step each) when the grid leaves n_t unset.
+DEFAULT_ROWS = 200
 
 
 @dataclass(frozen=True)
 class PdeGrid:
     """Space-time rectangle [0, T] x [x_min, x_max] with uniform nodes.
 
-    n_t counts stored time rows; the solver may take several internal substeps
-    per stored row to satisfy the explicit stability conditions.  n_t = None
-    lets the solver pick the stored resolution from the stability limit.
+    n_t counts stored time rows, one scheme step each; n_t = None stores
+    DEFAULT_ROWS.
     """
 
     x_min: float
@@ -80,121 +85,148 @@ def default_domain(model: ModelSpec, n_samples: int = 33) -> Tuple[float, float]
     return model.x0 - 6.0 * lam, model.x0 + 6.0 * lam
 
 
+def _slope(u: np.ndarray, dx: float) -> np.ndarray:
+    """u_x along the last axis: central in the interior, one-sided at the edges."""
+    ux = np.empty_like(u)
+    ux[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dx)
+    ux[..., 0] = (u[..., 1] - u[..., 0]) / dx
+    ux[..., -1] = (u[..., -1] - u[..., -2]) / dx
+    return ux
+
+
 @dataclass
 class PdeSolution:
-    """Stored rows of the backward solution; row j holds u(j * horizon / n_t, .)."""
+    """Stored rows of the backward solution; row j holds u(j * horizon / n_rows, .)."""
 
     grid: PdeGrid
     values: np.ndarray
-    substeps: int
-    internal_dt: float
-    upwind_fraction: float
+
+    # perfbench/tracing.py still reads these two: the march takes one step
+    # per stored row and upwinds no node
+    substeps = 1
+    upwind_fraction = 0.0
 
     @cached_property
     def x_derivative_values(self) -> np.ndarray:
         """Nodal u_x rows: central in the interior, one-sided at the edges."""
-        u = self.values
-        dx = self.grid.dx
-        ux = np.empty_like(u)
-        ux[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * dx)
-        ux[:, 0] = (u[:, 1] - u[:, 0]) / dx
-        ux[:, -1] = (u[:, -1] - u[:, -2]) / dx
-        return ux
+        return _slope(self.values, self.grid.dx)
 
 
-def _stability_substeps(model, theta, epsilon, grid, n_rows):
-    """Internal substeps per stored row satisfying both explicit limits."""
-    ts = np.linspace(0.0, grid.horizon, 9)
+def _cubic_at(g: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Node data g (lanes, n + 1) at fractional node positions pos (same shape).
+
+    Four-point cubic interpolation (Newton form on nodes j, j + 1, j - 1,
+    j + 2) inside [0, n], with ghost nodes that extend g linearly past each
+    edge; linear extrapolation beyond the edges.  A position on a node returns
+    that node's value exactly, and a non-finite position a non-finite value.
+    """
+    lanes, n = g.shape[0], g.shape[1] - 1
+    padded = np.empty((lanes, n + 4))
+    padded[:, 1:-2] = g
+    slope_lo = g[:, 1] - g[:, 0]
+    slope_hi = g[:, -1] - g[:, -2]
+    padded[:, 0] = g[:, 0] - slope_lo
+    padded[:, -2] = g[:, -1] + slope_hi
+    padded[:, -1] = g[:, -1] + 2.0 * slope_hi
+    inside = np.fmin(np.fmax(pos, 0.0), n)
+    j = inside.astype(np.intp)
+    frac = inside - j
+    s = pos - j
+    j += (n + 4) * np.arange(lanes)[:, None]
+    flat = padded.ravel()
+    gm, g0, g1, g2 = flat.take(j), flat.take(j + 1), flat.take(j + 2), flat.take(j + 3)
+    d1 = g1 - g0
+    half_d2 = 0.5 * (d1 - (g0 - gm))
+    sixth_d3 = 0.5 * ((g2 - gm) / 3.0 - d1)
+    return g0 + s * d1 + (frac * (frac - 1.0)) * (half_d2 + (frac + 1.0) * sixth_d3)
+
+
+def _march(model: ModelSpec, driver: Callable, terminal: Callable,
+           thetas: np.ndarray, epsilon: float, grid: PdeGrid) -> np.ndarray:
+    """Semi-Lagrangian Crank-Nicolson march of one lane per theta, in lockstep.
+
+    Returns the stored rows, shaped (lanes, n_rows + 1, n_x + 1).  Lanes share
+    every theta-free quantity, above all the diffusion matrix: one tridiagonal
+    factorization per step serves a right-hand side per lane.  Every other
+    operation is elementwise, so a lane's rows do not depend on which lanes
+    march with it.
+
+    The driver at t0 is Heun's: the predictor is the explicit Euler step
+    g(x_d) + (dt/2) (diffusion + f)(t1, x), the corrector the Crank-Nicolson
+    solve with f(t0, x, predictor).
+    """
+    # scipy.linalg costs about 0.1 s to import; only a solve pays it
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
     xs = grid.xs
-    tt = ts[:, None]
-    xx = xs[None, :]
-    smax = float(np.max(np.abs(broadcast_eval(model.drift(theta, tt, xx), (ts.size, xs.size)))))
-    sig2max = float(np.max(broadcast_eval(model.diffusion(tt, xx), (ts.size, xs.size)) ** 2))
     dx = grid.dx
-    dt_bounds = []
-    diff = epsilon**2 * sig2max
-    if diff > 0:
-        dt_bounds.append(DIFFUSION_NUMBER_MAX * dx**2 / diff)
-    if smax > 0:
-        dt_bounds.append(COURANT_MAX * dx / smax)
-    dt_row = grid.horizon / n_rows
-    if not dt_bounds:
-        return 1
-    m = int(np.ceil(dt_row / min(dt_bounds)))
-    if m * n_rows > INTERNAL_STEP_CAP:
-        raise StabilityError(
-            f"stability needs {m * n_rows} internal steps, above the cap {INTERNAL_STEP_CAP}"
-        )
-    return max(m, 1)
+    n_rows = DEFAULT_ROWS if grid.n_t is None else grid.n_t
+    dt = grid.horizon / n_rows
+    half = 0.5 * dt
+    times = np.linspace(0.0, grid.horizon, n_rows + 1)
+    theta = np.asarray(thetas, dtype=float)[:, None]
+    shape = (theta.shape[0], xs.size)
+    x_lanes = np.broadcast_to(xs, shape)
+    nodes = np.arange(xs.size, dtype=float)
+
+    u = broadcast_eval(terminal(xs), xs.shape)
+    if not np.all(np.isfinite(u)):
+        raise EvaluationError("terminal function returned a non-finite value")
+    u = np.broadcast_to(u, shape).copy()
+    rows = np.empty((shape[0], n_rows + 1, xs.size))
+    rows[:, n_rows] = u
+
+    def noise(t):
+        """eps sigma at the nodes, and r = (dt/4) (eps sigma / dx)^2 inside."""
+        eps_sig = epsilon * broadcast_eval(model.diffusion(t, xs), xs.shape)
+        return eps_sig, (0.25 * dt / dx**2) * eps_sig[1:-1] ** 2
+
+    def f_at(t, v, eps_sig):
+        return broadcast_eval(driver(t, x_lanes, v, eps_sig * _slope(v, dx)), shape)
+
+    # I - (dt/4) eps^2 sigma^2 D2, with identity boundary rows
+    diag = np.ones(xs.size)
+    upper = np.zeros(xs.size - 1)
+    lower = np.zeros(xs.size - 1)
+    eps_sig1, r1 = noise(times[-1])
+    f1 = f_at(times[-1], u, eps_sig1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n_rows - 1, -1, -1):
+            t0 = times[j]
+            # explicit half at t1: (dt/2) ((eps sigma)^2 / 2 u_xx + f)
+            explicit = half * f1
+            explicit[:, 1:-1] += r1 * (u[:, 2:] + u[:, :-2] - 2.0 * u[:, 1:-1])
+            s0 = np.asarray(model.drift(theta, t0, x_lanes), dtype=float)
+            s_mid = model.drift(theta, t0 + half, x_lanes + half * s0)
+            g_dep = _cubic_at(u + explicit, nodes + (dt / dx) * broadcast_eval(s_mid, shape))
+            eps_sig0, r0 = noise(t0)
+            diag[1:-1] = 1.0 + 2.0 * r0
+            upper[1:] = -r0
+            lower[:-1] = -r0
+            lu = dgttrf(lower, diag, upper)[:5]
+            rhs = g_dep + half * f_at(t0, g_dep + explicit, eps_sig0)
+            u = dgttrs(*lu, rhs.T)[0].T
+            if not np.all(np.isfinite(u)):
+                raise PdeDivergenceError(f"solution became non-finite near t={t0:.6g}")
+            rows[:, j] = u
+            eps_sig1, r1 = eps_sig0, r0
+            f1 = f_at(t0, u, eps_sig0)
+    return rows
 
 
 def solve_semilinear_pde(model: ModelSpec, driver: Callable, terminal: Callable,
                          theta: float, epsilon: float, grid: PdeGrid) -> PdeSolution:
-    """March the explicit scheme backward from the terminal row.
+    """March the scheme backward from the terminal row at one theta.
 
     driver has signature f(t, x, y, z); terminal is Phi.  Returns the stored
-    solution rows together with the substep bookkeeping.
+    solution rows.
     """
-    xs = grid.xs
-    dx = grid.dx
-    if grid.n_t is None:
-        # pick stored rows so that one substep per row meets the limits
-        m1 = _stability_substeps(model, theta, epsilon, grid, 1)
-        n_rows = min(max(200, m1), STORED_ROWS_CAP)
-    else:
-        n_rows = grid.n_t
-    substeps = _stability_substeps(model, theta, epsilon, grid, n_rows)
-    dt = grid.horizon / (n_rows * substeps)
-
-    u = np.asarray(terminal(xs), dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise EvaluationError("terminal function returned a non-finite value")
-    rows = np.empty((n_rows + 1, xs.size))
-    rows[n_rows] = u
-
-    upwind_nodes = 0
-    total_nodes = 0
-    t = grid.horizon
-    for j in range(n_rows - 1, -1, -1):
-        for _ in range(substeps):
-            s_arr = broadcast_eval(model.drift(theta, t, xs), xs.shape)
-            sig = broadcast_eval(model.diffusion(t, xs), xs.shape)
-            a2 = (epsilon * sig) ** 2
-
-            slope = (u[1:] - u[:-1]) / dx
-            fwd = np.concatenate((slope, slope[-1:]))
-            bwd = np.concatenate((slope[:1], slope))
-            central = np.empty_like(u)
-            central[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
-            central[0] = slope[0]
-            central[-1] = slope[-1]
-            upwind = np.where(s_arr >= 0.0, fwd, bwd)
-            use_up = np.abs(s_arr) * dx > a2
-            ux = np.where(use_up, upwind, central)
-
-            uxx = np.zeros_like(u)
-            uxx[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
-
-            z = epsilon * sig * ux
-            rhs = s_arr * ux + 0.5 * a2 * uxx + np.asarray(driver(t, xs, u, z), dtype=float)
-            u = u + dt * rhs
-            t -= dt
-            if not np.all(np.isfinite(u)):
-                raise PdeDivergenceError(f"solution became non-finite near t={t:.6g}")
-            upwind_nodes += int(np.count_nonzero(use_up))
-            total_nodes += xs.size
-        rows[j] = u
-
-    return PdeSolution(
-        grid=grid,
-        values=rows,
-        substeps=substeps,
-        internal_dt=dt,
-        upwind_fraction=upwind_nodes / max(total_nodes, 1),
-    )
+    rows = _march(model, driver, terminal, np.array([float(theta)]), epsilon, grid)
+    return PdeSolution(grid=grid, values=rows[0])
 
 
-def _bilinear(rows: np.ndarray, grid: PdeGrid, n_rows: int, t, x):
+def _cell(grid: PdeGrid, n_rows: int, t, x):
+    """Lower cell corner and fractions of (t, x) among the stored rows."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     t, x = np.broadcast_arrays(t, x)
@@ -208,8 +240,11 @@ def _bilinear(rows: np.ndarray, grid: PdeGrid, n_rows: int, t, x):
     rx = np.clip((x - grid.x_min) / grid.dx, 0.0, grid.n_x)
     i0 = np.minimum(rt.astype(int), n_rows - 1)
     j0 = np.minimum(rx.astype(int), grid.n_x - 1)
-    ft = rt - i0
-    fx = rx - j0
+    return i0, j0, rt - i0, rx - j0
+
+
+def _bilinear(rows: np.ndarray, cell):
+    i0, j0, ft, fx = cell
     v00 = rows[i0, j0]
     v01 = rows[i0, j0 + 1]
     v10 = rows[i0 + 1, j0]
@@ -220,10 +255,8 @@ def _bilinear(rows: np.ndarray, grid: PdeGrid, n_rows: int, t, x):
 
 def eval_solution(sol: PdeSolution, t, x):
     """Bilinear value and space derivative of a stored solution at (t, x)."""
-    n_rows = sol.values.shape[0] - 1
-    u = _bilinear(sol.values, sol.grid, n_rows, t, x)
-    ux = _bilinear(sol.x_derivative_values, sol.grid, n_rows, t, x)
-    return u, ux
+    cell = _cell(sol.grid, sol.values.shape[0] - 1, t, x)
+    return _bilinear(sol.values, cell), _bilinear(sol.x_derivative_values, cell)
 
 
 class PdeValueFunction:
@@ -242,18 +275,18 @@ class PdeValueFunction:
         self.driver = driver
         self.terminal = terminal
         self.theta_center = float(theta_center)
-        self._minus = minus
-        self._center = center
-        self._plus = plus
+        self._solutions = (minus, center, plus)
         self.dtheta = float(dtheta)
 
     # -- Taylor pieces -----------------------------------------------------
 
     def _taylor(self, t, x, theta, field):
-        idx = 0 if field == "u" else 1
-        vm = eval_solution(self._minus, t, x)[idx]
-        vc = eval_solution(self._center, t, x)[idx]
-        vp = eval_solution(self._plus, t, x)[idx]
+        """Taylor value, first and second theta-differences and offset of one
+        field, u or ux, read from the three solutions at one shared cell."""
+        center = self._solutions[1]
+        cell = _cell(center.grid, center.values.shape[0] - 1, t, x)
+        vm, vc, vp = (_bilinear(sol.values if field == "u" else sol.x_derivative_values, cell)
+                      for sol in self._solutions)
         d = np.asarray(theta, dtype=float) - self.theta_center
         first = (vp - vm) / (2.0 * self.dtheta)
         second = (vp - 2.0 * vc + vm) / self.dtheta**2
@@ -277,64 +310,60 @@ class PdeValueFunction:
 
     # -- epsilon -> 0 limit by characteristics -----------------------------
 
-    def _limit_scalar(self, t, x, theta):
-        return characteristics_limit_value(self.model, self.driver, self.terminal,
-                                           float(t), float(x), float(theta))
-
-    def _vectorized(self, fn, t, x, theta):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        tb, xb, thb = np.broadcast_arrays(t, x, theta)
-        out = np.array([fn(a, b, c) for a, b, c in zip(np.ravel(tb), np.ravel(xb), np.ravel(thb))])
-        out = out.reshape(tb.shape)
+    def _limit(self, t, x, theta, offsets, combine):
+        """combine(*values) over the limit values at every (x + a, theta + b)
+        of offsets, one lockstep characteristics call per distinct t."""
+        t, x, theta = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (t, x, theta)))
+        out = np.empty(t.shape)
+        for tv in np.unique(t):
+            at = t == tv
+            vals = characteristics_limit_value(
+                self.model, self.driver, self.terminal, float(tv),
+                np.concatenate([x[at] + a for a, _ in offsets]),
+                np.concatenate([theta[at] + b for _, b in offsets]))
+            out[at] = combine(*np.split(vals, len(offsets)))
         return out if out.shape else float(out)
 
     def limit_value(self, t, x, theta):
-        return self._vectorized(self._limit_scalar, t, x, theta)
+        return self._limit(t, x, theta, ((0.0, 0.0),), lambda v: v)
 
     def limit_value_x(self, t, x, theta):
-        dx = self._center.grid.dx
-
-        def fn(tt, xx, th):
-            return (self._limit_scalar(tt, xx + dx, th) - self._limit_scalar(tt, xx - dx, th)) / (2.0 * dx)
-
-        return self._vectorized(fn, t, x, theta)
+        dx = self._solutions[1].grid.dx
+        return self._limit(t, x, theta, ((dx, 0.0), (-dx, 0.0)),
+                           lambda up, lo: (up - lo) / (2.0 * dx))
 
     def limit_value_theta(self, t, x, theta):
         d = self.dtheta
-
-        def fn(tt, xx, th):
-            return (self._limit_scalar(tt, xx, th + d) - self._limit_scalar(tt, xx, th - d)) / (2.0 * d)
-
-        return self._vectorized(fn, t, x, theta)
+        return self._limit(t, x, theta, ((0.0, d), (0.0, -d)),
+                           lambda up, lo: (up - lo) / (2.0 * d))
 
     def limit_value_theta_x(self, t, x, theta):
         d = self.dtheta
-        dx = self._center.grid.dx
+        dx = self._solutions[1].grid.dx
 
-        def fn(tt, xx, th):
-            up = (self._limit_scalar(tt, xx + dx, th + d) - self._limit_scalar(tt, xx + dx, th - d)) / (2.0 * d)
-            lo = (self._limit_scalar(tt, xx - dx, th + d) - self._limit_scalar(tt, xx - dx, th - d)) / (2.0 * d)
+        def combine(pp, pm, mp, mm):
+            up = (pp - pm) / (2.0 * d)
+            lo = (mp - mm) / (2.0 * d)
             return (up - lo) / (2.0 * dx)
 
-        return self._vectorized(fn, t, x, theta)
+        return self._limit(t, x, theta, ((dx, d), (dx, -d), (-dx, d), (-dx, -d)), combine)
 
 
 def theta_derivatives_by_bundle(model: ModelSpec, driver: Callable, terminal: Callable,
                                 theta: float, epsilon: float, grid: PdeGrid,
                                 dtheta: Optional[float] = None) -> PdeValueFunction:
-    """Solve the PDE at theta - d, theta, theta + d and wrap the bundle.
+    """March the PDE at theta - d, theta, theta + d in lockstep and wrap the bundle.
 
     Default spacing d = 1e-3 * |theta_interval|, balancing the O(d^2)
     truncation of the centered differences against roundoff amplification.
+    Each lane's rows equal solve_semilinear_pde at its theta bit for bit.
     """
     a, b = model.theta_interval
     if dtheta is None:
         dtheta = 1e-3 * (b - a)
     if dtheta <= 0:
         raise ConfigurationError("dtheta must be positive")
-    minus = solve_semilinear_pde(model, driver, terminal, theta - dtheta, epsilon, grid)
-    center = solve_semilinear_pde(model, driver, terminal, theta, epsilon, grid)
-    plus = solve_semilinear_pde(model, driver, terminal, theta + dtheta, epsilon, grid)
+    rows = _march(model, driver, terminal,
+                  np.array([theta - dtheta, theta, theta + dtheta]), epsilon, grid)
+    minus, center, plus = (PdeSolution(grid=grid, values=r) for r in rows)
     return PdeValueFunction(model, driver, terminal, theta, minus, center, plus, dtheta)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
 from .grids import TimeGrid
-from .models import ModelSpec, _rk4_values
+from .models import ModelSpec, broadcast_eval, _rk4_values
 
 GH_NODES_DEFAULT = 64
 # hermgauss weights underflow to nan past ~300 nodes, so the ladder stops at 256
@@ -248,36 +248,44 @@ class LinearValueFunction:
 
 
 def characteristics_limit_value(model: ModelSpec, driver: Callable, terminal: Callable,
-                                t: float, x: float, theta: float,
-                                n_steps: int = 256) -> float:
+                                t: float, x, theta, n_steps: int = 256):
     """epsilon -> 0 limit value for general coefficients by characteristics.
 
-    Integrates the limit flow from (t, x) to the horizon, then the scalar
-    transport equation dy/ds = -f(s, x_s, y, 0) backward from y(T) = Phi(x_T).
-    Both passes are fixed-step RK4; the forward pass is stored on half steps
-    so the backward pass has exact stage states.
+    x and theta broadcast against each other into lanes that share the start
+    time t.  Integrates the limit flows from (t, x) to the horizon in lockstep,
+    then the scalar transport equations dy/ds = -f(s, x_s, y, 0) backward from
+    y(T) = Phi(x_T).  Both passes are fixed-step RK4 with elementwise
+    arithmetic, so a lane's value does not depend on the other lanes; the
+    forward pass is stored on half steps so the backward pass has exact stage
+    states.  Returns a float for scalar x and theta, else an array of their
+    broadcast shape.
     """
     T = model.horizon
     if t > T:
         raise ConfigurationError("t beyond horizon")
+    x, theta = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(theta, dtype=float))
+    shape = x.shape
     if t == T:
-        return float(terminal(x))
-    half_steps = TimeGrid(t, T, 2 * n_steps)
-    ts = half_steps.times
-    xs = _rk4_values(model, float(theta), half_steps, x_start=float(x))
-    # backward transport on full steps
-    h = 2.0 * half_steps.h
-    y = float(terminal(xs[-1]))
+        y = broadcast_eval(terminal(x), shape)
+    else:
+        half_steps = TimeGrid(t, T, 2 * n_steps)
+        ts = half_steps.times
+        xs = _rk4_values(model, np.ravel(theta), half_steps, x_start=np.ravel(x))
+        # backward transport on full steps
+        h = 2.0 * half_steps.h
+        y = broadcast_eval(terminal(xs[-1]), xs.shape[1:])
 
-    def g(idx, yv):
-        return -float(driver(ts[idx], xs[idx], yv, 0.0))
+        def g(idx, yv):
+            return -np.asarray(driver(ts[idx], xs[idx], yv, 0.0), dtype=float)
 
-    for k in range(half_steps.n_steps, 0, -2):
-        k1 = g(k, y)
-        k2 = g(k - 1, y - 0.5 * h * k1)
-        k3 = g(k - 1, y - 0.5 * h * k2)
-        k4 = g(k - 2, y - h * k3)
-        y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(y):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(half_steps.n_steps, 0, -2):
+                k1 = g(k, y)
+                k2 = g(k - 1, y - 0.5 * h * k1)
+                k3 = g(k - 1, y - 0.5 * h * k2)
+                k4 = g(k - 2, y - h * k3)
+                y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)):
             raise ConfigurationError("transport equation diverged on the characteristic")
-    return y
+        y = y.reshape(shape)
+    return y if y.shape else float(y)

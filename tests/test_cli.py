@@ -107,8 +107,10 @@ def test_configuration_exit_codes(tmp_path, capsys):
 
 
 def test_runtime_failure_exit_code(tmp_path, capsys):
-    rc = main(["pde-solve", "--set", "model=linear-ou", "--set", "epsilon=3",
-               "--set", "pde.n_x=30000", "--output", str(tmp_path / "o")])
+    # u grows like exp(beta (T - t)), past the float range: the PDE march
+    # stops with PdeDivergenceError
+    rc = main(["pde-solve", "--set", "model=linear-ou", "--set", "model_params.beta=1e4",
+               "--output", str(tmp_path / "o")])
     assert rc == 2
     assert "runtime error" in capsys.readouterr().err
 
