@@ -5,6 +5,9 @@
 # must match byte for byte.  The Monte Carlo subcommands (experiment,
 # delta-study) are also rerun in chunks of 7 replications, and their CSVs
 # must not move either: the chunking contract, checked through the CLI.
+# The summary.txt of estimate is compared too: it holds delta_head, the only
+# output of the head score, and no wall time (the other summaries carry
+# wall_time_s, so they are not compared).
 #
 #   bash scripts/cli_replay.sh [work_dir]     (from the repository root)
 set -euo pipefail
@@ -32,4 +35,8 @@ for cmd in simulate estimate approximate pde-solve experiment delta-study; do
         exit 1
     fi
     echo "$cmd: $n CSV file(s) matched byte for byte in: ${reruns[*]}"
+    if [ "$cmd" = estimate ]; then
+        cmp "$work/$cmd/run/summary.txt" "$work/$cmd/replay/summary.txt"
+        echo "$cmd: summary.txt matched byte for byte in: replay"
+    fi
 done

@@ -14,7 +14,7 @@ from .bsde import (BsdeApproximation, ResidualDecomposition, approximate_bsde,
 from .errors import (ConfigurationError, DiagnosticError, DomainError,
                      EvaluationError, ExperimentAbortedError,
                      FlatObjectiveError, IntegrationDivergedError,
-                     ModelValidationError, PdeDivergenceError, QuadratureError,
+                     ModelValidationError, PdeDivergenceError,
                      SimulationDivergedError, SingularInformationError,
                      SnbsdeError)
 from .estimation import (EstimateTrace, EstimationWindow, fisher_information,
@@ -25,8 +25,7 @@ from .experiment import (ExperimentConfig, ExperimentReport, NormalityReport,
                          StudyReport, normality_diagnostics, run_monte_carlo,
                          shrinking_window_study)
 from .grids import NoiseSource, Path, TimeGrid, brownian_path, window_grid
-from .models import (ModelSpec, sensitivity_xdot, simulate_forward,
-                     solve_limit_ode, validate_model)
+from .models import ModelSpec, simulate_forward, solve_limit_ode, validate_model
 from .pde import (PdeGrid, PdeSolution, PdeValueFunction, default_domain,
                   eval_solution, solve_semilinear_pde,
                   theta_derivatives_by_bundle)
@@ -42,16 +41,15 @@ __all__ = [
     "efficiency_bounds", "plugin_value_path", "residual_decomposition",
     "ConfigurationError", "DiagnosticError", "DomainError", "EvaluationError",
     "ExperimentAbortedError", "FlatObjectiveError", "IntegrationDivergedError",
-    "ModelValidationError", "PdeDivergenceError", "QuadratureError",
-    "SimulationDivergedError", "SingularInformationError", "SnbsdeError",
+    "ModelValidationError", "PdeDivergenceError", "SimulationDivergedError",
+    "SingularInformationError", "SnbsdeError",
     "EstimateTrace", "EstimationWindow", "fisher_information",
     "fisher_profile", "full_mle", "mde_asymptotic_variance", "mde_estimate",
     "one_step_mle", "onestep_error_limit", "onestep_trace",
     "ExperimentConfig", "ExperimentReport", "NormalityReport", "StudyReport",
     "normality_diagnostics", "run_monte_carlo", "shrinking_window_study",
     "NoiseSource", "Path", "TimeGrid", "brownian_path", "window_grid",
-    "ModelSpec", "sensitivity_xdot", "simulate_forward", "solve_limit_ode",
-    "validate_model",
+    "ModelSpec", "simulate_forward", "solve_limit_ode", "validate_model",
     "PdeGrid", "PdeSolution", "PdeValueFunction", "default_domain",
     "eval_solution", "solve_semilinear_pde", "theta_derivatives_by_bundle",
     "MODEL_NAMES", "TERMINALS", "ModelBundle", "build_preset",

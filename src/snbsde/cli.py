@@ -101,8 +101,6 @@ def load_config(args) -> dict:
         _apply_override(cfg, key, value)
     if args.seed is not None:
         cfg["base_seed"] = args.seed
-    if args.workers is not None:
-        cfg["workers"] = args.workers
     _check_keys(cfg)
     return cfg
 
@@ -260,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override base_seed")
         p.add_argument("--full", action="store_true",
                        help="acceptance-scale defaults instead of quick ones")
-        p.add_argument("--workers", type=int, help="override workers")
         p.add_argument("--output", help="output directory")
     return parser
 

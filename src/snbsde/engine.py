@@ -2,9 +2,9 @@
 
 Replications are statistically independent, so the harness advances many of
 them simultaneously: one array op per Euler step, per RK4 stage, per score
-update.  No state crosses replications; every iterative routine (the pilot's
-Gauss-Newton refinement, composite quadrature) freezes a replication at its
-own convergence point, so each replication's numbers are a pure function of
+update.  No state crosses replications; the one iterative routine, the
+pilot's Gauss-Newton refinement, freezes a replication at its own
+convergence point, so each replication's numbers are a pure function of
 (seed, stream_id) and never depend on which other replications share the
 batch.  All reductions run along one replication's own contiguous row or
 along the time axis, which keeps results bit-identical for any chunking of
@@ -49,10 +49,8 @@ from .models import (ModelSpec, broadcast_eval, _euler_maruyama, rk4_sensitivity
 # work matrix (elements x nodes) around half a GB.
 EVAL_BLOCK = 500_000
 # Element cap of the engine's scratch blocks (512 KB of float64): the noise
-# rows awaiting their transpose, and one block of the head score's s-term
-# integrand.
+# rows awaiting their transpose, and one block of tail score increments.
 SCRATCH_BLOCK = 65_536
-VECTOR_QUAD_TOL = 1e-10
 # Floor below which the information integral is treated as non-invertible.
 INFO_FLOOR = 1e-10
 # Coarse scan size of the 1-d minimizers, and their settling tolerance as a
@@ -389,45 +387,6 @@ def score_tail_profile_batch(model: ModelSpec, thetas: np.ndarray, X: np.ndarray
     return out
 
 
-def vector_simpson(fn, n_rows: int, tol: float = VECTOR_QUAD_TOL, max_levels: int = 14):
-    """Composite-Simpson quadrature on [0, 1] for a batch of integrands.
-
-    fn(u) maps quadrature nodes (k,) to integrand values (n_rows, k), each
-    node's column independent of the others.  Interval count doubles until
-    each row's Richardson estimate settles to tol; each doubling evaluates fn
-    at the new (odd) nodes only and reuses the rest.  Settled rows freeze so
-    results do not depend on the rest of the batch.  Returns (values, failed).
-    """
-    n = 2
-    vals = fn(np.linspace(0.0, 1.0, n + 1))
-    s_prev = (1.0 / (3.0 * n)) * (vals[:, 0] + 4.0 * vals[:, 1] + vals[:, 2])
-    result = np.zeros(n_rows)
-    settled = np.zeros(n_rows, dtype=bool)
-    for _ in range(max_levels):
-        n *= 2
-        # n is a power of two, so the even nodes are the previous level's
-        # nodes bit for bit
-        finer = np.empty((n_rows, n + 1))
-        finer[:, ::2] = vals
-        finer[:, 1::2] = fn(np.linspace(0.0, 1.0, n + 1)[1::2])
-        vals = finer
-        hu = 1.0 / n
-        s = (hu / 3.0) * (vals[:, 0] + vals[:, -1]
-                          + 4.0 * np.sum(vals[:, 1:-1:2], axis=1)
-                          + 2.0 * np.sum(vals[:, 2:-1:2], axis=1))
-        err = s - s_prev
-        est = s + err / 15.0
-        agree = np.abs(err) <= 15.0 * tol
-        newly = agree & ~settled
-        result = np.where(newly, est, result)
-        settled |= agree
-        if np.all(settled):
-            return result, np.zeros(n_rows, dtype=bool)
-        s_prev = s
-    result = np.where(settled, result, s_prev)
-    return result, ~settled
-
-
 def _state_weight(model: ModelSpec, th, s, z) -> np.ndarray:
     """B(theta, s, z) = S_theta / sigma^2, broadcast over its arguments."""
     shape = np.broadcast_shapes(np.shape(th), np.shape(s), np.shape(z))
@@ -435,105 +394,50 @@ def _state_weight(model: ModelSpec, th, s, z) -> np.ndarray:
         broadcast_eval(model.diffusion(s, z), shape) ** 2
 
 
-def _primitive_batch(model: ModelSpec, thetas: np.ndarray, s_time: float,
-                     x_to: np.ndarray):
-    """Vector state primitive A(theta_m, s, x_m) = int_{x0}^{x_m} B dz."""
-    span = x_to - model.x0
-    th = thetas[:, None]
-
-    def integrand(u):
-        z = model.x0 + span[:, None] * u[None, :]
-        return _state_weight(model, th, s_time, z) * span[:, None]
-
-    return vector_simpson(integrand, thetas.size)
-
-
-def _primitive_s_sum(model: ModelSpec, thetas: np.ndarray, xs: np.ndarray,
-                     times: np.ndarray, w: np.ndarray, h: float):
-    """Trapezoidal sum of the state primitive's central difference in s,
-
-        sum_k w_k (A(hi_k, X_k) - A(lo_k, X_k)) / (hi_k - lo_k),
-
-    with hi_k, lo_k = t_k +- h cut back to t_k at 0 and at the horizon.  Every
-    A(s, X_k) integrates over the same u in [0, 1] (z = x0 + (X_k - x0) u),
-    so the sum is one integral over u of a node-summed integrand, taken by
-    one vector_simpson over the rows; its tolerance bounds the error of the
-    whole sum.  The integrand is built in blocks of rows and u of at most
-    SCRATCH_BLOCK elements, each summing over the nodes along a contiguous
-    axis, so a row's value does not depend on the batch.  For a
-    time-homogeneous model B(hi, z) - B(lo, z) is exactly 0, and so is the
-    sum.  Returns (values, failed).
-    """
-    lo = times - h
-    lo = np.where(lo < 0.0, times, lo)
-    hi = times + h
-    hi = np.where(hi > model.horizon, times, hi)
-    if np.any(hi == lo):
-        raise ConfigurationError("cannot form a finite difference in s")
-    m, k = xs.shape
-    span = xs - model.x0
-    coef = span * (w / (hi - lo))
-    th = thetas[:, None, None]
-
-    def integrand(u):
-        out = np.empty((m, u.size))
-        u_per_block = max(1, min(u.size, SCRATCH_BLOCK // k))
-        rows_per_block = max(1, SCRATCH_BLOCK // (u_per_block * k))
-        for r0 in range(0, m, rows_per_block):
-            r = slice(r0, r0 + rows_per_block)
-            for c0 in range(0, u.size, u_per_block):
-                c = slice(c0, c0 + u_per_block)
-                # (rows, u, nodes): the node sum runs along the last axis
-                z = span[r, None, :] * u[None, c, None]
-                z += model.x0
-                db = _state_weight(model, th[r], hi, z)
-                db -= _state_weight(model, th[r], lo, z)
-                db *= coef[r, None, :]
-                np.sum(db, axis=2, out=out[r, c])
-        return out
-
-    return vector_simpson(integrand, m)
-
-
 def score_head_batch(model: ModelSpec, thetas: np.ndarray, X: np.ndarray,
-                     grid: TimeGrid, i_delta: int, epsilon: float):
-    """Head score on [0, delta] for every row of X; returns (head, failed).
+                     grid: TimeGrid, i_delta: int, epsilon: float) -> np.ndarray:
+    """Head score on [0, delta] for every row of X.
 
-    Stochastic-integral-free form
+    The pilot is a function of the path on [0, delta], so the head is the
+    stochastic-integral-free form of the score.  With B = S_theta / sigma^2
+    and its state primitive A(theta, s, x) = int_{x0}^{x} B dz it reads
 
-        A(theta, delta, X_delta)
-          - int_0^delta A_s(theta, s, X_s) ds
-          - (epsilon^2/2) int_0^delta B_x(theta, s, X_s) sigma(s, X_s)^2 ds
-          - int_0^delta (S_theta S / sigma^2)(theta, s, X_s) ds,
+        A(theta, delta, X_delta) - int_0^delta A_s ds
+          - int_0^delta [(epsilon^2/2) B_x sigma^2 + B S](theta, s, X_s) ds,
 
-    with trapezoidal time integrals, A_s by central difference in s of the
-    state primitive (see _primitive_s_sum) and B_x sigma^2 = S_theta_x -
-    2 S_theta sigma_x / sigma evaluated analytically.  `failed` flags rows
-    whose state-primitive quadrature did not settle.
+    and by the Stratonovich chain rule its first two terms are
+    int_0^delta B o dX.  The code takes that integral as the trapezoidal path
+    sum (Kloeden & Platen, Numerical Solution of SDEs, 1992), which is
+    A(delta, X_delta) - int A_s ds telescoped segment by segment, and the time
+    integral by the trapezoid rule, with B_x sigma^2 = S_theta_x -
+    2 S_theta sigma_x / sigma:
+
+        sum_{k<i} (B_k + B_{k+1}) / 2 (X_{k+1} - X_k)
+          - sum_k w_k [(epsilon^2/2) B_x sigma^2 + B S]_k.
+
+    For a B linear in x and free of s (constant drift, linear-ou) this is the
+    integral-free form up to rounding; otherwise the two differ by
+    O(sum |X_{k+1} - X_k|^3).  The left-point Ito sum the tail uses would be
+    several times further from a fine-grid head, since the pilot
+    anticipates the window's path.  Every sum runs along one row, so a row's
+    head does not depend on the batch.
     """
-    h = grid.h
-    times = grid.times[: i_delta + 1]
     xs = X[:, : i_delta + 1]
-    w = _trapezoid_weights(i_delta + 1, h)
-    delta = float(times[-1])
-
-    a_term, failed = _primitive_batch(model, thetas, delta, xs[:, -1])
-    a_s_sum, s_failed = _primitive_s_sum(model, thetas, xs, times, w, h)
-    failed = failed | s_failed
-
     th = thetas[:, None]
-    tk = times[None, :]
+    tk = grid.times[None, : i_delta + 1]
     shape = xs.shape
-    sdot = broadcast_eval(model.drift_dtheta(th, tk, xs), shape)
     sig = broadcast_eval(model.diffusion(tk, xs), shape)
-    sdot_x = broadcast_eval(model.drift_dtheta_dx(th, tk, xs), shape)
-    sig_x = broadcast_eval(model.diffusion_dx(tk, xs), shape)
-    s_val = broadcast_eval(model.drift(th, tk, xs), shape)
-    bx_sigma2 = sdot_x - 2.0 * sdot * sig_x / sig
-    head = (a_term - a_s_sum
-            - 0.5 * epsilon**2 * np.sum(w * bx_sigma2, axis=1)
-            - np.sum(w * sdot * s_val / sig**2, axis=1))
-    return head, failed
+    b = broadcast_eval(model.drift_dtheta(th, tk, xs), shape) / sig**2
+    path = b[:, 1:] + b[:, :-1]
+    path *= np.diff(xs, axis=1)
+    head = 0.5 * np.sum(path, axis=1)
+    del path
+    corr = broadcast_eval(model.drift_dtheta_dx(th, tk, xs), shape) - \
+        2.0 * b * sig * broadcast_eval(model.diffusion_dx(tk, xs), shape)
+    corr *= 0.5 * epsilon**2
+    corr += b * broadcast_eval(model.drift(th, tk, xs), shape)
+    head -= np.sum(_trapezoid_weights(i_delta + 1, grid.h) * corr, axis=1)
+    return head
 
 
 @dataclass
@@ -547,7 +451,6 @@ class BatchResult:
 
     diverged: np.ndarray
     flat: np.ndarray
-    quad_failed: np.ndarray
     failed: np.ndarray
     theta_pilot: np.ndarray
     report_times: np.ndarray
@@ -563,6 +466,10 @@ class BatchResult:
     r_z: Optional[np.ndarray]
     terminal_abs_err: np.ndarray
     sup_abs_y_err: Optional[np.ndarray]
+
+    # No stage flags a row for quadrature.  The benchmark tracer still counts
+    # this flag, so it stays, always False, until that counter is dropped.
+    quad_failed = False
 
 
 def _blocked_value(vf, method, t_nodes, x_rows, theta_rows):
@@ -692,7 +599,7 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
 
     info = table.info(theta_pilot)
     tail = score_tail_profile_batch(model, theta_pilot, X, grid, i)
-    head, quad_failed = score_head_batch(model, theta_pilot, X, grid, i, epsilon)
+    head = score_head_batch(model, theta_pilot, X, grid, i, epsilon)
     rel = r_idx - i
     theta_prof, clamped, info_bad = onestep_batch(model, theta_pilot, tail, head, info, rel)
     del tail, info
@@ -737,11 +644,10 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
             yt = _blocked_value(vf, "value", t_sel, x_sel, np.broadcast_to(theta0, th_sel.shape))
             sup_err = np.maximum(sup_err, np.max(np.abs(yh - yt), axis=1))
 
-    failed = diverged | flat | quad_failed | info_bad
+    failed = diverged | flat | info_bad
     return BatchResult(
         diverged=diverged,
         flat=flat,
-        quad_failed=quad_failed,
         failed=failed,
         theta_pilot=theta_pilot,
         report_times=report_times,

@@ -38,10 +38,6 @@ class SingularInformationError(SnbsdeError):
     """Information integral fell below the invertibility floor."""
 
 
-class QuadratureError(SnbsdeError):
-    """Adaptive quadrature failed to reach its tolerance."""
-
-
 class PdeDivergenceError(SnbsdeError):
     """Finite-difference solution became non-finite during time stepping."""
 

@@ -3,15 +3,17 @@
 Two-stage scheme.  A minimum-distance pilot estimate is formed on the learning
 window [0, delta] by matching the observed path against the deterministic
 limit flow in L^2.  The pilot is then improved by a single Newton-type step
-built from a score statistic that needs no stochastic integral over the
-learning window: the head piece on [0, delta] is rewritten through the
-state-primitive of the weighted drift sensitivity
+built from a score statistic.  The pilot depends on the path on [0, delta],
+so the head piece of the score on that window is the stochastic-integral-free
+form, written with the weighted drift sensitivity and its state primitive
 
     B(theta, s, x) = S_theta(theta, s, x) / sigma(s, x)^2,
     A(theta, s, x) = int_{x0}^{x} B(theta, s, z) dz,
 
-so that only Riemann integrals of observables appear, while the tail piece on
-[delta, t] is the usual discretized score
+as A(delta, X_delta) - int_0^delta A_s ds minus Riemann integrals of
+observables; its first two terms are the Stratonovich integral of B, which
+the engine takes as a trapezoidal path sum (engine.score_head_batch).  The
+tail piece on [delta, t] is the usual discretized score
 
     Delta_tail = sum_k B(theta, t_k, X_k) (X_{k+1} - X_k - S(theta, t_k, X_k) h).
 
@@ -25,28 +27,22 @@ the pilot value, clamped to the closure of the admissible interval.
 The pilot, the scores, the information and the one-step estimates here are
 the engine's batched stages on the one-row batch holding the observed path,
 so a Monte Carlo replication and a single-path call compute the same numbers
-by the same code.  The engine's per-row flags
-become exceptions: a flat or unsettled pilot raises FlatObjectiveError, a
-head quadrature that does not settle QuadratureError, and information below
-the invertibility floor SingularInformationError.
+by the same code.  The engine's per-row flags become exceptions: a flat or
+unsettled pilot raises FlatObjectiveError, and information below the
+invertibility floor SingularInformationError.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    FlatObjectiveError,
-    QuadratureError,
-    SingularInformationError,
-)
+from .errors import ConfigurationError, FlatObjectiveError, SingularInformationError
 from .engine import (INFO_FLOOR, SCAN_POINTS, fisher_profile_batch, limit_weights,
                      onestep_batch, pilot_batch, refine_scan, score_head_batch,
                      score_tail_profile_batch, ThetaTable, _cumtrapz_rows,
                      _limit_factor, _step, _trapezoid_weights)
 from .grids import Path, TimeGrid
-from .models import ModelSpec, broadcast_eval, sensitivity_xdot, solve_limit_ode
+from .models import ModelSpec, broadcast_eval, rk4_sensitivity
 
 
 @dataclass(frozen=True)
@@ -125,16 +121,10 @@ def fisher_information(model: ModelSpec, theta: float, x: Path, t: float) -> flo
 
 
 def score_head(model: ModelSpec, theta: float, X: Path, delta: float, epsilon: float) -> float:
-    """Head score statistic on the learning window [0, delta].
-
-    engine.score_head_batch, which states the stochastic-integral-free form.
-    Raises QuadratureError when its state-primitive quadrature does not settle.
-    """
-    head, failed = score_head_batch(model, np.array([float(theta)]), X.values[None, :],
-                                    X.grid, _window_end(X, delta), epsilon)
-    if failed[0]:
-        raise QuadratureError("state-primitive quadrature did not converge")
-    return float(head[0])
+    """Head score statistic on the learning window [0, delta]:
+    engine.score_head_batch, which states the form it computes."""
+    return float(score_head_batch(model, np.array([float(theta)]), X.values[None, :],
+                                  X.grid, _window_end(X, delta), epsilon)[0])
 
 
 def onestep_trace(model: ModelSpec, theta_pilot: float, X: Path, delta: float,
@@ -228,18 +218,17 @@ def mde_asymptotic_variance(model: ModelSpec, theta: float, delta: float,
 
     First-order perturbation of the minimum-distance criterion around the
     limit flow gives, with psi_t = exp{int_0^t S_x ds} and xdot the parameter
-    sensitivity of the flow,
+    sensitivity of the flow (both flows from one RK4 pass),
 
         D^2 = int_0^delta (sigma_s^2/psi_s^2) (int_s^delta psi_v xdot_v dv)^2 ds
               / (int_0^delta xdot_v^2 dv)^2.
     """
     wgrid = TimeGrid(0.0, delta, n_steps)
-    x = solve_limit_ode(model, theta, wgrid)
-    xdot = sensitivity_xdot(model, theta, wgrid).values
+    x, xdot = rk4_sensitivity(model, float(theta), wgrid)
     times = wgrid.times
-    g = broadcast_eval(model.drift_dx(theta, times, x.values), times.shape)
+    g = broadcast_eval(model.drift_dx(theta, times, x), times.shape)
     psi = np.exp(_cumtrapz_rows(g, wgrid.h))
-    sig = broadcast_eval(model.diffusion(times, x.values), times.shape)
+    sig = broadcast_eval(model.diffusion(times, x), times.shape)
     c = _cumtrapz_rows(psi * xdot, wgrid.h)
     tail_integral = c[-1] - c
     w = _trapezoid_weights(times.size, wgrid.h)

@@ -2,7 +2,7 @@
 
 Replications are dispatched to the lockstep engine in fixed-order chunks and
 every reduction is replication-local, so a report is a deterministic function
-of its configuration: identical CSV bytes for any chunk size or worker count.
+of its configuration: identical CSV bytes for any chunk size.
 Wall time is reported only in the human summary, never in the CSV.
 """
 
@@ -73,7 +73,6 @@ class ExperimentConfig:
     n_replications: int = 200
     base_seed: int = 20240901
     backend: str = "closed-form"
-    workers: int = 1
     chunk_size: int = 1024
     plugin: bool = True
     sup_stride: int = 0
@@ -115,8 +114,6 @@ class ExperimentConfig:
         if self.backend == "closed-form" and bundle.linear is None:
             raise ConfigurationError(
                 f"model {self.model} has no closed form; use the pde backend")
-        if self.workers < 1:
-            raise ConfigurationError("workers must be at least 1")
         if self.chunk_size < 1:
             raise ConfigurationError("chunk_size must be at least 1")
         return bundle
@@ -230,13 +227,12 @@ def run_epsilon_block(bundle: ModelBundle, config: ExperimentConfig,
     sup_stride = config.sup_stride if sup_stride is None else sup_stride
     vf = build_value_function(bundle, config, epsilon)
     m = config.n_replications
-    chunk = max(1, min(config.chunk_size, -(-m // config.workers)))
     # what every chunk reads of the limit flow, built once for the block
     table = engine.ThetaTable(bundle.model, grid, delta)
     limit = engine.limit_weights(bundle.model, config.theta0, grid) if residuals else None
     parts = []
-    for lo in range(0, m, chunk):
-        ids = [(eps_index << 32) | r for r in range(lo, min(lo + chunk, m))]
+    for lo in range(0, m, config.chunk_size):
+        ids = [(eps_index << 32) | r for r in range(lo, min(lo + config.chunk_size, m))]
         parts.append(engine.run_batch(
             bundle.model, vf, config.theta0, epsilon, grid, delta,
             report_times, config.base_seed, ids, plugin=config.plugin,
@@ -246,8 +242,7 @@ def run_epsilon_block(bundle: ModelBundle, config: ExperimentConfig,
     if n_failed > FAILURE_FRACTION_CAP * m:
         raise ExperimentAbortedError(
             f"{n_failed} of {m} replications failed at epsilon={epsilon} "
-            f"(diverged {int(np.sum(res.diverged))}, flat {int(np.sum(res.flat))}, "
-            f"quadrature {int(np.sum(res.quad_failed))})")
+            f"(diverged {int(np.sum(res.diverged))}, flat {int(np.sum(res.flat))})")
     return EpsilonBlock(res, n_failed, int(np.sum(res.diverged)), vf)
 
 

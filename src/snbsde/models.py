@@ -286,21 +286,3 @@ def simulate_forward(
                                       node_index=k)
     return Path(grid, xs[:, 0]), Path(grid, np.concatenate(([0.0], np.cumsum(dw))))
 
-
-def sensitivity_xdot(model: ModelSpec, theta: float, grid: TimeGrid) -> Path:
-    """Derivative of the limit flow in theta, by variation of constants:
-
-        xdot_t = int_0^t exp{ int_s^t S_x(theta, v, x_v) dv } S_theta(theta, s, x_s) ds.
-
-    The inner exponent is accumulated once on the grid, so the whole profile
-    costs one ODE solve plus two cumulative trapezoid passes.
-    """
-    x = _rk4_values(model, float(theta), grid)
-    times = grid.times
-    h = grid.h
-    g = broadcast_eval(model.drift_dx(theta, times, x), times.shape)
-    expo = np.concatenate(([0.0], np.cumsum(0.5 * h * (g[1:] + g[:-1]))))
-    sdot = broadcast_eval(model.drift_dtheta(theta, times, x), times.shape)
-    integrand = np.exp(-expo) * sdot
-    acc = np.concatenate(([0.0], np.cumsum(0.5 * h * (integrand[1:] + integrand[:-1]))))
-    return Path(grid, np.exp(expo) * acc)

@@ -127,11 +127,11 @@ def _const_drift(theta, t, x):
 
 
 def _const_drift_dtheta(theta, t, x):
-    return np.ones(np.broadcast_shapes(np.shape(theta), np.shape(x)))
+    return np.ones(np.broadcast(theta, x).shape)
 
 
 def _zero_theta_x(theta, t, x):
-    return np.zeros(np.broadcast_shapes(np.shape(theta), np.shape(x)))
+    return np.zeros(np.broadcast(theta, x).shape)
 
 
 def _prop_drift(theta, t, x):
@@ -147,7 +147,7 @@ def _prop_drift_dx(theta, t, x):
 
 
 def _prop_drift_dtheta_dx(theta, t, x):
-    return np.ones(np.broadcast_shapes(np.shape(theta), np.shape(x)))
+    return np.ones(np.broadcast(theta, x).shape)
 
 
 def _sine_drift(theta, t, x):

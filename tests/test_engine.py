@@ -8,12 +8,13 @@ import pytest
 from snbsde import engine
 from snbsde.bsde import approximate_bsde, residual_decomposition
 from snbsde.engine import (REFINE_FACTOR, pilot_batch, run_batch, score_head_batch,
-                           simulate_batch, vector_simpson, _trapezoid_weights)
+                           simulate_batch, _trapezoid_weights)
 from snbsde.errors import (ConfigurationError, FlatObjectiveError,
                            IntegrationDivergedError, SimulationDivergedError)
 from snbsde.estimation import EstimationWindow, mde_estimate, score_head
 from snbsde.grids import NoiseSource, Path, TimeGrid
-from snbsde.models import ModelSpec, rk4_sensitivity, simulate_forward, _rk4_values
+from snbsde.models import (ModelSpec, rk4_sensitivity, simulate_forward, validate_model,
+                           _rk4_values)
 from snbsde.pde import PdeGrid, theta_derivatives_by_bundle
 from snbsde.presets import build_preset
 from snbsde.value_functions import LinearValueFunction
@@ -186,38 +187,14 @@ def test_simulate_batch_matches_scalar_and_flags_divergence():
             assert np.array_equal(np.concatenate(([0.0], np.cumsum(dW[r]))), Ws.values)
 
 
-def test_vector_simpson_analytic_rows():
-    def rows(u):
-        return np.vstack((u**2, np.cos(3.0 * u), np.exp(u)))
-
-    vals, failed = vector_simpson(rows, 3)
-    want = np.array([1.0 / 3.0, np.sin(3.0) / 3.0, np.e - 1.0])
-    npt.assert_allclose(vals, want, atol=1e-9)
-    assert not np.any(failed)
-
-
-def test_vector_simpson_rows_are_independent():
-    alone, _ = vector_simpson(lambda u: np.cos(3.0 * u)[None, :], 1)
-    # pair the same row with a slowly converging mate
-    both, _ = vector_simpson(
-        lambda u: np.vstack((np.cos(3.0 * u), np.cos(40.0 * u))), 2)
-    assert both[0] == alone[0]
-
-
-def test_vector_simpson_reports_failures():
-    _, failed = vector_simpson(lambda u: np.cos(40.0 * u)[None, :], 1,
-                               max_levels=1)
-    assert failed[0]
-
-
-# -- head score with a time-dependent state primitive ------------------------
+# -- head score --------------------------------------------------------------
 
 HEAD_GRID = TimeGrid(0.0, 1.0, 200)
 HEAD_EPS = 0.1
 HEAD_THETAS = np.linspace(0.5, 1.5, 6)
 
-# S = theta (1 + t) x, sigma = 1: A = (1 + s)(x^2 - x0^2)/2 is linear in s and
-# its integrand linear in u, so central differences and Simpson are exact
+# S = theta (1 + t) x, sigma = 1: the state primitive A = (1 + s)(x^2 - x0^2)/2
+# has A_s = (x^2 - x0^2)/2
 TIME_LINEAR = ModelSpec(
     drift=lambda th, t, x: th * (1.0 + t) * x,
     drift_dtheta=lambda th, t, x: (1.0 + t) * x + 0.0 * th,
@@ -237,6 +214,17 @@ TIME_SINE = ModelSpec(
     diffusion_dx=lambda t, x: 0.0 * (t + x),
     theta_interval=(0.1, 2.0), x0=0.7, horizon=1.0, kappa=1.0, growth_const=4.0)
 
+# S = theta sin x, sigma = 1 + cos(x)/4, the one model whose diffusion moves
+# with x: A = 4/(1 + cos(x)/4) - 4/(1 + cos(x0)/4)
+X_SIGMA = ModelSpec(
+    drift=lambda th, t, x: th * np.sin(x),
+    drift_dtheta=lambda th, t, x: np.sin(x) + 0.0 * th,
+    drift_dx=lambda th, t, x: th * np.cos(x),
+    drift_dtheta_dx=lambda th, t, x: np.cos(x) + 0.0 * th,
+    diffusion=lambda t, x: 1.0 + 0.25 * np.cos(x) + 0.0 * t,
+    diffusion_dx=lambda t, x: -0.25 * np.sin(x) + 0.0 * t,
+    theta_interval=(0.1, 1.9), x0=1.0, horizon=1.0, kappa=0.5625, growth_const=2.0)
+
 
 def _head_window(model, seed):
     X, _, diverged = simulate_batch(model, 1.0, HEAD_EPS, HEAD_GRID, seed,
@@ -253,78 +241,116 @@ def _scalar_heads(model, X):
 
 
 def test_head_score_time_linear_closed_form():
+    # the integral-free form with the exact primitive, plus the trapezoid
+    # path sum's exact error for this A, sum_k h (X_{k+1} - X_k)^2 / 4
     X, i, t, xs, w = _head_window(TIME_LINEAR, 11)
     s_term = np.sum(w * 0.5 * (xs**2 - 1.0), axis=1)  # sum_k w_k A_s(t_k, X_k)
     assert np.all(np.abs(s_term) > 1e-3)
     want = (0.5 * (1.0 + t[-1]) * (xs[:, -1] ** 2 - 1.0) - s_term
             - 0.5 * HEAD_EPS**2 * np.sum(w * (1.0 + t))
-            - HEAD_THETAS * np.sum(w * (1.0 + t) ** 2 * xs**2, axis=1))
-    head, failed = score_head_batch(TIME_LINEAR, HEAD_THETAS, X, HEAD_GRID, i, HEAD_EPS)
-    assert not np.any(failed)
+            - HEAD_THETAS * np.sum(w * (1.0 + t) ** 2 * xs**2, axis=1)
+            + 0.25 * HEAD_GRID.h * np.sum(np.diff(xs, axis=1) ** 2, axis=1))
+    head = score_head_batch(TIME_LINEAR, HEAD_THETAS, X, HEAD_GRID, i, HEAD_EPS)
     npt.assert_allclose(head, want, rtol=1e-12, atol=0)
     npt.assert_allclose(_scalar_heads(TIME_LINEAR, X), want, rtol=1e-12, atol=0)
 
 
-def _sine_primitive(s, x):
-    return (1.0 + s) / (1.0 + 0.5 * s) ** 2 * (np.cos(TIME_SINE.x0) - np.cos(x))
-
-
 def test_head_score_time_dependent_matches_per_node_reference():
-    # reference: every node's central difference in s of the exact primitive
+    # reference: the path sum and the Ito correction, node by node in floats
     X, i, t, xs, w = _head_window(TIME_SINE, 12)
-    h = HEAD_GRID.h
-    lo = np.where(t - h < 0.0, t, t - h)
-    hi = t + h
-    s_term = np.sum(w * (_sine_primitive(hi, xs) - _sine_primitive(lo, xs)) / (hi - lo),
-                    axis=1)
-    assert np.all(np.abs(s_term) > 1e-6)
-    sig = 1.0 + 0.5 * t
-    want = (_sine_primitive(t[-1], xs[:, -1]) - s_term
-            - 0.5 * HEAD_EPS**2 * np.sum(w * (1.0 + t) * np.cos(xs), axis=1)
-            - np.sum(w * HEAD_THETAS[:, None] * (1.0 + t) ** 2 * np.sin(xs) ** 2 / sig**2,
-                     axis=1))
-    head, failed = score_head_batch(TIME_SINE, HEAD_THETAS, X, HEAD_GRID, i, HEAD_EPS)
-    assert not np.any(failed)
+    want = []
+    for r, th in enumerate(HEAD_THETAS):
+        b = [(1.0 + s) * np.sin(x) / (1.0 + 0.5 * s) ** 2 for s, x in zip(t, xs[r])]
+        head = 0.0
+        for k in range(i):
+            head += 0.5 * (b[k] + b[k + 1]) * (xs[r, k + 1] - xs[r, k])
+        for k in range(i + 1):
+            sdot_x = (1.0 + t[k]) * np.cos(xs[r, k])
+            drift = th * (1.0 + t[k]) * np.sin(xs[r, k])
+            head -= w[k] * (0.5 * HEAD_EPS**2 * sdot_x + b[k] * drift)
+        want.append(head)
+    head = score_head_batch(TIME_SINE, HEAD_THETAS, X, HEAD_GRID, i, HEAD_EPS)
     npt.assert_allclose(head, want, rtol=0, atol=1e-9)
     npt.assert_allclose(_scalar_heads(TIME_SINE, X), want, rtol=0, atol=1e-9)
 
 
-def test_head_score_row_independent_of_batch_and_blocks(monkeypatch):
-    # compared on the s-term's integrand too: the s-term is small, so a
-    # last-bit change in it can vanish in the rounding of the head
+def test_head_score_row_independent_of_batch_and_blocks():
+    # one row alone, and a block of rows, against the same rows of the batch
     X, i, t, xs, w = _head_window(TIME_SINE, 13)
-    integrands = []
-    real = engine.vector_simpson
+    whole = score_head_batch(TIME_SINE, HEAD_THETAS, X, HEAD_GRID, i, HEAD_EPS)
+    alone = score_head_batch(TIME_SINE, HEAD_THETAS[2:3], X[2:3], HEAD_GRID, i, HEAD_EPS)
+    block = score_head_batch(TIME_SINE, HEAD_THETAS[1:4], X[1:4], HEAD_GRID, i, HEAD_EPS)
+    assert np.array_equal(alone, whole[2:3])
+    assert np.array_equal(block, whole[1:4])
 
-    def spy(fn, n_rows, **kw):
-        integrands.append(fn)
-        return real(fn, n_rows, **kw)
 
-    monkeypatch.setattr(engine, "vector_simpson", spy)
-    u = np.linspace(0.0, 1.0, 17)
+# name: (model, theta0, exact state primitive A(s, x), its derivative A_s)
+ORACLE_MODELS = {
+    "linear-ou": (build_preset("linear-ou").model, 0.5,
+                  lambda s, x: 0.5 * (x**2 - 1.0), lambda s, x: 0.0 * x),
+    "sine": (build_preset("custom-pde", {"drift_shape": "sine"}).model, 1.0,
+             lambda s, x: np.cos(1.0) - np.cos(x), lambda s, x: 0.0 * x),
+    "tanh": (build_preset("custom-pde", {"drift_shape": "tanh"}).model, 1.0,
+             lambda s, x: np.log(np.cosh(x) / np.cosh(1.0)), lambda s, x: 0.0 * x),
+    "time-sine": (TIME_SINE, 1.0,
+                  lambda s, x: (1.0 + s) / (1.0 + 0.5 * s) ** 2 * (np.cos(0.7) - np.cos(x)),
+                  lambda s, x: -0.5 * s / (1.0 + 0.5 * s) ** 3 * (np.cos(0.7) - np.cos(x))),
+    "x-sigma": (X_SIGMA, 1.0,
+                lambda s, x: 4.0 / (1.0 + 0.25 * np.cos(x)) - 4.0 / (1.0 + 0.25 * np.cos(1.0)),
+                lambda s, x: 0.0 * x),
+}
 
-    def both(rows):
-        del integrands[:]
-        head, _ = score_head_batch(TIME_SINE, HEAD_THETAS[rows], X[rows], HEAD_GRID, i,
-                                   HEAD_EPS)
-        # the head makes two quadratures, A(delta, X_delta) and then the s-term
-        return head, integrands[-1](u)
 
-    whole = both(slice(None))
-    alone = both(slice(2, 3))
-    for got, want in zip(alone, whole):
-        assert np.array_equal(got[0], want[2])
-    # scratch blocks of a few rows and u nodes must not move a bit either
-    monkeypatch.setattr(engine, "SCRATCH_BLOCK", 50)
-    for got, want in zip(both(slice(None)), whole):
-        assert np.array_equal(got, want)
+def _integral_free_head(model, thetas, X, grid, i, eps, prim, prim_s):
+    """A(delta, X_delta) - int A_s ds - int [(eps^2/2) B_x sigma^2 + B S] ds,
+    the time integrals by the trapezoid rule."""
+    th = thetas[:, None]
+    t = grid.times[: i + 1]
+    xs = X[:, : i + 1]
+    w = _trapezoid_weights(i + 1, grid.h)
+    sig = model.diffusion(t, xs)
+    bx_sig2 = model.drift_dtheta_dx(th, t, xs) - \
+        2.0 * model.drift_dtheta(th, t, xs) * model.diffusion_dx(t, xs) / sig
+    b_s = model.drift_dtheta(th, t, xs) * model.drift(th, t, xs) / sig**2
+    return (prim(t[-1], xs[:, -1]) - np.sum(w * prim_s(t, xs), axis=1)
+            - np.sum(w * (0.5 * eps**2 * bx_sig2 + b_s), axis=1))
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.02])
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_head_score_matches_integral_free_oracle(name, eps):
+    # the trapezoidal path sum against the integral-free form with the exact
+    # primitive, measured as the shift it gives the normalized one-step
+    # (theta - theta0)/eps at t = 0.75: equal up to rounding where B is
+    # linear in x and free of s, within O(sum |dX|^3) elsewhere
+    model, theta0, prim, prim_s = ORACLE_MODELS[name]
+    if name == "x-sigma":
+        validate_model(model)
+    grid = TimeGrid(0.0, 1.0, 1000)
+    X, _, diverged = simulate_batch(model, theta0, eps, grid, SEED, range(200))
+    assert not np.any(diverged)
+    i = grid.node_index(0.1)
+    table = engine.ThetaTable(model, grid, 0.1)
+    pilot, flat = pilot_batch(model, X, grid, 0.1, table)
+    assert not np.any(flat)
+    head = score_head_batch(model, pilot, X, grid, i, eps)
+    want = _integral_free_head(model, pilot, X, grid, i, eps, prim, prim_s)
+    if name == "linear-ou":
+        # the head is a difference of terms of the size of A(delta, X_delta),
+        # so a head that is nearly 0 keeps their rounding: 1e-12 relative to
+        # the larger of the head and that term
+        scale = np.maximum(np.abs(want), np.abs(prim(0.1, X[:, i])))
+        assert np.all(np.abs(head - want) <= 1e-12 * scale)
+        return
+    info = table.info(pilot)[:, grid.node_index(0.75) - i]
+    assert np.max(np.abs(head - want) / (eps * info)) < 2e-5
 
 
 # Peak traced allocation of score_head_batch at M = 1024, i = 100, in units of
-# one (M, i+1) float64 array: 8.05 with the s-term integrand in blocks of
-# SCRATCH_BLOCK elements (the closing trapezoid sums set it), 17.1 with the
-# whole (M, u nodes, i+1) integrand built at once.
-PEAK_HEAD_ARRAYS = 10.0
+# one (M, i+1) float64 array: the path sum and its correction read 5.18
+# (numpy 2.4); the head that took the state primitive by adaptive Simpson
+# quadrature read 8.05.
+PEAK_HEAD_ARRAYS = 7.0
 
 
 @pytest.mark.parametrize("model", [TIME_LINEAR, TIME_SINE], ids=["linear", "sine"])
@@ -339,12 +365,12 @@ def test_score_head_batch_peak_memory(model):
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        _, failed = score_head_batch(model, thetas, X, grid, i, 0.05)
+        head = score_head_batch(model, thetas, X, grid, i, 0.05)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert not np.any(failed)
+    assert np.all(np.isfinite(head))
     ratio = peak / (m * (i + 1) * 8)
     assert ratio < PEAK_HEAD_ARRAYS, ratio
 
@@ -611,7 +637,7 @@ def test_theta_table_guard_falls_back_to_rows_on_a_kink():
                                   evaluate)
     assert np.array_equal(res.theta_pilot, pilot)
     tail = engine.score_tail_profile_batch(KINK, pilot, X, grid, i)
-    head, _ = score_head_batch(KINK, pilot, X, grid, i, eps)
+    head = score_head_batch(KINK, pilot, X, grid, i, eps)
     rel = np.array([grid.node_index(t) for t in (0.5, 1.0)]) - i
     theta, _, _ = engine.onestep_batch(KINK, pilot, tail, head,
                                        _direct_info(KINK, pilot, grid, i), rel)

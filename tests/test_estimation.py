@@ -3,10 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from snbsde import engine
-from snbsde.engine import _primitive_batch
 from snbsde.bsde import approximate_bsde
-from snbsde.errors import (ConfigurationError, FlatObjectiveError, QuadratureError,
-                           SingularInformationError)
+from snbsde.errors import ConfigurationError, FlatObjectiveError, SingularInformationError
 from snbsde.estimation import (EstimationWindow, fisher_information,
                                fisher_profile, full_mle,
                                mde_asymptotic_variance, mde_estimate,
@@ -88,16 +86,6 @@ def test_fisher_floor_raises():
         fisher_information(b.model, 1.0, flow, 0.0)
 
 
-def test_score_primitive_proportional_oracle():
-    # B = x/sigma^2 integrates to (x^2 - x0^2)/2 for sigma = 1, and below the
-    # start point the sign flips with the orientation
-    b = build_preset("linear-ou")
-    x = np.array([2.5, 0.5])
-    vals, failed = _primitive_batch(b.model, np.full(2, 0.7), 0.3, x)
-    assert not np.any(failed)
-    npt.assert_allclose(vals, 0.5 * (x**2 - 1.0), rtol=0, atol=1e-9)
-
-
 def test_score_tail_left_point_convention():
     b = build_preset("linear-constant-drift")
     grid = TimeGrid(0.0, 1.0, 4)
@@ -117,21 +105,6 @@ def test_score_head_constant_drift_algebra():
         got = score_head(b.model, theta, X, 0.1, 0.05)
         want = X.values[100] - theta * 0.1
         assert abs(got - want) < 1e-10
-
-
-def test_score_head_raises_when_quadrature_fails(monkeypatch):
-    # the scalar score is the engine's at one row; a row the engine flags raises
-    real = engine.vector_simpson
-    monkeypatch.setattr(engine, "vector_simpson",
-                        lambda fn, n_rows: real(fn, n_rows, max_levels=0))
-    b = build_preset("custom-pde")
-    grid = TimeGrid(0.0, 1.0, 200)
-    X, _ = simulate_forward(b.model, 0.8, 0.05, grid, NoiseSource(9, 0))
-    _, failed = engine.score_head_batch(b.model, np.array([0.8]), X.values[None, :],
-                                        grid, 20, 0.05)
-    assert failed[0]
-    with pytest.raises(QuadratureError):
-        score_head(b.model, 0.8, X, 0.1, 0.05)
 
 
 def test_onestep_constant_drift_closed_form():
@@ -237,24 +210,18 @@ def _info_free_model():
     )
 
 
-def _flag_case(flag, monkeypatch):
+def _flag_case(flag):
     """(model, X, W, epsilon) whose one-row engine pass raises the given flag."""
     grid = TimeGrid(0.0, 1.0, 200)
     if flag == "flat":
         model, theta0, eps = _flat_model(), 1.0, 0.1
-    elif flag == "quad_failed":
-        real = engine.vector_simpson
-        monkeypatch.setattr(engine, "vector_simpson",
-                            lambda fn, n_rows: real(fn, n_rows, max_levels=1))
-        model, theta0, eps = build_preset("custom-pde").model, 0.8, 0.3
     else:
         model, theta0, eps = _info_free_model(), 0.5, 0.0
     X, W = simulate_forward(model, theta0, eps, grid, NoiseSource(9, 0))
     return model, X, W, eps
 
 
-_FLAG_ERRORS = {"flat": FlatObjectiveError, "quad_failed": QuadratureError,
-                "info_bad": SingularInformationError}
+_FLAG_ERRORS = {"flat": FlatObjectiveError, "info_bad": SingularInformationError}
 
 _VIEWS = {
     "approximate_bsde": lambda model, X, W, eps: approximate_bsde(
@@ -270,16 +237,13 @@ _VIEWS = {
 
 @pytest.mark.parametrize("view", sorted(_VIEWS))
 @pytest.mark.parametrize("flag", sorted(_FLAG_ERRORS))
-def test_engine_flags_reach_their_exceptions(monkeypatch, flag, view):
-    model, X, W, eps = _flag_case(flag, monkeypatch)
+def test_engine_flags_reach_their_exceptions(flag, view):
+    model, X, W, eps = _flag_case(flag)
     # the engine itself raises nothing: it flags the row
-    i = X.grid.node_index(0.1)
     theta, flat = engine.pilot_batch(model, X.values[None, :], X.grid, 0.1)
-    _, quad_failed = engine.score_head_batch(model, theta, X.values[None, :], X.grid, i, eps)
     info = engine.fisher_profile_batch(model, theta, engine.flow_batch(model, theta, X.grid),
                                        X.grid)
-    flags = {"flat": flat[0], "quad_failed": quad_failed[0],
-             "info_bad": info[0, -1] < engine.INFO_FLOOR}
+    flags = {"flat": flat[0], "info_bad": info[0, -1] < engine.INFO_FLOOR}
     assert flags[flag]
     with pytest.raises(_FLAG_ERRORS[flag]):
         _VIEWS[view](model, X, W, eps)

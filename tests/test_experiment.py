@@ -30,7 +30,6 @@ def test_config_validation():
         dict(theta0=5.0),
         dict(backend="magic"),
         dict(model="custom-pde", backend="closed-form"),
-        dict(workers=0),
         dict(chunk_size=0),
     ]
     for repl in bad:
@@ -98,7 +97,7 @@ def test_monte_carlo_small_run():
 
 def test_reports_identical_across_chunking(tmp_path):
     a = run_monte_carlo(ExperimentConfig(**{**BASE, "chunk_size": 7}))
-    b = run_monte_carlo(ExperimentConfig(**{**BASE, "chunk_size": 64, "workers": 2}))
+    b = run_monte_carlo(ExperimentConfig(**{**BASE, "chunk_size": 64}))
     for name, writer in (("report", "to_csv"), ("plugin", "plugin_to_csv"),
                          ("pilot", "pilot_to_csv")):
         fa = tmp_path / f"{name}_a.csv"

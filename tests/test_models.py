@@ -7,9 +7,8 @@ import pytest
 from snbsde.errors import (IntegrationDivergedError, ModelValidationError,
                            SimulationDivergedError)
 from snbsde.grids import NoiseSource, TimeGrid
-from snbsde.models import (ModelSpec, broadcast_eval, rk4_sensitivity,
-                           sensitivity_xdot, simulate_forward, solve_limit_ode,
-                           validate_model, _rk4_values)
+from snbsde.models import (ModelSpec, broadcast_eval, rk4_sensitivity, simulate_forward,
+                           solve_limit_ode, validate_model, _rk4_values)
 from snbsde.presets import build_preset
 
 # exp(0.5), flow of xdot = 0.5 x from x0 = 1 at t = 1, derived independently
@@ -71,19 +70,6 @@ def test_simulation_divergence_guard():
     with pytest.raises(SimulationDivergedError) as err:
         simulate_forward(model, 8.0, 0.0, TimeGrid(0.0, 5.0, 5000), NoiseSource(1, 0))
     assert err.value.node_index is not None
-
-
-def test_sensitivity_matches_finite_difference():
-    for name in ("linear-constant-drift", "linear-ou", "custom-pde"):
-        b = build_preset(name)
-        grid = TimeGrid(0.0, 1.0, 800)
-        theta = 0.7
-        xdot = sensitivity_xdot(b.model, theta, grid)
-        h = 1e-5
-        up = solve_limit_ode(b.model, theta + h, grid).values
-        dn = solve_limit_ode(b.model, theta - h, grid).values
-        fd = (up - dn) / (2.0 * h)
-        npt.assert_allclose(xdot.values, fd, rtol=2e-5, atol=2e-7)
 
 
 def test_rk4_sensitivity_matches_central_difference():
