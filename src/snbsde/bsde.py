@@ -119,7 +119,9 @@ def efficiency_bounds(model: ModelSpec, vf, theta0: float, t: float,
         boundZ = udot0_x(t, x_t, theta0)^2 sigma(t, x_t)^2 / I(theta0, t),
 
     with udot0 the theta-derivative of the limit value function along the
-    limit flow x at theta0.
+    limit flow x at theta0.  Both derivatives come from one
+    vf.limit_theta_derivatives call, on the PDE backend one lockstep
+    characteristics call of six lanes.
     """
     if t <= 0:
         raise ConfigurationError("bounds need t > 0")
@@ -127,8 +129,7 @@ def efficiency_bounds(model: ModelSpec, vf, theta0: float, t: float,
     flow = solve_limit_ode(model, theta0, grid)
     info = fisher_information(model, theta0, flow, t)
     x_t = float(flow.values[-1])
-    udot0 = float(np.asarray(vf.limit_value_theta(t, x_t, theta0)))
-    udot0_x = float(np.asarray(vf.limit_value_theta_x(t, x_t, theta0)))
+    udot0, udot0_x = (float(v) for v in vf.limit_theta_derivatives(t, x_t, theta0))
     sig_t = float(model.diffusion(t, x_t))
     return udot0**2 / info, udot0_x**2 * sig_t**2 / info
 

@@ -14,7 +14,10 @@ A block builds only what its callers read, and drops each path-sized (M, n+1)
 array once it has been used.  `simulate_batch` draws every noise row from one
 re-keyed Philox bit generator and returns the Brownian increments, not their
 running sum; `run_batch` keeps them, and builds the limiting Gaussian factor
-xi from them, only when residuals are requested.
+xi from them, only when residuals are requested.  The one-step estimate, and
+the information and tail score it is formed from, are built only at the nodes
+some output reads: the report nodes, T and, for the sup statistic, the sup
+nodes.
 
 No stage integrates a limit flow per replication.  The flow depends on a row
 only through one scalar theta, so a ThetaTable samples what the engine reads
@@ -22,12 +25,13 @@ of it (the window flow and its RK4 sensitivity on [0, delta], the
 information profile on [delta, T]) at Chebyshev points of theta_interval,
 and each row reads its values by barycentric interpolation: the pilot's
 Gauss-Newton passes at their trial values, the one-step at the pilot.  A
-block builds one table, and the flow at theta0 behind xi, and hands them to
-every chunk.  The table depends on the block only and its contraction sums
-over the nodes in the same order for every row, so the chunking still moves
-no bit.  A table part whose interpolant misses direct RK4 at its probe points
-(a drift not smooth in theta, or one that blows up near an edge of
-theta_interval) falls back to the RK4 per row.
+study builds one table for its window and hands it to every block and chunk,
+and a block builds the flow at theta0 behind xi once for its chunks.  The
+table depends only on (model, grid, delta) and its contraction sums over the
+nodes in the same order for every row and column, so neither the chunking
+nor the set of columns read moves a bit.  A table part whose interpolant
+misses direct RK4 at its probe points (a drift not smooth in theta, or one
+that blows up near an edge of theta_interval) falls back to the RK4 per row.
 
 Each stage is also the scalar API: `estimation` and `bsde` run these
 functions on the one-row batch holding an observed path, and `refine_scan`
@@ -207,10 +211,15 @@ def _barycentric_rows(nodes: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 
 
 def _contract(c: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # einsum without `optimize` sums over the nodes in their order for every
-    # output entry, so a row's value does not depend on the other rows; a BLAS
-    # product (c @ values) may block the rows and change the last bit
-    return np.einsum("mk,kn->mn", c, values)
+    # einsum without `optimize` over C-ordered (K, n) values with n >= 2 adds
+    # one node's products to the whole output at a time, so every entry sums
+    # the nodes in their order, whatever the rows and columns.  A single
+    # column would make the node sum einsum's inner loop, and a BLAS product
+    # (c @ values) may block the rows: either can change the last bit.
+    v = np.ascontiguousarray(values)
+    if v.shape[1] == 1:
+        return np.einsum("mk,kn->mn", c, np.repeat(v, 2, axis=1))[:, :1]
+    return np.einsum("mk,kn->mn", c, v)
 
 
 def _within(got: np.ndarray, want: np.ndarray) -> bool:
@@ -228,11 +237,11 @@ class ThetaTable:
     closed theta_interval and read back by barycentric interpolation
     (Trefethen, Approximation Theory and Approximation Practice, ch. 5).
     `scan` holds the pilot's scan candidates with their exact window flow and
-    sensitivity.  Each part is built on first use and then kept, so a block
-    that hands one table to all its chunks builds each part once, and a
-    single path builds only the parts it reads.  The content depends only on
-    (model, grid, delta), never on the replications, so a row's numbers do
-    not depend on the chunk it runs in.
+    sensitivity.  Each part is built on first use and then kept, so a study
+    that hands one table to all its blocks and chunks builds each part once,
+    and a single path builds only the parts it reads.  The content depends
+    only on (model, grid, delta), never on the replications, so a row's
+    numbers do not depend on the chunk or block it runs in.
 
     A node part is checked when it is built: its interpolant at the
     TABLE_PROBES fractions of theta_interval must match direct RK4 within
@@ -296,11 +305,14 @@ class ThetaTable:
         c = _barycentric_rows(self.nodes, thetas)
         return tuple(_contract(c, v) for v in self.node_window)
 
-    def info(self, thetas: np.ndarray) -> np.ndarray:
-        """Information profiles on [delta, T] at thetas, (k, n+1-i) rows."""
+    def info(self, thetas: np.ndarray, cols=None) -> np.ndarray:
+        """Information profiles at thetas on the grid nodes cols of [delta, T]
+        (all of them by default), (k, len(cols)) rows: bit for bit those
+        columns of the whole profiles."""
+        sel = slice(None) if cols is None else np.asarray(cols) - self.i_delta
         if self.node_info is None:
-            return self._direct_info(thetas)[0]
-        return _contract(_barycentric_rows(self.nodes, thetas), self.node_info)
+            return self._direct_info(thetas)[0][:, sel]
+        return _contract(_barycentric_rows(self.nodes, thetas), self.node_info[:, sel])
 
 
 def _table_for(model: ModelSpec, grid: TimeGrid, delta: float,
@@ -367,23 +379,37 @@ def fisher_profile_batch(model: ModelSpec, thetas: np.ndarray, flows: np.ndarray
 
 
 def score_tail_profile_batch(model: ModelSpec, thetas: np.ndarray, X: np.ndarray,
-                             grid: TimeGrid, i_delta: int) -> np.ndarray:
+                             grid: TimeGrid, i_delta: int, cols=None) -> np.ndarray:
     """Tail score profiles sum_{i_delta <= k < j} B (X_{k+1} - X_k - S h) at
-    every node j of [delta, T], for every row of X.  Built in blocks of rows
-    of at most SCRATCH_BLOCK increments, so besides the (M, n+1-i) result no
-    path-sized array is allocated."""
+    the increasing grid nodes j in cols of [delta, T] (all of them by
+    default), for every row of X.  Built in blocks of rows of at most
+    SCRATCH_BLOCK increments; the running sum goes straight into the result
+    when cols is every node, and is otherwise read at cols from one block's
+    scratch row set, so besides the (M, len(cols)) result no path-sized array
+    is allocated."""
     h = grid.h
     tk = grid.times[None, i_delta:-1]
     m, k = X.shape[0], X.shape[1] - 1 - i_delta
-    out = np.zeros((m, k + 1))
+    sel = None if cols is None else np.asarray(cols) - i_delta
+    if sel is not None and sel.size == k + 1:
+        sel = None
     rows_per_block = max(1, SCRATCH_BLOCK // max(k, 1))
+    if sel is None:
+        out = np.zeros((m, k + 1))
+    else:
+        out = np.empty((m, sel.size))
+        prof = np.zeros((min(rows_per_block, m), k + 1))
     for lo in range(0, m, rows_per_block):
         r = slice(lo, lo + rows_per_block)
         xk = X[r, i_delta:-1]
         th = thetas[r, None]
         incr = _state_weight(model, th, tk, xk) * \
             (X[r, i_delta + 1:] - xk - broadcast_eval(model.drift(th, tk, xk), xk.shape) * h)
-        np.cumsum(incr, axis=1, out=out[r, 1:])
+        if sel is None:
+            np.cumsum(incr, axis=1, out=out[r, 1:])
+        else:
+            np.cumsum(incr, axis=1, out=prof[: xk.shape[0], 1:])
+            out[r] = prof[: xk.shape[0], sel]
     return out
 
 
@@ -540,15 +566,17 @@ def _limit_factor(limit, dW: np.ndarray, nodes: np.ndarray):
 
 def onestep_batch(model: ModelSpec, theta_pilot: np.ndarray, tail: np.ndarray,
                   head: np.ndarray, info: np.ndarray, cols):
-    """One-step estimates theta_pilot + (tail + head) / I over the nodes of [delta, T].
+    """One-step estimates theta_pilot + (tail + head) / I at nodes of [delta, T].
 
-    tail and info are the (M, n+1-i) tail score and information profiles from
-    the window end, node i, on.  Both buffers are consumed: the estimates are
-    built in tail's, and info is set to inf below INFO_FLOOR, where the
-    correction is dropped and the node counts as clamped.  The estimates are
-    clipped to the closure of theta_interval.  Returns (theta, clamped,
-    info_bad): clamped only at the columns cols, and info_bad marking rows
-    whose information never reaches the floor.
+    tail and info are the (M, C) tail score and information profiles at the
+    same C nodes of [delta, T], in increasing order and ending at T (all of
+    them, or only those a caller reads).  Both buffers are consumed: the
+    estimates are built in tail's, and info is set to inf below INFO_FLOOR,
+    where the correction is dropped and the node counts as clamped.  The
+    estimates are clipped to the closure of theta_interval.  Returns (theta,
+    clamped, info_bad): theta at the C nodes, clamped only at the columns
+    cols, and info_bad marking rows whose information never reaches the
+    floor.
     """
     # information is nondecreasing, so a row is unusable only if its final value is
     info_bad = info[:, -1] < INFO_FLOOR
@@ -574,20 +602,32 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
     sup_stride-th node of [delta, T].
 
     table is the ThetaTable of (model, grid, delta) and limit is
-    limit_weights(model, theta0, grid); a caller running many chunks of one
-    block builds each once and passes it to every chunk, and either is built
-    here when not given.  The pilot reads the window flow and sensitivity
-    from the table, and the one-step reads each row's information
-    profile from it at the row's pilot, so no per-row flow is integrated
-    unless the table fell back to RK4 per row.  The table depends only on
-    the block, so the results do not depend on the chunking.
+    limit_weights(model, theta0, grid); a caller running many chunks or
+    blocks builds each once and passes it to every chunk, and either is
+    built here when not given.  The pilot reads the window flow and
+    sensitivity from the table, and the one-step reads each row's
+    information profile from it at the row's pilot, so no per-row flow is
+    integrated unless the table fell back to RK4 per row.  The table depends
+    only on (model, grid, delta), so the results do not depend on the
+    chunking.
+
+    The one-step is formed only at the nodes some output reads: the report
+    nodes, T (the terminal identity, and the information test of
+    onestep_batch) and, with sup_stride > 0, the sup nodes.  The information
+    and the tail score are built at those nodes only, bit for bit the same
+    columns of their whole profiles.
     """
     i = grid.node_index(delta)
+    n = grid.n_steps
     report_times = np.asarray([float(t) for t in report_times])
     r_idx = np.array([grid.node_index(t) for t in report_times])
     if np.any(r_idx < i):
         raise ConfigurationError("report times must not precede delta")
     table = _table_for(model, grid, delta, table)
+    # every sup_stride-th node of [delta, T] and T
+    sup_nodes = np.union1d(np.arange(i, n + 1, sup_stride), n) if sup_stride > 0 else \
+        np.array([], int)
+    cols = np.unique(np.concatenate((r_idx, sup_nodes, [n])))
 
     X, dW, diverged = simulate_batch(model, theta0, epsilon, grid, seed, stream_ids)
     xi_rep = None
@@ -597,16 +637,16 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
     del dW
     theta_pilot, flat = pilot_batch(model, X, grid, delta, table)
 
-    info = table.info(theta_pilot)
-    tail = score_tail_profile_batch(model, theta_pilot, X, grid, i)
+    info = table.info(theta_pilot, cols)
+    tail = score_tail_profile_batch(model, theta_pilot, X, grid, i, cols)
     head = score_head_batch(model, theta_pilot, X, grid, i, epsilon)
-    rel = r_idx - i
-    theta_prof, clamped, info_bad = onestep_batch(model, theta_pilot, tail, head, info, rel)
+    rep = np.searchsorted(cols, r_idx)
+    theta_cols, clamped, info_bad = onestep_batch(model, theta_pilot, tail, head, info, rep)
     del tail, info
 
     t_rep = grid.times[r_idx]
     x_rep = X[:, r_idx]
-    th_rep = theta_prof[:, rel]
+    th_rep = theta_cols[:, rep]
     y_hat, z_hat = value_pair(model, vf, epsilon, t_rep, x_rep, th_rep)
     y_true, z_true = value_pair(model, vf, epsilon, t_rep, x_rep,
                                 np.broadcast_to(theta0, th_rep.shape))
@@ -624,22 +664,19 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
     # terminal identity
     t_T = grid.times[-1:]
     x_T = X[:, -1:]
-    y_hat_T = _blocked_value(vf, "value", t_T, x_T, theta_prof[:, -1:])
+    y_hat_T = _blocked_value(vf, "value", t_T, x_T, theta_cols[:, -1:])
     phi_T = _blocked_value(vf, "value", t_T, x_T, np.broadcast_to(theta0, x_T.shape))
     terminal_abs_err = np.abs(y_hat_T[:, 0] - phi_T[:, 0])
 
     sup_err = None
     if sup_stride > 0:
-        nodes = np.arange(i, grid.n_steps + 1, sup_stride)
-        if nodes[-1] != grid.n_steps:
-            nodes = np.append(nodes, grid.n_steps)
         sup_err = np.zeros(X.shape[0])
         cols_per_block = max(1, EVAL_BLOCK // max(X.shape[0], 1))
-        for lo_c in range(0, nodes.size, cols_per_block):
-            sel = nodes[lo_c: lo_c + cols_per_block]
+        for lo_c in range(0, sup_nodes.size, cols_per_block):
+            sel = sup_nodes[lo_c: lo_c + cols_per_block]
             t_sel = grid.times[sel]
             x_sel = X[:, sel]
-            th_sel = theta_prof[:, sel - i]
+            th_sel = theta_cols[:, np.searchsorted(cols, sel)]
             yh = _blocked_value(vf, "value", t_sel, x_sel, th_sel)
             yt = _blocked_value(vf, "value", t_sel, x_sel, np.broadcast_to(theta0, th_sel.shape))
             sup_err = np.maximum(sup_err, np.max(np.abs(yh - yt), axis=1))

@@ -219,8 +219,13 @@ def run_epsilon_block(bundle: ModelBundle, config: ExperimentConfig,
                       epsilon: float, eps_index: int, *, delta: Optional[float] = None,
                       report_times: Optional[Sequence[float]] = None,
                       sup_stride: Optional[int] = None,
-                      residuals: bool = False) -> EpsilonBlock:
-    """Run all replications of one noise level through the engine."""
+                      residuals: bool = False,
+                      table: Optional[engine.ThetaTable] = None) -> EpsilonBlock:
+    """Run all replications of one noise level through the engine.
+
+    table is the study's engine.ThetaTable of (bundle.model, config.grid(),
+    delta); a block builds its own when none is given.
+    """
     grid = config.grid()
     delta = config.delta if delta is None else delta
     report_times = config.t_report if report_times is None else report_times
@@ -228,7 +233,8 @@ def run_epsilon_block(bundle: ModelBundle, config: ExperimentConfig,
     vf = build_value_function(bundle, config, epsilon)
     m = config.n_replications
     # what every chunk reads of the limit flow, built once for the block
-    table = engine.ThetaTable(bundle.model, grid, delta)
+    # unless the study shares its own
+    table = engine.ThetaTable(bundle.model, grid, delta) if table is None else table
     limit = engine.limit_weights(bundle.model, config.theta0, grid) if residuals else None
     parts = []
     for lo in range(0, m, config.chunk_size):
@@ -240,9 +246,11 @@ def run_epsilon_block(bundle: ModelBundle, config: ExperimentConfig,
     res = _concat_results(parts)
     n_failed = int(np.sum(res.failed))
     if n_failed > FAILURE_FRACTION_CAP * m:
+        low_info = res.failed & ~(res.diverged | res.flat)
         raise ExperimentAbortedError(
             f"{n_failed} of {m} replications failed at epsilon={epsilon} "
-            f"(diverged {int(np.sum(res.diverged))}, flat {int(np.sum(res.flat))})")
+            f"(diverged {int(np.sum(res.diverged))}, flat {int(np.sum(res.flat))}, "
+            f"information below floor {int(np.sum(low_info))})")
     return EpsilonBlock(res, n_failed, int(np.sum(res.diverged)), vf)
 
 
@@ -310,9 +318,11 @@ def run_monte_carlo(config: ExperimentConfig) -> ExperimentReport:
 
     pilot_var_limit = mde_asymptotic_variance(model, config.theta0, config.delta)
     flow_full = solve_limit_ode(model, config.theta0, grid)
+    # the limit flow does not depend on epsilon: one table serves every block
+    table = engine.ThetaTable(model, grid, config.delta)
 
     for e_idx, eps in enumerate(config.epsilon_list):
-        block = run_epsilon_block(bundle, config, eps, e_idx)
+        block = run_epsilon_block(bundle, config, eps, e_idx, table=table)
         res = block.result
         failures[eps] = block.n_failed
         valid = ~res.failed

@@ -243,6 +243,10 @@ def _cell(grid: PdeGrid, n_rows: int, t, x):
     return i0, j0, rt - i0, rx - j0
 
 
+def _scalar(v: np.ndarray):
+    return v if v.shape else float(v)
+
+
 def _bilinear(rows: np.ndarray, cell):
     i0, j0, ft, fx = cell
     v00 = rows[i0, j0]
@@ -310,43 +314,39 @@ class PdeValueFunction:
 
     # -- epsilon -> 0 limit by characteristics -----------------------------
 
-    def _limit(self, t, x, theta, offsets, combine):
-        """combine(*values) over the limit values at every (x + a, theta + b)
-        of offsets, one lockstep characteristics call per distinct t."""
+    def _limit(self, t, x, theta, offsets):
+        """The limit values at every (x + a, theta + b) of offsets, stacked
+        along a leading axis, from one lockstep characteristics call per
+        distinct t."""
         t, x, theta = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (t, x, theta)))
-        out = np.empty(t.shape)
+        out = np.empty((len(offsets),) + t.shape)
         for tv in np.unique(t):
             at = t == tv
             vals = characteristics_limit_value(
                 self.model, self.driver, self.terminal, float(tv),
                 np.concatenate([x[at] + a for a, _ in offsets]),
                 np.concatenate([theta[at] + b for _, b in offsets]))
-            out[at] = combine(*np.split(vals, len(offsets)))
-        return out if out.shape else float(out)
+            out[:, at] = vals.reshape(len(offsets), -1)
+        return out
 
     def limit_value(self, t, x, theta):
-        return self._limit(t, x, theta, ((0.0, 0.0),), lambda v: v)
+        return _scalar(self._limit(t, x, theta, ((0.0, 0.0),))[0])
 
     def limit_value_x(self, t, x, theta):
         dx = self._solutions[1].grid.dx
-        return self._limit(t, x, theta, ((dx, 0.0), (-dx, 0.0)),
-                           lambda up, lo: (up - lo) / (2.0 * dx))
+        up, lo = self._limit(t, x, theta, ((dx, 0.0), (-dx, 0.0)))
+        return _scalar((up - lo) / (2.0 * dx))
 
-    def limit_value_theta(self, t, x, theta):
-        d = self.dtheta
-        return self._limit(t, x, theta, ((0.0, d), (0.0, -d)),
-                           lambda up, lo: (up - lo) / (2.0 * d))
-
-    def limit_value_theta_x(self, t, x, theta):
-        d = self.dtheta
-        dx = self._solutions[1].grid.dx
-
-        def combine(pp, pm, mp, mm):
-            up = (pp - pm) / (2.0 * d)
-            lo = (mp - mm) / (2.0 * d)
-            return (up - lo) / (2.0 * dx)
-
-        return self._limit(t, x, theta, ((dx, d), (dx, -d), (-dx, d), (-dx, -d)), combine)
+    def limit_theta_derivatives(self, t, x, theta):
+        """(udot, udot_x): the centered theta-difference of the limit value
+        and its centered x-difference, from one lockstep characteristics call
+        of all six lanes per distinct t."""
+        d, dx = self.dtheta, self._solutions[1].grid.dx
+        up, lo, pp, pm, mp, mm = self._limit(
+            t, x, theta, ((0.0, d), (0.0, -d), (dx, d), (dx, -d), (-dx, d), (-dx, -d)))
+        udot = (up - lo) / (2.0 * d)
+        udot_x = ((pp - pm) / (2.0 * d) - (mp - mm) / (2.0 * d)) / (2.0 * dx)
+        return _scalar(udot), _scalar(udot_x)
 
 
 def theta_derivatives_by_bundle(model: ModelSpec, driver: Callable, terminal: Callable,

@@ -238,13 +238,12 @@ class LinearValueFunction:
     def limit_value_x(self, t, x, theta):
         return self._limit_kernel(self.spec.terminal.df, t, x, theta)
 
-    def limit_value_theta(self, t, x, theta):
+    def limit_theta_derivatives(self, t, x, theta):
+        """(udot, udot_x): the theta-derivative of the limit value function
+        and its x-derivative."""
         tau = self.spec.horizon - np.asarray(t, dtype=float)
-        return tau * self._limit_kernel(self.spec.terminal.df, t, x, theta)
-
-    def limit_value_theta_x(self, t, x, theta):
-        tau = self.spec.horizon - np.asarray(t, dtype=float)
-        return tau * self._limit_kernel(self.spec.terminal.d2f, t, x, theta)
+        return (tau * self._limit_kernel(self.spec.terminal.df, t, x, theta),
+                tau * self._limit_kernel(self.spec.terminal.d2f, t, x, theta))
 
 
 def characteristics_limit_value(model: ModelSpec, driver: Callable, terminal: Callable,

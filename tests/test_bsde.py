@@ -2,12 +2,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from snbsde import pde
 from snbsde.bsde import (approximate_bsde, efficiency_bounds,
                          plugin_value_path, residual_decomposition)
 from snbsde.errors import ConfigurationError
-from snbsde.estimation import EstimationWindow
+from snbsde.estimation import EstimationWindow, fisher_information
 from snbsde.grids import NoiseSource, TimeGrid
-from snbsde.models import simulate_forward
+from snbsde.models import simulate_forward, solve_limit_ode
 from snbsde.presets import build_preset
 from snbsde.value_functions import LinearValueFunction
 
@@ -95,6 +96,39 @@ def test_efficiency_bounds_closed_form():
     assert by2 > 0.0
     with pytest.raises(ConfigurationError):
         efficiency_bounds(b.model, vf, 1.0, 0.0)
+
+
+def test_pde_bounds_take_one_characteristics_call(monkeypatch):
+    # both theta-derivatives of a bound come from one six-lane call, bit for
+    # bit the centered differences of single-lane calls
+    b = build_preset("custom-pde", {"drift_shape": "sine", "terminal": "cosine"})
+    vf = pde.theta_derivatives_by_bundle(b.model, b.driver, b.terminal.f, 1.0, 0.05,
+                                         pde.PdeGrid(-6.0, 8.0, 64, 1.0, 20))
+    dx, d = vf._solutions[1].grid.dx, vf.dtheta
+    lanes = []
+    real = pde.characteristics_limit_value
+
+    def spy(*args, **kw):
+        lanes.append(np.size(args[4]))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(pde, "characteristics_limit_value", spy)
+    for t in (0.25, 0.5, 0.75):
+        lanes.clear()
+        by, bz = efficiency_bounds(b.model, vf, 1.0, t)
+        assert lanes == [6]
+        flow = solve_limit_ode(b.model, 1.0, TimeGrid(0.0, t, 2000))
+        x_t = float(flow.values[-1])
+        info = fisher_information(b.model, 1.0, flow, t)
+
+        def lim(x, th):
+            return real(b.model, b.driver, b.terminal.f, t, np.array([x]), np.array([th]))[0]
+
+        udot = (lim(x_t, 1.0 + d) - lim(x_t, 1.0 - d)) / (2.0 * d)
+        udot_x = ((lim(x_t + dx, 1.0 + d) - lim(x_t + dx, 1.0 - d)) / (2.0 * d)
+                  - (lim(x_t - dx, 1.0 + d) - lim(x_t - dx, 1.0 - d)) / (2.0 * d)) / (2.0 * dx)
+        assert by == udot**2 / info
+        assert bz == udot_x**2 * float(b.model.diffusion(t, x_t)) ** 2 / info
 
 
 def test_plugin_path_freezes_pilot():

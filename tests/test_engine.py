@@ -90,6 +90,28 @@ def test_batch_results_chunk_invariant(name, params, theta0):
         assert np.array_equal(merged, got), f.name
 
 
+@pytest.mark.parametrize("name,params,theta0", [
+    ("linear-constant-drift", {}, 1.0),
+    ("custom-pde", {"drift_shape": "sine"}, 1.0),
+    ("linear-ou", {}, 0.5)], ids=["constant", "sine", "linear-ou"])
+def test_sup_columns_move_no_other_output(name, params, theta0):
+    # without the sup statistic the one-step is formed at the report nodes
+    # and T only; every output the two blocks share must be bit for bit the
+    # one formed at every node
+    eps = 0.05
+    b = build_preset(name, params)
+    grid = TimeGrid(0.0, 1.0, 200)
+    vf = _vf_for(b, eps)
+    args = (b.model, vf, theta0, eps, grid, 0.1, (0.25, 0.5), SEED, range(8))
+    lean = run_batch(*args, plugin=True, residuals=True, sup_stride=0)
+    full = run_batch(*args, plugin=True, residuals=True, sup_stride=1)
+    assert lean.sup_abs_y_err is None and full.sup_abs_y_err is not None
+    assert not np.any(full.failed)
+    for f in dataclasses.fields(engine.BatchResult):
+        if f.name != "sup_abs_y_err":
+            assert np.array_equal(getattr(lean, f.name), getattr(full, f.name)), f.name
+
+
 def test_residuals_feed_nothing_else():
     # the limiting factor xi is built only for the residuals, so leaving them
     # out must leave every other output bit for bit the same
@@ -137,6 +159,34 @@ def test_run_batch_peak_memory():
     assert not np.any(res.failed)
     ratio = peak / (m * (n + 1) * 8)
     assert ratio < PEAK_PATH_ARRAYS, ratio
+
+
+# Peak traced allocation of the same block without the sup statistic
+# (sup_stride = 0), in units of one (M, n+1) float64 array.  The block reads
+# 3.0 (numpy 2.4), set by the simulation's path buffers; a block that builds
+# the information and tail score at every node of [delta, T] read 3.84.
+PEAK_LEAN_PATH_ARRAYS = 3.4
+
+
+def test_lean_run_batch_peak_memory():
+    m, n, eps = 200, 2000, 0.05
+    b = build_preset("linear-constant-drift")
+    grid = TimeGrid(0.0, 1.0, n)
+    vf = LinearValueFunction(b.linear, eps)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        res = run_batch(b.model, vf, 1.0, eps, grid, 0.1, (0.5, 1.0), SEED, range(m))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert not np.any(res.failed)
+    ratio = peak / (m * (n + 1) * 8)
+    assert ratio < PEAK_LEAN_PATH_ARRAYS, ratio
 
 
 def test_batch_closed_form_matches_gauss_hermite():
@@ -383,6 +433,18 @@ def test_run_batch_rejects_early_report():
         run_batch(b.model, vf, 1.0, 0.1, grid, 0.2, (0.1,), SEED, range(2))
 
 
+def test_run_batch_rejects_a_table_of_another_block():
+    # a study's table serves every block of its (model, grid, delta) and no other
+    b = build_preset("linear-constant-drift")
+    grid = TimeGrid(0.0, 1.0, 100)
+    vf = LinearValueFunction(b.linear, 0.1)
+    for table in (engine.ThetaTable(b.model, TimeGrid(0.0, 1.0, 200), 0.2),
+                  engine.ThetaTable(build_preset("linear-ou").model, grid, 0.2),
+                  engine.ThetaTable(b.model, grid, 0.1)):
+        with pytest.raises(ConfigurationError, match="theta table"):
+            run_batch(b.model, vf, 1.0, 0.1, grid, 0.2, (0.5,), SEED, range(2), table=table)
+
+
 # -- minimum-distance pilot ------------------------------------------------
 
 PILOT_GRID = TimeGrid(0.0, 1.0, 1000)
@@ -545,6 +607,25 @@ def test_theta_table_matches_direct_rk4(name, params):
     assert np.max(_rel_sup(xdot[:, 1:], xdot_d.T[:, 1:])) <= 1e-12
     info = table.info(thetas)
     assert np.max(_rel_sup(info, _direct_info(model, thetas, TABLE_GRID, table.i_delta))) <= 1e-12
+
+
+@pytest.mark.parametrize("model", ["sine", "kink"])
+def test_theta_table_reads_columns_bit_for_bit(model):
+    # the information at some nodes is those columns of the whole profiles,
+    # from the interpolant and from the RK4 fallback alike
+    if model == "kink":
+        model, grid = KINK, TimeGrid(0.0, 1.0, 200)
+    else:
+        model, grid = build_preset("custom-pde", {"drift_shape": "sine"}).model, TABLE_GRID
+    table = engine.ThetaTable(model, grid, 0.1)
+    assert (table.node_info is None) == (model is KINK)
+    n, i = grid.n_steps, table.i_delta
+    thetas = np.random.default_rng(3).uniform(*model.theta_interval, 37)
+    whole = table.info(thetas)
+    for cols in ([n], [i], [i, n], [i, n // 2, n], np.arange(i, n + 1, 7), np.arange(i, n + 1)):
+        cols = np.asarray(cols)
+        assert np.array_equal(table.info(thetas, cols), whole[:, cols - i])
+        assert np.array_equal(table.info(thetas[:1], cols), whole[:1, cols - i])
 
 
 def test_theta_table_edge_pilots_read_node_values():

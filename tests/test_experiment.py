@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from snbsde import engine
-from snbsde.errors import ConfigurationError, DiagnosticError
+from snbsde.errors import ConfigurationError, DiagnosticError, ExperimentAbortedError
 from snbsde.experiment import (ExperimentConfig, _ks_uniform_p, config_to_dict,
                                normality_diagnostics, run_epsilon_block,
                                run_monte_carlo, shrinking_window_study)
+from snbsde.models import ModelSpec
+from snbsde.presets import build_preset
 
 BASE = dict(model="linear-constant-drift", model_params={"terminal": "identity"},
             theta0=1.0, epsilon_list=(0.1,), delta=0.1, t_report=(0.5,),
@@ -129,6 +131,53 @@ def test_epsilon_block_builds_its_tables_once(monkeypatch):
                      "run_batch": 4}
     assert not np.any(block.result.failed)
     assert block.result.xi.shape == (config.n_replications, 1)
+
+
+def _count_calls(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name)
+
+        def spy(*args, _name=name, _real=real, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_study_builds_its_table_once(monkeypatch):
+    # one table serves every noise level of a study: the window flow twice
+    # (scan and nodes) and the information once, for two epsilon blocks
+    calls = _count_calls(monkeypatch, engine, ("rk4_sensitivity", "flow_batch", "run_batch"))
+    config = ExperimentConfig(**{**BASE, "epsilon_list": (0.1, 0.05), "chunk_size": 60})
+    report = run_monte_carlo(config)
+    assert calls == {"rk4_sensitivity": 2, "flow_batch": 1, "run_batch": 6}
+    assert report.failures == {0.1: 0, 0.05: 0}
+
+
+def test_abort_message_counts_rows_without_information():
+    # S = max(theta - 1, 0)^2 at theta0 = 0.5: every flow with theta <= 1 is
+    # flat, the pilots land where S_theta vanishes, and the rows fail for
+    # their information, neither diverged nor flat
+    def pos(th):
+        return np.maximum(th - 1.0, 0.0)
+
+    model = ModelSpec(
+        drift=lambda th, t, x: pos(th) ** 2 + 0.0 * x,
+        drift_dtheta=lambda th, t, x: 2.0 * pos(th) + 0.0 * x,
+        drift_dx=lambda th, t, x: 0.0 * x, drift_dtheta_dx=lambda th, t, x: 0.0 * x,
+        diffusion=lambda t, x: 1.0 + 0.0 * x, diffusion_dx=lambda t, x: 0.0 * x,
+        theta_interval=(0.1, 1.9), x0=0.0, horizon=1.0, kappa=1.0, growth_const=2.0)
+    bundle = dataclasses.replace(build_preset("custom-pde"), model=model)
+    config = ExperimentConfig(**{**BASE, "model": "custom-pde", "model_params": {},
+                                 "backend": "pde", "theta0": 0.5,
+                                 "pde_params": {"n_x": 64, "n_t": 20}})
+    m = config.n_replications
+    with pytest.raises(ExperimentAbortedError,
+                       match=f"{m} of {m} replications failed at epsilon=1e-06 "
+                             rf"\(diverged 0, flat 0, information below floor {m}\)"):
+        run_epsilon_block(bundle, config, 1e-6, 0)
 
 
 def test_shrinking_window_study_structure(tmp_path):

@@ -171,11 +171,14 @@ def test_bundle_matches_closed_form():
         err = max(abs(getattr(vf, meth)(t, x, th) - getattr(ref, meth)(t, x, th))
                   for (t, x, th) in pts)
         assert err < tol, f"{meth}: {err:.3e}"
-    for meth in ("limit_value", "limit_value_x", "limit_value_theta",
-                 "limit_value_theta_x"):
+    for meth in ("limit_value", "limit_value_x"):
         err = max(abs(getattr(vf, meth)(t, x, th) - getattr(ref, meth)(t, x, th))
                   for (t, x, th) in pts)
         assert err < 1e-9, f"{meth}: {err:.3e}"
+    for k, name in enumerate(("udot", "udot_x")):
+        err = max(abs(vf.limit_theta_derivatives(t, x, th)[k]
+                      - ref.limit_theta_derivatives(t, x, th)[k]) for (t, x, th) in pts)
+        assert err < 1e-9, f"{name}: {err:.3e}"
 
 
 def test_bundle_spacing():
@@ -293,16 +296,24 @@ def test_limit_accessors_match_scalar_characteristics(shape):
     def lim(tt, xx, th):
         return _scalar_limit(b.model, b.driver, b.terminal.f, tt, xx, th)
 
+    def udot(tt, xx, th):
+        return (lim(tt, xx, th + d) - lim(tt, xx, th - d)) / (2.0 * d)
+
+    def udot_x(tt, xx, th):
+        return ((lim(tt, xx + dx, th + d) - lim(tt, xx + dx, th - d)) / (2.0 * d)
+                - (lim(tt, xx - dx, th + d) - lim(tt, xx - dx, th - d)) / (2.0 * d)) / (2.0 * dx)
+
     loops = {
-        "limit_value": lim,
-        "limit_value_x": lambda tt, xx, th: (lim(tt, xx + dx, th) - lim(tt, xx - dx, th)) / (2.0 * dx),
-        "limit_value_theta": lambda tt, xx, th: (lim(tt, xx, th + d) - lim(tt, xx, th - d)) / (2.0 * d),
-        "limit_value_theta_x": lambda tt, xx, th: (
-            (lim(tt, xx + dx, th + d) - lim(tt, xx + dx, th - d)) / (2.0 * d)
-            - (lim(tt, xx - dx, th + d) - lim(tt, xx - dx, th - d)) / (2.0 * d)) / (2.0 * dx),
+        "limit_value": (lim,),
+        "limit_value_x": (lambda tt, xx, th: (lim(tt, xx + dx, th) - lim(tt, xx - dx, th)) / (2.0 * dx),),
+        "limit_theta_derivatives": (udot, udot_x),
     }
-    for meth, fn in loops.items():
-        want = np.array([fn(*p) for p in zip(t, x, theta)])
-        assert np.array_equal(getattr(vf, meth)(t, x, theta), want), meth
+    for meth, fns in loops.items():
+        got = getattr(vf, meth)(t, x, theta)
         scalar = getattr(vf, meth)(0.5, 0.4, 0.9)
-        assert isinstance(scalar, float) and scalar == fn(0.5, 0.4, 0.9), meth
+        if len(fns) == 1:
+            got, scalar = (got,), (scalar,)
+        for fn, g, sc in zip(fns, got, scalar):
+            want = np.array([fn(*p) for p in zip(t, x, theta)])
+            assert np.array_equal(g, want), (meth, fn.__name__)
+            assert isinstance(sc, float) and sc == fn(0.5, 0.4, 0.9), (meth, fn.__name__)

@@ -158,7 +158,9 @@ def test_limit_is_small_epsilon_value():
     t, x, theta = 0.3, 0.8, 1.4
     assert abs(tiny.value(t, x, theta) - limit.limit_value(t, x, theta)) < 1e-6
     assert abs(tiny.value_x(t, x, theta) - limit.limit_value_x(t, x, theta)) < 1e-6
-    assert abs(tiny.value_theta(t, x, theta) - limit.limit_value_theta(t, x, theta)) < 1e-6
+    udot, udot_x = limit.limit_theta_derivatives(t, x, theta)
+    assert abs(tiny.value_theta(t, x, theta) - udot) < 1e-6
+    assert abs(tiny.value_theta_x(t, x, theta) - udot_x) < 1e-6
 
 
 def test_characteristics_match_linear_limit():
