@@ -19,12 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import INFO_FLOOR, limit_weights, residual_pair, value_pair, _limit_factor
+from .engine import (INFO_FLOOR, ThetaTable, limit_weights, residual_pair, value_pair,
+                     _limit_factor)
 from .errors import ConfigurationError, SingularInformationError
-from .estimation import (EstimateTrace, EstimationWindow, fisher_information,
-                         mde_estimate, onestep_trace)
-from .grids import Path, TimeGrid, window_grid
-from .models import ModelSpec, solve_limit_ode
+from .estimation import (EstimateTrace, EstimationWindow, LimitQuantities,
+                         limit_quantities, mde_estimate, onestep_trace)
+from .grids import Path, window_grid
+from .models import ModelSpec
 
 
 @dataclass
@@ -62,11 +63,14 @@ def approximate_bsde(model: ModelSpec, vf, X: Path, W: Path,
     vf is any value-function backend exposing value/value_x (and the limit
     accessors for bounds).  When theta0 is given the oracle Y, Z and the
     limiting Gaussian factor xi are attached for risk evaluation.  Every
-    stage is the engine's on the one-row batch holding X.
+    stage is the engine's on the one-row batch holding X, and the pilot and
+    the one-step read one engine.ThetaTable.
     """
     delta = window.delta
     i = X.grid.node_index(delta)
-    trace = onestep_trace(model, mde_estimate(model, X, delta), X, delta, epsilon)
+    table = ThetaTable(model, X.grid, delta)
+    trace = onestep_trace(model, mde_estimate(model, X, delta, table=table), X, delta,
+                          epsilon, table=table)
 
     wgrid = window_grid(X.grid, delta)
     t_arr = X.times[i:]
@@ -111,27 +115,41 @@ def residual_decomposition(approx: BsdeApproximation, model: ModelSpec, vf,
     return ResidualDecomposition(Path(wgrid, r_y[0]), Path(wgrid, r_z[0]))
 
 
-def efficiency_bounds(model: ModelSpec, vf, theta0: float, t: float,
-                      n_steps: int = 2000):
+def efficiency_bounds(model: ModelSpec, vf, theta0: float, t,
+                      limit: Optional[LimitQuantities] = None):
     """Pointwise lower bounds for the normalized Y and Z risks at time t:
 
         boundY = udot0(t, x_t, theta0)^2 / I(theta0, t),
         boundZ = udot0_x(t, x_t, theta0)^2 sigma(t, x_t)^2 / I(theta0, t),
 
     with udot0 the theta-derivative of the limit value function along the
-    limit flow x at theta0.  Both derivatives come from one
-    vf.limit_theta_derivatives call, on the PDE backend one lockstep
-    characteristics call of six lanes.
+    limit flow x at theta0.  x_t and I(theta0, t) are read from limit, an
+    estimation.limit_quantities pass built at t (one pass over the times t
+    when None).  Both derivatives come from one vf.limit_theta_derivatives
+    call per time, on the PDE backend one lockstep characteristics call of
+    six lanes.  t is a time or a sequence of them; returns (boundY, boundZ)
+    as floats for a time, as arrays over the sequence otherwise.  Raises
+    SingularInformationError when I(theta0, t) is below the floor.
     """
-    if t <= 0:
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(ts <= 0):
         raise ConfigurationError("bounds need t > 0")
-    grid = TimeGrid(0.0, t, n_steps)
-    flow = solve_limit_ode(model, theta0, grid)
-    info = fisher_information(model, theta0, flow, t)
-    x_t = float(flow.values[-1])
-    udot0, udot0_x = (float(v) for v in vf.limit_theta_derivatives(t, x_t, theta0))
-    sig_t = float(model.diffusion(t, x_t))
-    return udot0**2 / info, udot0_x**2 * sig_t**2 / info
+    if limit is None:
+        limit = limit_quantities(model, theta0, None, ts)
+    bounds = np.empty((2, ts.size))
+    for j, t_j in enumerate(ts.tolist()):
+        k = limit.index(t_j)
+        info = float(limit.info[k])
+        if info < INFO_FLOOR:
+            raise SingularInformationError(
+                f"information {info:.3e} below floor {INFO_FLOOR} at t={t_j}")
+        x_t = float(limit.x[k])
+        udot0, udot0_x = (float(v) for v in vf.limit_theta_derivatives(t_j, x_t, theta0))
+        sig_t = float(model.diffusion(t_j, x_t))
+        bounds[:, j] = udot0**2 / info, udot0_x**2 * sig_t**2 / info
+    if np.ndim(t) == 0:
+        return float(bounds[0, 0]), float(bounds[1, 0])
+    return bounds[0], bounds[1]
 
 
 def plugin_value_path(model: ModelSpec, vf, X: Path, window: EstimationWindow,

@@ -27,22 +27,33 @@ the pilot value, clamped to the closure of the admissible interval.
 The pilot, the scores, the information and the one-step estimates here are
 the engine's batched stages on the one-row batch holding the observed path,
 so a Monte Carlo replication and a single-path call compute the same numbers
-by the same code.  The engine's per-row flags become exceptions: a flat or
+by the same code.  What the reports measure against, the limit flow, the
+information and the pilot's limit variance at the true parameter, comes from
+one short augmented RK4 pass, limit_quantities.  The engine's per-row flags become exceptions: a flat or
 unsettled pilot raises FlatObjectiveError, and information below the
 invertibility floor SingularInformationError.
 """
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, FlatObjectiveError, SingularInformationError
+from .errors import (ConfigurationError, FlatObjectiveError, IntegrationDivergedError,
+                     SingularInformationError)
 from .engine import (INFO_FLOOR, SCAN_POINTS, fisher_profile_batch, limit_weights,
                      onestep_batch, pilot_batch, refine_scan, score_head_batch,
-                     score_tail_profile_batch, ThetaTable, _cumtrapz_rows,
-                     _limit_factor, _step, _trapezoid_weights)
-from .grids import Path, TimeGrid
-from .models import ModelSpec, broadcast_eval, rk4_sensitivity
+                     score_tail_profile_batch, ThetaTable, _limit_factor, _step,
+                     _table_for)
+from .grids import Path
+from .models import ModelSpec, broadcast_eval
+
+# RK4 steps of the theta0 limit pass (limit_quantities): an even count on the
+# learning window [0, delta], for the composite Simpson rule on its nodes, and
+# the count whose step length bounds the steps from delta (or 0) to the
+# latest requested time.
+LIMIT_WINDOW_STEPS = 100
+LIMIT_TAIL_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -86,16 +97,18 @@ def _window_end(X: Path, delta: float) -> int:
     return i
 
 
-def mde_estimate(model: ModelSpec, X: Path, delta: float) -> float:
+def mde_estimate(model: ModelSpec, X: Path, delta: float,
+                 table: Optional[ThetaTable] = None) -> float:
     """Minimum-distance pilot estimate on the learning window [0, delta].
 
     Minimizes the trapezoidal discretization of
     int_0^delta (X_t - x_t(theta))^2 dt over the closure of theta_interval,
-    by engine.pilot_batch.  Raises FlatObjectiveError when the objective has
-    no usable spread or its refinement does not settle.
+    by engine.pilot_batch, reading the engine.ThetaTable of (model, X.grid,
+    delta) given as table (built when None).  Raises FlatObjectiveError when
+    the objective has no usable spread or its refinement does not settle.
     """
     _window_end(X, delta)
-    theta, flagged = pilot_batch(model, X.values[None, :], X.grid, delta)
+    theta, flagged = pilot_batch(model, X.values[None, :], X.grid, delta, table)
     if flagged[0]:
         raise FlatObjectiveError(
             "window objective is flat or its refinement did not settle; "
@@ -128,19 +141,20 @@ def score_head(model: ModelSpec, theta: float, X: Path, delta: float, epsilon: f
 
 
 def onestep_trace(model: ModelSpec, theta_pilot: float, X: Path, delta: float,
-                  epsilon: float) -> EstimateTrace:
+                  epsilon: float, table: Optional[ThetaTable] = None) -> EstimateTrace:
     """One-step estimates at every grid node of [delta, T].
 
-    The engine's information (read from the theta table of (model, grid,
-    delta) at theta_pilot), tail and head stages, then engine.onestep_batch
-    on copies of the profiles, which the trace keeps.
+    The engine's information (read at theta_pilot from table, the theta
+    table of (model, grid, delta), built when None), tail and head stages,
+    then engine.onestep_batch on copies of the profiles, which the trace
+    keeps.
     Raises SingularInformationError when the information stays below the
     floor on the whole of [delta, T].
     """
     grid = X.grid
     i = _window_end(X, delta)
     th = np.array([float(theta_pilot)])
-    info = ThetaTable(model, grid, delta).info(th)
+    info = _table_for(model, grid, delta, table).info(th)
     tail = score_tail_profile_batch(model, th, X.values[None, :], grid, i)
     head = score_head(model, theta_pilot, X, delta, epsilon)
     theta, clamped, info_bad = onestep_batch(model, th, tail.copy(), np.array([head]),
@@ -160,11 +174,12 @@ def onestep_trace(model: ModelSpec, theta_pilot: float, X: Path, delta: float,
 
 
 def one_step_mle(model: ModelSpec, theta_pilot: float, X: Path, delta: float,
-                 t: float, epsilon: float) -> float:
-    """One-step improved estimate at time t, clamped to the closure of Theta."""
+                 t: float, epsilon: float, table: Optional[ThetaTable] = None) -> float:
+    """One-step improved estimate at time t, clamped to the closure of Theta;
+    table as in onestep_trace."""
     if not model.contains_theta(theta_pilot):
         raise ConfigurationError("theta_pilot outside closure of theta_interval")
-    trace = onestep_trace(model, theta_pilot, X, delta, epsilon)
+    trace = onestep_trace(model, theta_pilot, X, delta, epsilon, table)
     j = trace.node_index(t)
     if trace.fisher[j] < INFO_FLOOR:
         raise SingularInformationError(f"information below floor at t={t}")
@@ -212,31 +227,126 @@ def full_mle(model: ModelSpec, X: Path, t: float, epsilon: float) -> float:
     return float(theta[0])
 
 
-def mde_asymptotic_variance(model: ModelSpec, theta: float, delta: float,
-                            n_steps: int = 2000) -> float:
-    """Limit variance of the normalized pilot error on the window [0, delta].
+@dataclass(frozen=True)
+class LimitQuantities:
+    """What the reports read of the limit flow at theta0 (limit_quantities).
 
-    First-order perturbation of the minimum-distance criterion around the
-    limit flow gives, with psi_t = exp{int_0^t S_x ds} and xdot the parameter
-    sensitivity of the flow (both flows from one RK4 pass),
-
-        D^2 = int_0^delta (sigma_s^2/psi_s^2) (int_s^delta psi_v xdot_v dv)^2 ds
-              / (int_0^delta xdot_v^2 dv)^2.
+    x and info hold x_t and I(theta0, t) at the requested times, in their
+    order; d2 is the pilot's limit variance D^2 on [0, delta], None for a
+    pass without a window.
     """
-    wgrid = TimeGrid(0.0, delta, n_steps)
-    x, xdot = rk4_sensitivity(model, float(theta), wgrid)
-    times = wgrid.times
-    g = broadcast_eval(model.drift_dx(theta, times, x), times.shape)
-    psi = np.exp(_cumtrapz_rows(g, wgrid.h))
-    sig = broadcast_eval(model.diffusion(times, x), times.shape)
-    c = _cumtrapz_rows(psi * xdot, wgrid.h)
-    tail_integral = c[-1] - c
-    w = _trapezoid_weights(times.size, wgrid.h)
-    numerator = float(np.sum(w * (sig**2 / psi**2) * tail_integral**2))
-    denominator = float(np.sum(w * xdot**2)) ** 2
-    if denominator < INFO_FLOOR**2:
-        raise SingularInformationError("flow is parameter-insensitive on the window")
-    return numerator / denominator
+
+    times: np.ndarray
+    x: np.ndarray
+    info: np.ndarray
+    d2: Optional[float]
+
+    def index(self, t: float) -> int:
+        hit = np.flatnonzero(self.times == float(t))
+        if hit.size == 0:
+            raise ConfigurationError(f"limit quantities were not built at t={t}")
+        return int(hit[0])
+
+
+def _rk4_pass(rhs, y, t0: float, t1: float, n: int) -> np.ndarray:
+    """n classical RK4 steps of y' = rhs(t, y) from (t0, y) to t1; returns the
+    (n+1, len(y)) states at the nodes t0 + k h.  A non-finite state raises."""
+    h = (t1 - t0) / n
+    out = np.empty((n + 1, y.size))
+    out[0] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            t = t0 + k * h
+            k1 = rhs(t, y)
+            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = rhs(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out[k + 1] = y
+    if not np.isfinite(out).all():
+        raise IntegrationDivergedError(f"theta0 limit pass diverged on [{t0:.6g}, {t1:.6g}]")
+    return out
+
+
+def limit_quantities(model: ModelSpec, theta0: float, delta: Optional[float],
+                     times: Sequence[float] = ()) -> LimitQuantities:
+    """The limit flow x_t and the information I(theta0, t) at each of times
+    and, with a window end delta, the pilot's limit variance D^2 on
+    [0, delta], from one RK4 pass of the augmented system
+
+        x' = S,   xdot' = S_x xdot + S_theta,   (log psi)' = S_x,
+        c' = psi xdot,   q' = xdot^2,   I' = S_theta^2 / sigma^2,
+
+    all at (theta0, t, x_t), from x0 and zeros at t = 0.  xdot is the
+    parameter sensitivity of the flow, psi_t = exp{int_0^t S_x ds}, and c, q
+    and I are running integrals.  First-order perturbation of the
+    minimum-distance criterion around the limit flow gives
+
+        D^2 = int_0^delta (sigma_s^2/psi_s^2) (c_delta - c_s)^2 ds / q_delta^2,
+
+    whose outer integral is the composite Simpson rule on the
+    LIMIT_WINDOW_STEPS nodes of [0, delta].  A quadrature carried as an ODE
+    component keeps the method's fourth order (Hairer, Norsett & Wanner,
+    Solving Ordinary Differential Equations I, 1993), as Simpson's rule
+    does, so every quantity is fourth order in the step.  Past the window
+    the pass stops at each requested time, with steps no longer than
+    1/LIMIT_TAIL_STEPS of the way from delta (0 without a window) to the
+    latest time.
+
+    Raises ConfigurationError for a time before delta or not after 0,
+    IntegrationDivergedError when the state turns non-finite, and
+    SingularInformationError when the flow does not move with theta on the
+    window.
+    """
+    theta = float(theta0)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    start = 0.0 if delta is None else float(delta)
+    if start < 0.0 or np.any(times < start) or np.any(times <= 0.0):
+        raise ConfigurationError("limit times must be positive and not precede delta")
+    S, S_x, S_th, sigma = model.drift, model.drift_dx, model.drift_dtheta, model.diffusion
+
+    def rhs(t, y):
+        # y = (x, xdot, log psi, c, q, I)
+        x, xdot = y[0], y[1]
+        sx, sth = S_x(theta, t, x), S_th(theta, t, x)
+        return np.array([S(theta, t, x), sx * xdot + sth, sx, np.exp(y[2]) * xdot,
+                         xdot * xdot, (sth / sigma(t, x)) ** 2], dtype=float)
+
+    y = np.array([model.x0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    d2 = None
+    if delta is not None:
+        n = LIMIT_WINDOW_STEPS
+        nodes = _rk4_pass(rhs, y, 0.0, start, n)
+        y = nodes[-1]
+        x, log_psi, c, q_end = nodes[:, 0], nodes[:, 2], nodes[:, 3], y[4]
+        if q_end < INFO_FLOOR:
+            raise SingularInformationError("flow is parameter-insensitive on the window")
+        s = np.arange(n + 1) * (start / n)
+        sig = broadcast_eval(sigma(s, x), s.shape)
+        simpson = np.where(np.arange(n + 1) % 2 == 1, 4.0, 2.0)
+        simpson[[0, -1]] = 1.0
+        simpson *= start / (3.0 * n)
+        d2 = float(np.sum(simpson * (sig * np.exp(-log_psi) * (c[-1] - c)) ** 2) / q_end**2)
+    stops = np.unique(times)
+    h_max = (stops[-1] - start) / LIMIT_TAIL_STEPS if stops.size else 0.0
+    states = {}
+    for b in stops:
+        if b > start:
+            # the 1e-9 keeps a rounding excess of a whole number from adding a step
+            steps = max(1, int(np.ceil((b - start) / h_max - 1e-9)))
+            y = _rk4_pass(rhs, y, start, b, steps)[-1]
+            start = b
+        states[b] = y
+    return LimitQuantities(times=times,
+                           x=np.array([states[t][0] for t in times]),
+                           info=np.array([states[t][5] for t in times]),
+                           d2=d2)
+
+
+def mde_asymptotic_variance(model: ModelSpec, theta: float, delta: float) -> float:
+    """Limit variance D^2 of the normalized pilot error on the window
+    [0, delta]: the D^2 of limit_quantities, which states its formula."""
+    return limit_quantities(model, theta, delta).d2
 
 
 def onestep_error_limit(model: ModelSpec, theta0: float, W: Path, t: float) -> float:

@@ -11,14 +11,12 @@ from dataclasses import dataclass, field, fields, asdict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import engine
 from .bsde import efficiency_bounds
 from .errors import (ConfigurationError, DiagnosticError, ExperimentAbortedError)
-from .estimation import fisher_information, mde_asymptotic_variance
+from .estimation import limit_quantities
 from .grids import TimeGrid
-from .models import solve_limit_ode
 from .pde import PdeGrid, default_domain, theta_derivatives_by_bundle
 from .presets import ModelBundle, build_preset
 from .value_functions import LinearValueFunction
@@ -177,6 +175,8 @@ def normality_diagnostics(samples: np.ndarray, target_variance: float) -> Normal
         raise DiagnosticError("samples contain non-finite values")
     if target_variance <= 0:
         raise DiagnosticError("target variance must be positive")
+    # scipy.special costs most of `import snbsde`; only a diagnostic pays it
+    from scipy.special import ndtr
     sample_var = float(np.var(samples, ddof=1))
     if sample_var <= 0:
         raise DiagnosticError("sample variance is degenerate")
@@ -302,40 +302,43 @@ def run_monte_carlo(config: ExperimentConfig) -> ExperimentReport:
     clamp and divergence counts.  The plug-in comparator gets a paired
     one-sided test of excess risk; pilots are compared with their limit
     variance.
+
+    The theta0 limit quantities (the pilot's limit variance, and x_t and
+    I(theta0, t) at the report times) come from one
+    estimation.limit_quantities pass per study, so a row's bounds and its
+    var_ratio_theta target 1/I divide by the same I(theta0, t).
     """
     t_start = time.perf_counter()
     bundle = config.validate()
     grid = config.grid()
     model = bundle.model
 
-    bound_cache: Dict[float, Tuple[float, float]] = {}
-    info_cache: Dict[float, float] = {}
-
     rows: List[dict] = []
     plugin_rows: List[dict] = []
     pilot_rows: List[dict] = []
     failures: Dict[float, int] = {}
 
-    pilot_var_limit = mde_asymptotic_variance(model, config.theta0, config.delta)
-    flow_full = solve_limit_ode(model, config.theta0, grid)
+    report_times = tuple(float(t) for t in config.t_report)
+    limit = limit_quantities(model, config.theta0, config.delta, report_times)
+    pilot_var_limit = limit.d2
+    bounds = None
     # the limit flow does not depend on epsilon: one table serves every block
     table = engine.ThetaTable(model, grid, config.delta)
 
     for e_idx, eps in enumerate(config.epsilon_list):
-        block = run_epsilon_block(bundle, config, eps, e_idx, table=table)
+        block = run_epsilon_block(bundle, config, eps, e_idx,
+                                  report_times=report_times, table=table)
         res = block.result
         failures[eps] = block.n_failed
         valid = ~res.failed
+        if bounds is None:
+            # the limit derivatives do not depend on epsilon either
+            bounds = efficiency_bounds(model, block.vf, config.theta0, report_times,
+                                       limit=limit)
 
-        for j, t in enumerate(res.report_times):
-            t = float(t)
-            if t not in bound_cache:
-                bound_cache[t] = efficiency_bounds(model, block.vf,
-                                                   config.theta0, t)
-                info_cache[t] = fisher_information(model, config.theta0,
-                                                   flow_full, t)
-            bound_y, bound_z = bound_cache[t]
-            info_t = info_cache[t]
+        for j, t in enumerate(report_times):
+            bound_y, bound_z = float(bounds[0][j]), float(bounds[1][j])
+            info_t = float(limit.info[j])
 
             err_y = res.y_hat[valid, j] - res.y_true[valid, j]
             err_z = res.z_hat[valid, j] - res.z_true[valid, j]
@@ -365,6 +368,7 @@ def run_monte_carlo(config: ExperimentConfig) -> ExperimentReport:
                 sd_ex = float(np.std(excess, ddof=1))
                 n_ex = excess.size
                 if sd_ex > 0:
+                    from scipy.special import ndtr
                     t_stat = mean_ex / (sd_ex / np.sqrt(n_ex))
                     p_val = float(1.0 - ndtr(t_stat))
                 else:

@@ -1,14 +1,16 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from snbsde import pde
+from snbsde import bsde, engine, estimation, pde
 from snbsde.bsde import (approximate_bsde, efficiency_bounds,
                          plugin_value_path, residual_decomposition)
 from snbsde.errors import ConfigurationError
-from snbsde.estimation import EstimationWindow, fisher_information
+from snbsde.estimation import EstimationWindow, limit_quantities
 from snbsde.grids import NoiseSource, TimeGrid
-from snbsde.models import simulate_forward, solve_limit_ode
+from snbsde.models import simulate_forward
 from snbsde.presets import build_preset
 from snbsde.value_functions import LinearValueFunction
 
@@ -117,9 +119,8 @@ def test_pde_bounds_take_one_characteristics_call(monkeypatch):
         lanes.clear()
         by, bz = efficiency_bounds(b.model, vf, 1.0, t)
         assert lanes == [6]
-        flow = solve_limit_ode(b.model, 1.0, TimeGrid(0.0, t, 2000))
-        x_t = float(flow.values[-1])
-        info = fisher_information(b.model, 1.0, flow, t)
+        limit = limit_quantities(b.model, 1.0, None, (t,))
+        x_t, info = float(limit.x[0]), float(limit.info[0])
 
         def lim(x, th):
             return real(b.model, b.driver, b.terminal.f, t, np.array([x]), np.array([th]))[0]
@@ -145,3 +146,61 @@ def test_plugin_path_freezes_pilot():
     redone = plugin_value_path(b.model, vf, X, window, eps,
                                theta_pilot=approx.trace.theta_pilot)
     npt.assert_allclose(default.values, redone.values, atol=1e-12)
+
+
+def test_efficiency_bounds_take_every_report_time_in_one_call():
+    # a sequence of times gives arrays, element for element the bounds of a
+    # shared pass read one time at a time
+    b = build_preset("custom-pde", {"drift_shape": "sine", "terminal": "cosine"})
+    vf = pde.theta_derivatives_by_bundle(b.model, b.driver, b.terminal.f, 1.0, 0.05,
+                                         pde.PdeGrid(-6.0, 8.0, 64, 1.0, 20))
+    times = (0.25, 0.5, 0.75)
+    limit = limit_quantities(b.model, 1.0, 0.1, times)
+    by, bz = efficiency_bounds(b.model, vf, 1.0, times, limit=limit)
+    assert by.shape == bz.shape == (3,)
+    for j, t in enumerate(times):
+        assert (by[j], bz[j]) == efficiency_bounds(b.model, vf, 1.0, t, limit=limit)
+    with pytest.raises(ConfigurationError):
+        efficiency_bounds(b.model, vf, 1.0, 0.3, limit=limit)
+
+
+def test_approximate_bsde_builds_one_table(monkeypatch):
+    # the pilot and the one-step read one theta table: its window flow twice
+    # (scan and nodes, rk4_sensitivity) and its information nodes once
+    # (flow_batch)
+    eps = 0.1
+    b, X, W, vf = _setup("square", eps, 29)
+    shared = approximate_bsde(b.model, vf, X, W, EstimationWindow(0.1), eps, theta0=1.0)
+    calls = {"tables": 0, "rk4_sensitivity": 0, "flow_batch": 0}
+    real_init = engine.ThetaTable.__init__
+
+    def init(self, *args, **kw):
+        calls["tables"] += 1
+        real_init(self, *args, **kw)
+
+    monkeypatch.setattr(engine.ThetaTable, "__init__", init)
+    for name in ("rk4_sensitivity", "flow_batch"):
+        real = getattr(engine, name)
+
+        def spy(*args, _name=name, _real=real, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(engine, name, spy)
+    approximate_bsde(b.model, vf, X, W, EstimationWindow(0.1), eps, theta0=1.0)
+    assert calls == {"tables": 1, "rk4_sensitivity": 2, "flow_batch": 1}
+
+    # the same call with a fresh table per stage gives every field bit for bit
+    real_mde, real_trace = estimation.mde_estimate, estimation.onestep_trace
+    monkeypatch.setattr(bsde, "mde_estimate",
+                        lambda model, X, delta, table=None: real_mde(model, X, delta))
+    monkeypatch.setattr(bsde, "onestep_trace",
+                        lambda *args, table=None: real_trace(*args))
+    calls["tables"] = 0
+    unshared = approximate_bsde(b.model, vf, X, W, EstimationWindow(0.1), eps, theta0=1.0)
+    assert calls["tables"] == 3
+    for f in dataclasses.fields(shared):
+        got, want = getattr(shared, f.name), getattr(unshared, f.name)
+        for g in dataclasses.fields(got):
+            assert np.array_equal(getattr(got, g.name), getattr(want, g.name)), \
+                f"{f.name}.{g.name}"

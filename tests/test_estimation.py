@@ -6,7 +6,7 @@ from snbsde import engine
 from snbsde.bsde import approximate_bsde
 from snbsde.errors import ConfigurationError, FlatObjectiveError, SingularInformationError
 from snbsde.estimation import (EstimationWindow, fisher_information,
-                               fisher_profile, full_mle,
+                               fisher_profile, full_mle, limit_quantities,
                                mde_asymptotic_variance, mde_estimate,
                                one_step_mle, onestep_error_limit,
                                onestep_trace, score_head)
@@ -169,7 +169,7 @@ def test_full_mle_flat_raises():
 def test_pilot_limit_variance_oracle():
     b = build_preset("linear-constant-drift")
     got = mde_asymptotic_variance(b.model, 1.0, 0.1)
-    assert abs(got - PILOT_LIMIT_VAR) < 1e-4
+    assert abs(got - PILOT_LIMIT_VAR) < 1e-7
     # never better than the likelihood limit on the same window
     grid = TimeGrid(0.0, 0.1, 500)
     flow = solve_limit_ode(b.model, 1.0, grid)
@@ -180,7 +180,54 @@ def test_pilot_limit_variance_oracle():
 def test_pilot_limit_variance_scales_with_sigma():
     b = build_preset("linear-constant-drift", {"sigma": 2.0})
     got = mde_asymptotic_variance(b.model, 1.0, 0.1)
-    assert abs(got - 4.0 * PILOT_LIMIT_VAR) < 4e-4
+    assert abs(got - 4.0 * PILOT_LIMIT_VAR) < 4e-7
+
+
+LIMIT_TIMES = (0.25, 0.5, 0.75)
+
+
+def test_limit_pass_constant_drift_oracle():
+    # I(theta0, t) = t / sigma^2 along any flow, and D^2 = 6 sigma^2 / (5 delta)
+    for sigma in (1.0, 2.0):
+        b = build_preset("linear-constant-drift", {"sigma": sigma})
+        for delta in (None, 0.1):
+            lim = limit_quantities(b.model, 1.0, delta, LIMIT_TIMES)
+            npt.assert_array_equal(lim.times, LIMIT_TIMES)
+            npt.assert_allclose(lim.info, np.array(LIMIT_TIMES) / sigma**2, rtol=1e-10, atol=0)
+            npt.assert_allclose(lim.x, np.array(LIMIT_TIMES), rtol=1e-10, atol=0)
+        assert abs(lim.d2 - PILOT_LIMIT_VAR * sigma**2) < 1e-7 * sigma**2
+
+
+def test_limit_pass_linear_ou_oracle():
+    # S = theta x from x0 = 1 with sigma = 1: x_t = e^{theta t} and
+    # I(theta, t) = (e^{2 theta t} - 1) / (2 theta)
+    b = build_preset("linear-ou")
+    t = np.array(LIMIT_TIMES)
+    for theta in (0.5, 1.0):
+        for delta in (None, 0.1):
+            lim = limit_quantities(b.model, theta, delta, t[::-1])
+            npt.assert_allclose(lim.x, np.exp(theta * t[::-1]), rtol=1e-10, atol=0)
+            npt.assert_allclose(lim.info, np.expm1(2.0 * theta * t[::-1]) / (2.0 * theta),
+                                rtol=1e-10, atol=0)
+    assert lim.index(0.5) == 1
+    with pytest.raises(ConfigurationError):
+        lim.index(0.3)
+    with pytest.raises(ConfigurationError):
+        limit_quantities(b.model, 0.5, 0.3, t)
+    assert limit_quantities(b.model, 0.5, None, t).d2 is None
+
+
+def test_scalar_api_reads_a_shared_table():
+    b = build_preset("linear-ou")
+    grid = TimeGrid(0.0, 1.0, 500)
+    X, _ = simulate_forward(b.model, 0.5, 0.05, grid, NoiseSource(41, 0))
+    table = engine.ThetaTable(b.model, grid, 0.1)
+    pilot = mde_estimate(b.model, X, 0.1, table=table)
+    assert pilot == mde_estimate(b.model, X, 0.1)
+    assert one_step_mle(b.model, pilot, X, 0.1, 0.5, 0.05, table=table) == \
+        one_step_mle(b.model, pilot, X, 0.1, 0.5, 0.05)
+    with pytest.raises(ConfigurationError):
+        onestep_trace(b.model, pilot, X, 0.2, 0.05, table=table)
 
 
 def test_error_limit_factor_constant_drift():

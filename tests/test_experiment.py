@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from snbsde import engine
+from snbsde import bsde, engine, estimation, experiment, models
 from snbsde.errors import ConfigurationError, DiagnosticError, ExperimentAbortedError
 from snbsde.experiment import (ExperimentConfig, _ks_uniform_p, config_to_dict,
                                normality_diagnostics, run_epsilon_block,
@@ -90,7 +90,7 @@ def test_monte_carlo_small_run():
     assert prow["t_stat"] > 3.0 and prow["p_value"] < 1e-3
 
     pil = rep.pilot_rows[0]
-    assert abs(pil["pilot_var_limit"] - 12.0) < 1e-4
+    assert abs(pil["pilot_var_limit"] - 12.0) < 1e-7
     assert 0.6 < pil["var_ratio"] < 1.4
 
     text = rep.summary_text()
@@ -154,6 +154,64 @@ def test_study_builds_its_table_once(monkeypatch):
     report = run_monte_carlo(config)
     assert calls == {"rk4_sensitivity": 2, "flow_batch": 1, "run_batch": 6}
     assert report.failures == {0.1: 0, 0.05: 0}
+
+
+def test_study_makes_one_limit_pass(monkeypatch):
+    # three report times, two noise levels: the theta0 limit quantities come
+    # from one pass, and no scalar limit flow is integrated
+    calls = {"pass": 0, "solve_limit_ode": 0}
+    real_pass, real_ode = estimation.limit_quantities, models.solve_limit_ode
+
+    def spy_pass(*args, **kw):
+        calls["pass"] += 1
+        return real_pass(*args, **kw)
+
+    def spy_ode(*args, **kw):
+        calls["solve_limit_ode"] += 1
+        return real_ode(*args, **kw)
+
+    for module in (estimation, bsde, experiment):
+        monkeypatch.setattr(module, "limit_quantities", spy_pass)
+    monkeypatch.setattr(models, "solve_limit_ode", spy_ode)
+    # no by-name import could bypass the spy
+    assert not hasattr(bsde, "solve_limit_ode") and not hasattr(experiment, "solve_limit_ode")
+    config = ExperimentConfig(**{**BASE, "epsilon_list": (0.1, 0.05),
+                                 "t_report": (0.25, 0.5, 0.75)})
+    report = run_monte_carlo(config)
+    assert calls == {"pass": 1, "solve_limit_ode": 0}
+    assert len(report.rows) == 6
+
+
+def test_row_bounds_and_variance_target_share_the_information(monkeypatch):
+    # boundY = udot^2 / I and the normality target 1/I read the same
+    # I(theta0, t) of the study's one pass
+    passes, targets = [], []
+    real_pass, real_diag = estimation.limit_quantities, experiment.normality_diagnostics
+
+    def spy_pass(*args, **kw):
+        passes.append(real_pass(*args, **kw))
+        return passes[-1]
+
+    def spy_diag(samples, target_variance):
+        targets.append(target_variance)
+        return real_diag(samples, target_variance)
+
+    monkeypatch.setattr(experiment, "limit_quantities", spy_pass)
+    monkeypatch.setattr(experiment, "normality_diagnostics", spy_diag)
+    config = ExperimentConfig(**{**BASE, "model": "linear-ou", "model_params": {},
+                                 "backend": "pde", "theta0": 0.5,
+                                 "pde_params": {"n_x": 64, "n_t": 50},
+                                 "t_report": (0.25, 0.5, 0.75)})
+    report = run_monte_carlo(config)
+    (limit,) = passes
+    vf = experiment.build_value_function(config.validate(), config, 0.1)
+    for j, row in enumerate(report.rows):
+        t = config.t_report[j]
+        info = float(limit.info[limit.index(t)])
+        udot, _ = vf.limit_theta_derivatives(t, float(limit.x[limit.index(t)]), 0.5)
+        assert targets[j] == 1.0 / info
+        assert row["boundY"] == float(udot) ** 2 / info
+    assert report.pilot_rows[0]["pilot_var_limit"] == limit.d2
 
 
 def test_abort_message_counts_rows_without_information():
