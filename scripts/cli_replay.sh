@@ -5,6 +5,9 @@
 # must match byte for byte.  The Monte Carlo subcommands (experiment,
 # delta-study) are also rerun in chunks of 7 replications, and their CSVs
 # must not move either: the chunking contract, checked through the CLI.
+# delta-study runs a second time with study.sup_stride=3, whose sup nodes
+# are not one contiguous range, so both ways the sup sweep reads its
+# columns are replayed.
 # The summary.txt of estimate is compared too: it holds delta_head, the only
 # output of the head score, and no wall time (the other summaries carry
 # wall_time_s, so they are not compared).
@@ -13,30 +16,40 @@
 set -euo pipefail
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 work="${1:-$(mktemp -d)}"
-for cmd in simulate estimate approximate pde-solve experiment delta-study; do
-    python -m snbsde.cli "$cmd" --output "$work/$cmd/run"
-    python -m snbsde.cli "$cmd" --config "$work/$cmd/run/echo.json" --output "$work/$cmd/replay"
-    reruns=(replay)
+
+# replay NAME CMD [ARGS...]: run CMD with ARGS into $work/NAME and check its reruns
+replay() {
+    local name=$1 cmd=$2
+    shift 2
+    local dir="$work/$name"
+    python -m snbsde.cli "$cmd" "$@" --output "$dir/run"
+    python -m snbsde.cli "$cmd" --config "$dir/run/echo.json" --output "$dir/replay"
+    local reruns=(replay)
     case "$cmd" in
         experiment|delta-study)
-            python -m snbsde.cli "$cmd" --set chunk_size=7 --output "$work/$cmd/chunk7"
+            python -m snbsde.cli "$cmd" "$@" --set chunk_size=7 --output "$dir/chunk7"
             reruns+=(chunk7)
             ;;
     esac
-    n=0
-    for csv in "$work/$cmd/run"/*.csv; do
+    local n=0 csv rerun
+    for csv in "$dir/run"/*.csv; do
         for rerun in "${reruns[@]}"; do
-            cmp "$csv" "$work/$cmd/$rerun/$(basename "$csv")"
+            cmp "$csv" "$dir/$rerun/$(basename "$csv")"
         done
         n=$((n + 1))
     done
     if [ "$n" -eq 0 ]; then
-        echo "$cmd wrote no CSV" >&2
+        echo "$name wrote no CSV" >&2
         exit 1
     fi
-    echo "$cmd: $n CSV file(s) matched byte for byte in: ${reruns[*]}"
+    echo "$name: $n CSV file(s) matched byte for byte in: ${reruns[*]}"
     if [ "$cmd" = estimate ]; then
-        cmp "$work/$cmd/run/summary.txt" "$work/$cmd/replay/summary.txt"
-        echo "$cmd: summary.txt matched byte for byte in: replay"
+        cmp "$dir/run/summary.txt" "$dir/replay/summary.txt"
+        echo "$name: summary.txt matched byte for byte in: replay"
     fi
+}
+
+for cmd in simulate estimate approximate pde-solve experiment delta-study; do
+    replay "$cmd" "$cmd"
 done
+replay delta-study-stride3 delta-study --set study.sup_stride=3

@@ -86,8 +86,7 @@ def approximate_bsde(model: ModelSpec, vf, X: Path, W: Path,
     if theta0 is None:
         return out
 
-    y_true, z_true = value_pair(model, vf, epsilon, t_arr, x_row,
-                                np.broadcast_to(theta0, x_row.shape))
+    y_true, z_true = value_pair(model, vf, epsilon, t_arr, x_row, theta0)
     xi, info0 = _limit_factor(limit_weights(model, theta0, X.grid),
                               np.diff(W.values)[None, :], np.arange(i, X.grid.n_steps + 1))
     if np.any(info0 < INFO_FLOOR):

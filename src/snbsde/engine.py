@@ -22,16 +22,21 @@ nodes.
 No stage integrates a limit flow per replication.  The flow depends on a row
 only through one scalar theta, so a ThetaTable samples what the engine reads
 of it (the window flow and its RK4 sensitivity on [0, delta], the
-information profile on [delta, T]) at Chebyshev points of theta_interval,
-and each row reads its values by barycentric interpolation: the pilot's
-Gauss-Newton passes at their trial values, the one-step at the pilot.  A
-study builds one table for its window and hands it to every block and chunk,
-and a block builds the flow at theta0 behind xi once for its chunks.  The
-table depends only on (model, grid, delta) and its contraction sums over the
-nodes in the same order for every row and column, so neither the chunking
-nor the set of columns read moves a bit.  A table part whose interpolant
-misses direct RK4 at its probe points (a drift not smooth in theta, or one
-that blows up near an edge of theta_interval) falls back to the RK4 per row.
+information profile) at Chebyshev points of theta_interval, and each row
+reads its values by barycentric interpolation: the pilot's Gauss-Newton
+passes at their trial values, the one-step at the pilot.  A study builds one
+table for its window and hands it to every block and chunk, and a block
+builds the flow at theta0 behind xi once for its chunks.  The window parts
+depend on (model, grid, delta), the information part on (model, grid) only:
+it holds whole-grid profiles, and the tables that ThetaTable.for_window
+derives for other windows share it, so a study over several windows
+integrates the information flow once.  Every contraction sums over the
+nodes in the same order for every row and column, so neither the chunking,
+the set of columns read nor the sharing moves a bit.  A table part whose
+interpolant misses direct RK4 at its probe points (a drift not smooth in
+theta, or one that blows up near an edge of theta_interval) falls back to
+the RK4 per row, and a scan candidate whose window RK4 diverges is never
+picked.
 
 Each stage is also the scalar API: `estimation` and `bsde` run these
 functions on the one-row batch holding an observed path, and `refine_scan`
@@ -47,7 +52,7 @@ import numpy as np
 from .errors import ConfigurationError, IntegrationDivergedError
 from .grids import TimeGrid, increment_rows
 from .models import (ModelSpec, broadcast_eval, _euler_maruyama, rk4_sensitivity,
-                     _rk4_values)
+                     _rk4_march, _rk4_values)
 
 # Element cap per value-function evaluation block; keeps the quadrature
 # work matrix (elements x nodes) around half a GB.
@@ -146,10 +151,11 @@ def refine_scan(cand: np.ndarray, obj: np.ndarray, first_step, evaluate):
     """Bracketed Gauss-Newton refinement of scanned 1-d minima, one per row.
 
     obj (k, len(cand)) holds each row's objective F at the increasing scan
-    candidates cand, which span the parameter interval [lo, hi].  A row whose
-    scan has no usable spread is flat.  Otherwise its minimum is bracketed
-    between the neighbours of its best candidate and refined inside that
-    bracket, one lockstep pass over the rows still moving:
+    candidates cand, which span the parameter interval [lo, hi]; an infinite
+    F (a candidate whose flow diverged) is never picked.  A row whose finite
+    scan values have no usable spread is flat.  Otherwise its minimum is
+    bracketed between the neighbours of its best candidate and refined inside
+    that bracket, one lockstep pass over the rows still moving:
     first_step(best) gives each row's step at its best candidate, and
     evaluate(idx, thetas) the pair (F, step) of the rows idx at their trial
     values.  A step that raises F by more than the scan's flatness threshold,
@@ -162,8 +168,10 @@ def refine_scan(cand: np.ndarray, obj: np.ndarray, first_step, evaluate):
     """
     lo, hi = cand[0], cand[-1]
     half_tol = 0.5 * (hi - lo) * REFINE_FACTOR
-    top = obj.max(axis=1)
-    flat = ~(top - obj.min(axis=1) > _resolution(top))
+    # the spread of the finite candidates; an infinite one is never picked
+    finite = np.isfinite(obj)
+    top = np.max(obj, axis=1, where=finite, initial=-np.inf)
+    flat = ~(top - np.min(obj, axis=1, where=finite, initial=np.inf) > _resolution(top))
 
     best = np.argmin(obj, axis=1)
     a = cand[np.maximum(best - 1, 0)]
@@ -233,15 +241,20 @@ class ThetaTable:
 
     The flow depends on a replication only through one scalar theta, so the
     window flow and its RK4 sensitivity on [0, delta] and the information
-    profile on [delta, T] are sampled at TABLE_NODES Chebyshev points of the
-    closed theta_interval and read back by barycentric interpolation
-    (Trefethen, Approximation Theory and Approximation Practice, ch. 5).
-    `scan` holds the pilot's scan candidates with their exact window flow and
-    sensitivity.  Each part is built on first use and then kept, so a study
-    that hands one table to all its blocks and chunks builds each part once,
-    and a single path builds only the parts it reads.  The content depends
-    only on (model, grid, delta), never on the replications, so a row's
-    numbers do not depend on the chunk or block it runs in.
+    profile are sampled at TABLE_NODES Chebyshev points of the closed
+    theta_interval and read back by barycentric interpolation (Trefethen,
+    Approximation Theory and Approximation Practice, ch. 5).  `scan` holds
+    the pilot's scan candidates with their exact window flow and sensitivity.
+    Each part is built on first use and then kept, so a study that hands one
+    table to all its blocks and chunks builds each part once, and a single
+    path builds only the parts it reads.  The content depends only on
+    (model, grid, delta), never on the replications, so a row's numbers do
+    not depend on the chunk or block it runs in.
+
+    The information part depends on (model, grid) only: it holds the whole
+    profiles on [0, T], and `node_info` is its view on [delta, T].  The
+    tables that `for_window` derives for other windows share it, so a study
+    over several windows integrates the information flow once.
 
     A node part is checked when it is built: its interpolant at the
     TABLE_PROBES fractions of theta_interval must match direct RK4 within
@@ -258,6 +271,19 @@ class ThetaTable:
         self.i_delta = grid.node_index(delta)
         self.wgrid = grid.prefix(delta)
         self.nodes = _chebyshev_points(*model.theta_interval, TABLE_NODES)
+        # the parts of (model, grid) alone, shared with the tables of for_window
+        self._grid_parts = {}
+
+    def for_window(self, delta: float) -> "ThetaTable":
+        """The table of (model, grid, delta), sharing this one's information
+        part.  The part is built here if it is not yet, before the window's
+        block allocates its path-sized arrays, so the part that outlives the
+        block is not allocated among them: built inside the first block, it
+        raised the window study's peak RSS by 0.9 MB at one seed."""
+        self.grid_info
+        table = ThetaTable(self.model, self.grid, delta)
+        table._grid_parts = self._grid_parts
+        return table
 
     def _direct_window(self, thetas):
         x, xdot = rk4_sensitivity(self.model, thetas, self.wgrid)
@@ -265,7 +291,7 @@ class ThetaTable:
 
     def _direct_info(self, thetas):
         flows = flow_batch(self.model, thetas, self.grid)
-        return (fisher_profile_batch(self.model, thetas, flows, self.grid)[:, self.i_delta:],)
+        return (fisher_profile_batch(self.model, thetas, flows, self.grid),)
 
     def _checked(self, direct):
         lo, hi = self.model.theta_interval
@@ -282,21 +308,37 @@ class ThetaTable:
 
     @cached_property
     def scan(self):
-        """(candidates, flow, sensitivity): SCAN_POINTS points spanning the
-        closed theta_interval and their (SCAN_POINTS, i+1) window rows."""
+        """(candidates, flow, sensitivity, ok): SCAN_POINTS points spanning
+        the closed theta_interval, their (SCAN_POINTS, i+1) window rows, and
+        whether each candidate's window RK4 stayed finite; the rows of the
+        others are not finite."""
         cand = np.linspace(*self.model.theta_interval, SCAN_POINTS)
-        return (cand,) + self._direct_window(cand)
+        try:
+            return (cand,) + self._direct_window(cand) + (np.ones(SCAN_POINTS, bool),)
+        except IntegrationDivergedError:
+            x, xdot, finite = _rk4_march(self.model, cand, self.wgrid, True)
+        return (cand, np.ascontiguousarray(x.T), np.ascontiguousarray(xdot.T),
+                finite.all(axis=0))
 
     @cached_property
     def node_window(self):
         """(flow, sensitivity) rows (K, i+1) at the nodes, or None."""
         return self._checked(self._direct_window)
 
-    @cached_property
+    @property
+    def grid_info(self):
+        """Information rows (K, n+1) at the nodes on the whole grid, or None;
+        built once for every table sharing it."""
+        if "info" not in self._grid_parts:
+            part = self._checked(self._direct_info)
+            self._grid_parts["info"] = None if part is None else part[0]
+        return self._grid_parts["info"]
+
+    @property
     def node_info(self):
-        """Information rows (K, n+1-i) at the nodes, or None."""
-        part = self._checked(self._direct_info)
-        return None if part is None else part[0]
+        """Information rows (K, n+1-i) at the nodes on [delta, T], or None."""
+        info = self.grid_info
+        return None if info is None else info[:, self.i_delta:]
 
     def window(self, thetas: np.ndarray):
         """Window flow and its RK4 sensitivity at thetas, C-ordered (k, i+1) rows."""
@@ -309,10 +351,10 @@ class ThetaTable:
         """Information profiles at thetas on the grid nodes cols of [delta, T]
         (all of them by default), (k, len(cols)) rows: bit for bit those
         columns of the whole profiles."""
-        sel = slice(None) if cols is None else np.asarray(cols) - self.i_delta
-        if self.node_info is None:
+        sel = slice(self.i_delta, None) if cols is None else np.asarray(cols)
+        if self.grid_info is None:
             return self._direct_info(thetas)[0][:, sel]
-        return _contract(_barycentric_rows(self.nodes, thetas), self.node_info[:, sel])
+        return _contract(_barycentric_rows(self.nodes, thetas), self.grid_info[:, sel])
 
 
 def _table_for(model: ModelSpec, grid: TimeGrid, delta: float,
@@ -346,10 +388,11 @@ def pilot_batch(model: ModelSpec, X: np.ndarray, grid: TimeGrid, delta: float,
     xw = X[:, : i + 1]
     w = _trapezoid_weights(i + 1, table.wgrid.h)
 
-    cand, flows, sens = table.scan
-    obj = np.empty((X.shape[0], SCAN_POINTS))
+    cand, flows, sens, ok = table.scan
+    # a candidate whose window flow diverges is never the best one
+    obj = np.full((X.shape[0], SCAN_POINTS), np.inf)
     buf = np.empty(xw.shape)  # w (xw - flow)^2 of one candidate, built in place
-    for j in range(SCAN_POINTS):
+    for j in np.flatnonzero(ok):
         np.square(np.subtract(xw, flows[j], out=buf), out=buf)
         obj[:, j] = np.sum(np.multiply(w, buf, out=buf), axis=1)
 
@@ -499,20 +542,31 @@ class BatchResult:
 
 
 def _blocked_value(vf, method, t_nodes, x_rows, theta_rows):
-    """Evaluate a value-function method over (M, K) arrays in bounded blocks."""
+    """Evaluate a value-function method over (M, K) arrays in bounded blocks;
+    theta_rows may also be one scalar theta for every element."""
     m, k = x_rows.shape
     out = np.empty((m, k))
     rows_per_block = max(1, EVAL_BLOCK // max(k, 1))
     fn = getattr(vf, method)
     for lo in range(0, m, rows_per_block):
         hi = min(lo + rows_per_block, m)
-        out[lo:hi] = fn(t_nodes[None, :], x_rows[lo:hi], theta_rows[lo:hi])
+        th = theta_rows if np.ndim(theta_rows) == 0 else theta_rows[lo:hi]
+        out[lo:hi] = fn(t_nodes[None, :], x_rows[lo:hi], th)
     return out
+
+
+def _columns(idx: np.ndarray):
+    """Increasing column indices idx as a slice when they are a contiguous
+    range, so reading them is a view rather than a copy."""
+    if idx.size and idx[-1] - idx[0] == idx.size - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
 def value_pair(model: ModelSpec, vf, epsilon: float, t_nodes: np.ndarray,
                x_rows: np.ndarray, theta_rows: np.ndarray):
-    """(Y, Z) = (u, epsilon sigma u_x) at (t_nodes, x_rows, theta_rows), (M, K) each."""
+    """(Y, Z) = (u, epsilon sigma u_x) at (t_nodes, x_rows, theta_rows), (M, K)
+    each; theta_rows may be one scalar theta."""
     sig = broadcast_eval(model.diffusion(t_nodes[None, :], x_rows), x_rows.shape)
     y = _blocked_value(vf, "value", t_nodes, x_rows, theta_rows)
     z = epsilon * sig * _blocked_value(vf, "value_x", t_nodes, x_rows, theta_rows)
@@ -528,9 +582,8 @@ def residual_pair(model: ModelSpec, vf, theta0: float, epsilon: float,
         r_Y = (Y_hat - Y - eps udot xi) / eps,
         r_Z = (Z_hat - Z - eps^2 sigma udot_x xi) / eps^2.
     """
-    th0 = np.broadcast_to(theta0, x_rows.shape)
-    udot = _blocked_value(vf, "value_theta", t_nodes, x_rows, th0)
-    udot_x = _blocked_value(vf, "value_theta_x", t_nodes, x_rows, th0)
+    udot = _blocked_value(vf, "value_theta", t_nodes, x_rows, theta0)
+    udot_x = _blocked_value(vf, "value_theta_x", t_nodes, x_rows, theta0)
     sig = broadcast_eval(model.diffusion(t_nodes[None, :], x_rows), x_rows.shape)
     r_y = (y_err - epsilon * udot * xi) / epsilon
     r_z = (z_err - epsilon**2 * sig * udot_x * xi) / epsilon**2
@@ -599,7 +652,9 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
     """Full pipeline for one block of replications.
 
     sup_stride > 0 additionally tracks sup |Y_hat - Y| over every
-    sup_stride-th node of [delta, T].
+    sup_stride-th node of [delta, T], in blocks of nodes: a block that is a
+    contiguous range (every block at sup_stride = 1) reads X and the one-step
+    as views, and Y reads theta0 as one scalar.
 
     table is the ThetaTable of (model, grid, delta) and limit is
     limit_weights(model, theta0, grid); a caller running many chunks or
@@ -648,8 +703,7 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
     x_rep = X[:, r_idx]
     th_rep = theta_cols[:, rep]
     y_hat, z_hat = value_pair(model, vf, epsilon, t_rep, x_rep, th_rep)
-    y_true, z_true = value_pair(model, vf, epsilon, t_rep, x_rep,
-                                np.broadcast_to(theta0, th_rep.shape))
+    y_true, z_true = value_pair(model, vf, epsilon, t_rep, x_rep, theta0)
 
     y_plugin = None
     if plugin:
@@ -665,7 +719,7 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
     t_T = grid.times[-1:]
     x_T = X[:, -1:]
     y_hat_T = _blocked_value(vf, "value", t_T, x_T, theta_cols[:, -1:])
-    phi_T = _blocked_value(vf, "value", t_T, x_T, np.broadcast_to(theta0, x_T.shape))
+    phi_T = _blocked_value(vf, "value", t_T, x_T, theta0)
     terminal_abs_err = np.abs(y_hat_T[:, 0] - phi_T[:, 0])
 
     sup_err = None
@@ -675,11 +729,11 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
         for lo_c in range(0, sup_nodes.size, cols_per_block):
             sel = sup_nodes[lo_c: lo_c + cols_per_block]
             t_sel = grid.times[sel]
-            x_sel = X[:, sel]
-            th_sel = theta_cols[:, np.searchsorted(cols, sel)]
-            yh = _blocked_value(vf, "value", t_sel, x_sel, th_sel)
-            yt = _blocked_value(vf, "value", t_sel, x_sel, np.broadcast_to(theta0, th_sel.shape))
-            sup_err = np.maximum(sup_err, np.max(np.abs(yh - yt), axis=1))
+            x_sel = X[:, _columns(sel)]
+            yh = _blocked_value(vf, "value", t_sel, x_sel,
+                                theta_cols[:, _columns(np.searchsorted(cols, sel))])
+            yh -= _blocked_value(vf, "value", t_sel, x_sel, theta0)
+            np.maximum(sup_err, np.max(np.abs(yh, out=yh), axis=1), out=sup_err)
 
     failed = diverged | flat | info_bad
     return BatchResult(

@@ -440,6 +440,8 @@ def shrinking_window_study(config: ExperimentConfig,
     the remaining schedules each requested delta is snapped to the nearest
     grid node (windows below MIN_WINDOW_NODES steps are skipped) and the 95th
     percentile of sup |Y_hat - Y| over [delta, T] is tracked per noise level.
+    Every window's engine.ThetaTable comes from ThetaTable.for_window of one
+    study table, so the study integrates the information flow once.
     """
     t_start = time.perf_counter()
     bundle = config.validate()
@@ -459,6 +461,8 @@ def shrinking_window_study(config: ExperimentConfig,
     rows: List[dict] = []
     contracted: Dict[str, bool] = {}
     eps_list = tuple(float(e) for e in config.epsilon_list)
+    # one table per window, all sharing the information part of (model, grid)
+    tables = engine.ThetaTable(bundle.model, grid, config.delta)
 
     for s_idx, (name, kappa, fn) in enumerate(schedules):
         deltas = [fn(e) for e in eps_list]
@@ -488,7 +492,7 @@ def shrinking_window_study(config: ExperimentConfig,
                 block = run_epsilon_block(
                     bundle, config, eps, (s_idx + 1) << 20 | e_idx,
                     delta=d_snap, report_times=(grid.t_end,),
-                    sup_stride=sup_stride)
+                    sup_stride=sup_stride, table=tables.for_window(d_snap))
                 res = block.result
                 valid = ~res.failed
                 q95 = float(np.percentile(res.sup_abs_y_err[valid], 95.0))

@@ -156,14 +156,16 @@ def validate_model(model: ModelSpec, n_samples: int = 5, rel_tol: float = 1e-5) 
                     raise ModelValidationError("drift violates declared Lipschitz bound in x")
 
 
-def _rk4(model: ModelSpec, theta, grid: TimeGrid, sensitivity: bool, x_start=None):
+def _rk4_march(model: ModelSpec, theta, grid: TimeGrid, sensitivity: bool, x_start=None):
     """Lockstep RK4 of the limit ODE from x_start (x0 by default) at the
     start of the grid, optionally with its theta-derivative.
 
     With sensitivity, the same four stages are applied to
     xdot' = S_x(theta, t, x) xdot + S_theta(theta, t, x), xdot_0 = 0, which is
-    the exact derivative in theta of the discrete RK4 flow.  Finiteness is
-    checked once after the loop; the first non-finite node raises.
+    the exact derivative in theta of the discrete RK4 flow.  A lane that
+    diverges runs on without touching the others.  Returns (x, xdot, finite):
+    xdot is None without sensitivity, and finite, shaped (n,) + theta.shape,
+    marks the nodes after the start where x (and xdot) are finite.
     """
     theta = np.asarray(theta, dtype=float)
     times = grid.times
@@ -203,17 +205,22 @@ def _rk4(model: ModelSpec, theta, grid: TimeGrid, sensitivity: bool, x_start=Non
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             out[k + 1] = x
     finite = np.isfinite(out[1:])
-    if sensitivity:
-        finite &= np.isfinite(dout[1:])
+    if not sensitivity:
+        return out, None, finite
+    finite &= np.isfinite(dout[1:])
+    return out, dout, finite
+
+
+def _rk4(model: ModelSpec, theta, grid: TimeGrid, sensitivity: bool, x_start=None):
+    """_rk4_march, raising IntegrationDivergedError at the first non-finite node."""
+    out, dout, finite = _rk4_march(model, theta, grid, sensitivity, x_start)
     if not finite.all():
         node = 1 + int(np.argmin(finite.reshape(grid.n_steps, -1).all(axis=1)))
         raise IntegrationDivergedError(
-            f"limit ODE diverged at node {node} (t={times[node]:.6g})",
+            f"limit ODE diverged at node {node} (t={grid.times[node]:.6g})",
             node_index=node,
         )
-    if sensitivity:
-        return out, dout
-    return out
+    return (out, dout) if sensitivity else out
 
 
 def _rk4_values(model: ModelSpec, theta, grid: TimeGrid, x_start=None):

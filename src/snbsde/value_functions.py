@@ -184,22 +184,25 @@ class LinearValueFunction:
 
     # -- kernel pieces -----------------------------------------------------
 
-    def _shift_and_sd(self, t, theta):
-        s = self.spec
-        tau = s.horizon - np.asarray(t, dtype=float)
-        shift = (np.asarray(theta, dtype=float) + self.epsilon * s.sigma * s.gamma) * tau
-        sd = self.epsilon * s.sigma * np.sqrt(np.maximum(tau, 0.0))
-        return tau, shift, sd
-
     def _kernel(self, order, t, x, theta):
-        """e^{beta tau} E[Phi^(order)(x + shift - N)] with the terminal convention at t = T."""
-        terminal = self.spec.terminal
-        t = np.asarray(t, dtype=float)
+        """e^{beta tau} E[Phi^(order)(x + shift - N)], tau = T - t, with
+        shift = (theta + eps sigma gamma) tau and N ~ Normal(0, (eps sigma)^2 tau),
+        and the terminal convention Phi^(order)(x) at t = T.
+
+        tau, the sd of N, e^{beta tau} and the t = T test are formed on t's
+        own shape (one row of times in the engine) and the shift on the
+        shape of t and theta; only the mean x + shift and the product with
+        the expectation take the full broadcast shape.  Each element sees the
+        same operations as on fully broadcast arguments, so the bits do not
+        depend on the shapes passed.
+        """
+        s = self.spec
+        terminal = s.terminal
+        tau = s.horizon - np.asarray(t, dtype=float)
+        sd = self.epsilon * s.sigma * np.sqrt(np.maximum(tau, 0.0))
         x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        t, x, theta = np.broadcast_arrays(t, x, theta)
-        tau, shift, sd = self._shift_and_sd(t, theta)
-        out = np.exp(self.spec.beta * tau) * terminal.expect(order, x + shift, sd)
+        mean = x + (np.asarray(theta, dtype=float) + self.epsilon * s.sigma * s.gamma) * tau
+        out = np.exp(s.beta * tau) * terminal.expect(order, mean, sd)
         at_T = tau <= 0.0
         if np.any(at_T):
             out = np.where(at_T, np.asarray(terminal.derivative(order)(x), dtype=float), out)

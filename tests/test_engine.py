@@ -112,6 +112,50 @@ def test_sup_columns_move_no_other_output(name, params, theta0):
             assert np.array_equal(getattr(lean, f.name), getattr(full, f.name)), f.name
 
 
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("name,params,theta0", [
+    ("linear-constant-drift", {}, 1.0),
+    ("custom-pde", {"drift_shape": "sine"}, 1.0)], ids=["constant", "sine"])
+def test_sup_sweep_on_views_matches_gathered_copies(monkeypatch, name, params, theta0, stride):
+    # the sup sweep reads contiguous node ranges of X and of the one-step as
+    # views and passes theta0 as a scalar; it must give sup |Y_hat - Y| bit
+    # for bit as copies gathered by fancy indexing with theta0 broadcast to
+    # every element, and read views exactly when the sup nodes are a range
+    eps = 0.05
+    b = build_preset(name, params)
+    grid = TimeGrid(0.0, 1.0, 200)
+    vf = _vf_for(b, eps)
+    args = (b.model, vf, theta0, eps, grid, 0.1, (0.5, 1.0), SEED, range(8))
+    paths, views = [], []
+    real_simulate, real_value = engine.simulate_batch, engine._blocked_value
+
+    def simulate(*a, **kw):
+        out = real_simulate(*a, **kw)
+        paths.append(out[0])
+        return out
+
+    def value(vf, method, t_nodes, x_rows, theta_rows):
+        if t_nodes.size > 2:  # a sup block; the report and terminal reads have 1-2 nodes
+            views.append(np.shares_memory(x_rows, paths[-1]))
+        return real_value(vf, method, t_nodes, x_rows, theta_rows)
+
+    monkeypatch.setattr(engine, "simulate_batch", simulate)
+    monkeypatch.setattr(engine, "_blocked_value", value)
+    got = run_batch(*args, sup_stride=stride)
+    assert views == [stride == 1] * 2
+
+    def gathered(vf, method, t_nodes, x_rows, theta_rows):
+        th = np.broadcast_to(theta_rows, x_rows.shape) if np.ndim(theta_rows) == 0 else theta_rows
+        return real_value(vf, method, t_nodes, x_rows, th)
+
+    monkeypatch.setattr(engine, "_columns", lambda idx: idx)
+    monkeypatch.setattr(engine, "_blocked_value", gathered)
+    want = run_batch(*args, sup_stride=stride)
+    assert not np.any(got.failed)
+    assert np.array_equal(got.sup_abs_y_err, want.sup_abs_y_err)
+    assert np.all(got.sup_abs_y_err > 0.0)
+
+
 def test_residuals_feed_nothing_else():
     # the limiting factor xi is built only for the residuals, so leaving them
     # out must leave every other output bit for bit the same
@@ -737,3 +781,22 @@ def test_theta_table_survives_a_flow_that_diverges_near_an_edge():
                     range(6), table=table)
     assert not np.any(res.failed)
     assert np.all(np.abs(res.theta_onestep - 0.5) < 0.5)
+
+
+# S = theta x^2 from x0 = 1 on theta_interval (0.5, 40): the flow
+# 1 / (1 - theta t) blows up inside the window [0, 0.1] for every theta > 10
+STEEP = dataclasses.replace(BLOWUP, theta_interval=(0.5, 40.0), horizon=0.2)
+
+
+def test_pilot_never_picks_a_scan_candidate_whose_window_flow_diverges():
+    grid = TimeGrid(0.0, 0.2, 200)
+    table = engine.ThetaTable(STEEP, grid, 0.1)
+    cand, _, _, ok = table.scan
+    with pytest.raises(IntegrationDivergedError):
+        rk4_sensitivity(STEEP, cand, table.wgrid)
+    assert np.array_equal(ok, cand < 10.0)
+    X, _, diverged = simulate_batch(STEEP, 1.0, 0.05, grid, SEED, range(8))
+    assert not np.any(diverged)
+    theta, flat = pilot_batch(STEEP, X, grid, 0.1, table)
+    assert not np.any(flat)
+    assert np.all(np.abs(theta - 1.0) < 0.5)

@@ -272,6 +272,41 @@ def test_shrinking_window_study_structure(tmp_path):
         shrinking_window_study(cfg, kappa_list=(0.0,))
 
 
+# three windows of the eps2-log schedule (92, 30 and 6 nodes); power-3 is flagged
+WINDOWS = dict(BASE, epsilon_list=(0.1, 0.05, 0.02), t_report=(1.0,), n_steps=4000,
+               n_replications=100, base_seed=7)
+
+
+def test_window_study_integrates_the_information_once(monkeypatch):
+    calls = _count_calls(monkeypatch, engine, ("flow_batch", "run_batch"))
+    study = shrinking_window_study(ExperimentConfig(**WINDOWS), kappa_list=(3.0,))
+    assert [r["ran"] for r in study.rows] == [True] * 3 + [False] * 3
+    assert calls == {"flow_batch": 1, "run_batch": 3}
+
+
+def test_window_tables_share_the_information_bit_for_bit(monkeypatch):
+    # each window's block, reading the study's shared information part, must
+    # be bit for bit the block that builds a table for its window alone
+    config = ExperimentConfig(**WINDOWS)
+    blocks = []
+    real = experiment.run_epsilon_block
+
+    def spy(*args, **kw):
+        blocks.append((args, kw, real(*args, **kw)))
+        return blocks[-1][2]
+
+    monkeypatch.setattr(experiment, "run_epsilon_block", spy)
+    shrinking_window_study(config, kappa_list=(3.0,))
+    assert len(blocks) == 3
+    tables = [kw["table"] for _, kw, _ in blocks]
+    assert all(t.grid_info is tables[0].grid_info is not None for t in tables)
+    for args, kw, block in blocks:
+        alone = real(*args, **{**kw, "table": None}).result
+        for f in dataclasses.fields(engine.BatchResult):
+            got, want = getattr(block.result, f.name), getattr(alone, f.name)
+            assert (got is None and want is None) or np.array_equal(got, want), f.name
+
+
 def test_config_round_trip():
     d = config_to_dict(ExperimentConfig(**BASE))
     assert config_to_dict(ExperimentConfig(**d)) == d
