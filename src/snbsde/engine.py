@@ -52,7 +52,7 @@ import numpy as np
 from .errors import ConfigurationError, IntegrationDivergedError
 from .grids import TimeGrid, increment_rows
 from .models import (ModelSpec, broadcast_eval, _euler_maruyama, rk4_sensitivity,
-                     _rk4_march, _rk4_values)
+                     _rk4_values)
 
 # Element cap per value-function evaluation block; keeps the quadrature
 # work matrix (elements x nodes) around half a GB.
@@ -151,11 +151,11 @@ def refine_scan(cand: np.ndarray, obj: np.ndarray, first_step, evaluate):
     """Bracketed Gauss-Newton refinement of scanned 1-d minima, one per row.
 
     obj (k, len(cand)) holds each row's objective F at the increasing scan
-    candidates cand, which span the parameter interval [lo, hi]; an infinite
-    F (a candidate whose flow diverged) is never picked.  A row whose finite
-    scan values have no usable spread is flat.  Otherwise its minimum is
-    bracketed between the neighbours of its best candidate and refined inside
-    that bracket, one lockstep pass over the rows still moving:
+    candidates cand, which span the parameter interval [lo, hi]; F = +inf
+    (a candidate whose flow diverged) is never picked.  A row whose other
+    scan values have no usable spread, or hold a NaN, is flat.  Otherwise its
+    minimum is bracketed between the neighbours of its best candidate and
+    refined inside that bracket, one lockstep pass over the rows still moving:
     first_step(best) gives each row's step at its best candidate, and
     evaluate(idx, thetas) the pair (F, step) of the rows idx at their trial
     values.  A step that raises F by more than the scan's flatness threshold,
@@ -168,10 +168,11 @@ def refine_scan(cand: np.ndarray, obj: np.ndarray, first_step, evaluate):
     """
     lo, hi = cand[0], cand[-1]
     half_tol = 0.5 * (hi - lo) * REFINE_FACTOR
-    # the spread of the finite candidates; an infinite one is never picked
-    finite = np.isfinite(obj)
-    top = np.max(obj, axis=1, where=finite, initial=-np.inf)
-    flat = ~(top - np.min(obj, axis=1, where=finite, initial=np.inf) > _resolution(top))
+    # the spread of the candidates below +inf, which is never picked; a NaN
+    # makes the spread NaN, so its row is flat
+    kept = obj != np.inf
+    top = np.max(obj, axis=1, where=kept, initial=-np.inf)
+    flat = ~(top - np.min(obj, axis=1, where=kept, initial=np.inf) > _resolution(top))
 
     best = np.argmin(obj, axis=1)
     a = cand[np.maximum(best - 1, 0)]
@@ -271,18 +272,13 @@ class ThetaTable:
         self.i_delta = grid.node_index(delta)
         self.wgrid = grid.prefix(delta)
         self.nodes = _chebyshev_points(*model.theta_interval, TABLE_NODES)
-        # the parts of (model, grid) alone, shared with the tables of for_window
-        self._grid_parts = {}
+        # the table that builds the information part, None for this one
+        self._info_owner = None
 
     def for_window(self, delta: float) -> "ThetaTable":
-        """The table of (model, grid, delta), sharing this one's information
-        part.  The part is built here if it is not yet, before the window's
-        block allocates its path-sized arrays, so the part that outlives the
-        block is not allocated among them: built inside the first block, it
-        raised the window study's peak RSS by 0.9 MB at one seed."""
-        self.grid_info
+        """The table of (model, grid, delta), sharing this one's information part."""
         table = ThetaTable(self.model, self.grid, delta)
-        table._grid_parts = self._grid_parts
+        table._info_owner = self._info_owner or self
         return table
 
     def _direct_window(self, thetas):
@@ -313,26 +309,22 @@ class ThetaTable:
         whether each candidate's window RK4 stayed finite; the rows of the
         others are not finite."""
         cand = np.linspace(*self.model.theta_interval, SCAN_POINTS)
-        try:
-            return (cand,) + self._direct_window(cand) + (np.ones(SCAN_POINTS, bool),)
-        except IntegrationDivergedError:
-            x, xdot, finite = _rk4_march(self.model, cand, self.wgrid, True)
-        return (cand, np.ascontiguousarray(x.T), np.ascontiguousarray(xdot.T),
-                finite.all(axis=0))
+        x, xdot, ok = rk4_sensitivity(self.model, cand, self.wgrid, mask=True)
+        return cand, np.ascontiguousarray(x.T), np.ascontiguousarray(xdot.T), ok
 
     @cached_property
     def node_window(self):
         """(flow, sensitivity) rows (K, i+1) at the nodes, or None."""
         return self._checked(self._direct_window)
 
-    @property
+    @cached_property
     def grid_info(self):
         """Information rows (K, n+1) at the nodes on the whole grid, or None;
-        built once for every table sharing it."""
-        if "info" not in self._grid_parts:
-            part = self._checked(self._direct_info)
-            self._grid_parts["info"] = None if part is None else part[0]
-        return self._grid_parts["info"]
+        built once, by the table that owns it, for every table sharing it."""
+        if self._info_owner is not None:
+            return self._info_owner.grid_info
+        part = self._checked(self._direct_info)
+        return None if part is None else part[0]
 
     @property
     def node_info(self):

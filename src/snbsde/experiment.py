@@ -461,7 +461,8 @@ def shrinking_window_study(config: ExperimentConfig,
     rows: List[dict] = []
     contracted: Dict[str, bool] = {}
     eps_list = tuple(float(e) for e in config.epsilon_list)
-    # one table per window, all sharing the information part of (model, grid)
+    # owns the information part of (model, grid) that every window's table
+    # shares; its own window parts are never read, so never built
     tables = engine.ThetaTable(bundle.model, grid, config.delta)
 
     for s_idx, (name, kappa, fn) in enumerate(schedules):

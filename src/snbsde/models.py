@@ -232,10 +232,15 @@ def _rk4_values(model: ModelSpec, theta, grid: TimeGrid, x_start=None):
     return _rk4(model, theta, grid, False, x_start)
 
 
-def rk4_sensitivity(model: ModelSpec, theta, grid: TimeGrid):
+def rk4_sensitivity(model: ModelSpec, theta, grid: TimeGrid, mask: bool = False):
     """RK4 flow and its exact theta-derivative, (x, xdot), each shaped as
-    _rk4_values returns them."""
-    return _rk4(model, theta, grid, True)
+    _rk4_values returns them.  With mask, a lane that diverges raises
+    nothing: the call returns (x, xdot, ok), ok shaped as theta and true
+    where the lane stayed finite at every node."""
+    if not mask:
+        return _rk4(model, theta, grid, True)
+    x, xdot, finite = _rk4_march(model, theta, grid, True)
+    return x, xdot, finite.all(axis=0)
 
 
 def solve_limit_ode(model: ModelSpec, theta: float, grid: TimeGrid) -> Path:

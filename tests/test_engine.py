@@ -783,6 +783,16 @@ def test_theta_table_survives_a_flow_that_diverges_near_an_edge():
     assert np.all(np.abs(res.theta_onestep - 0.5) < 0.5)
 
 
+def test_refine_scan_skips_infinite_candidates_and_flags_nan_rows():
+    cand = np.linspace(0.0, 1.0, 5)
+    obj = np.array([[np.inf, 1.0, 3.0, 2.0, 4.0],
+                    [5.0, 3.0, np.nan, 2.0, 4.0]])
+    theta, flat = engine.refine_scan(cand, obj, lambda best: np.zeros(best.size),
+                                     lambda idx, thetas: (obj[idx, 0], 0.0 * thetas))
+    assert flat.tolist() == [False, True]
+    assert theta.tolist() == [0.25, 0.5]
+
+
 # S = theta x^2 from x0 = 1 on theta_interval (0.5, 40): the flow
 # 1 / (1 - theta t) blows up inside the window [0, 0.1] for every theta > 10
 STEEP = dataclasses.replace(BLOWUP, theta_interval=(0.5, 40.0), horizon=0.2)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -164,6 +166,20 @@ def test_full_mle_flat_raises():
     X, _ = simulate_forward(_flat_model(), 1.0, 0.1, grid, NoiseSource(3, 0))
     with pytest.raises(FlatObjectiveError):
         full_mle(_flat_model(), X, 1.0, 0.1)
+
+
+def test_full_mle_nan_candidate_raises():
+    # a drift that is NaN at the first scan candidate leaves the likelihood
+    # without a usable spread, rather than handing back a NaN estimate
+    lo = 0.1
+    model = dataclasses.replace(
+        _flat_model(), drift=lambda th, t, x: np.where(th == lo, np.nan, th) + 0.0 * x,
+        drift_dtheta=lambda th, t, x: 1.0 + 0.0 * x + 0.0 * th)
+    assert model.theta_interval[0] == lo
+    grid = TimeGrid(0.0, 1.0, 100)
+    X, _ = simulate_forward(model, 1.0, 0.1, grid, NoiseSource(3, 0))
+    with pytest.raises(FlatObjectiveError):
+        full_mle(model, X, 1.0, 0.1)
 
 
 def test_pilot_limit_variance_oracle():
