@@ -2,41 +2,35 @@
 
 Replications are statistically independent, so the harness advances many of
 them simultaneously: one array op per Euler step, per RK4 stage, per score
-update.  No state crosses replications; the one iterative routine, the
-pilot's Gauss-Newton refinement, freezes a replication at its own
-convergence point, so each replication's numbers are a pure function of
-(seed, stream_id) and never depend on which other replications share the
-batch.  All reductions run along one replication's own contiguous row or
-along the time axis, which keeps results bit-identical for any chunking of
-the replication set.
+update.  No state crosses replications; the pilot's Gauss-Newton refinement
+freezes a replication at its own convergence point, and every reduction runs
+along one replication's own row or along the time axis, so each
+replication's numbers are a pure function of (seed, stream_id), bit for bit
+the same for any chunking or blocking of the replication set.
 
-A block builds only what its callers read, and drops each path-sized (M, n+1)
-array once it has been used.  `simulate_batch` draws every noise row from one
-re-keyed Philox bit generator and returns the Brownian increments, not their
-running sum; `run_batch` keeps them, and builds the limiting Gaussian factor
-xi from them, only when residuals are requested.  The one-step estimate, and
-the information and tail score it is formed from, are built only at the nodes
-some output reads: the report nodes, T and, for the sup statistic, the sup
-nodes.
+`run_batch` keeps one path-sized array, the row-major paths X, and makes
+every other pass in cache-sized pieces.  `simulate_batch` draws each Philox
+noise row straight into the row-major increments dW and steps Euler-Maruyama
+over time tiles, each in a small time-major buffer written back transposed
+into X; dW is kept, for the limiting Gaussian factor xi, only when residuals
+are requested.  The pilot and the head score read the window [0, delta] of
+every row.  Then each block of about ROW_BLOCK elements of rows goes through
+the information read, the tail score, the one-step and the sup sweep before
+the next block starts.  The one-step, and the information and tail score it
+is formed from, are built only at the nodes some output reads: the report
+nodes, T and, for the sup statistic, the sup nodes.
 
 No stage integrates a limit flow per replication.  The flow depends on a row
 only through one scalar theta, so a ThetaTable samples what the engine reads
 of it (the window flow and its RK4 sensitivity on [0, delta], the
 information profile) at Chebyshev points of theta_interval, and each row
-reads its values by barycentric interpolation: the pilot's Gauss-Newton
-passes at their trial values, the one-step at the pilot.  A study builds one
-table for its window and hands it to every block and chunk, and a block
-builds the flow at theta0 behind xi once for its chunks.  The window parts
-depend on (model, grid, delta), the information part on (model, grid) only:
-it holds whole-grid profiles, and the tables that ThetaTable.for_window
-derives for other windows share it, so a study over several windows
-integrates the information flow once.  Every contraction sums over the
-nodes in the same order for every row and column, so neither the chunking,
-the set of columns read nor the sharing moves a bit.  A table part whose
-interpolant misses direct RK4 at its probe points (a drift not smooth in
-theta, or one that blows up near an edge of theta_interval) falls back to
-the RK4 per row, and a scan candidate whose window RK4 diverges is never
-picked.
+reads its values by barycentric interpolation.  A study builds one table per
+window, all sharing one information part, and hands it to every block and
+chunk.  Every contraction sums over the nodes in the same order for every
+row and column, so neither the chunking, the columns read nor the sharing
+moves a bit.  A table part whose interpolant misses direct RK4 at its probe
+points falls back to RK4 per row, where a row whose flow diverges is flagged
+(window objective +inf, information 0), never raised.
 
 Each stage is also the scalar API: `estimation` and `bsde` run these
 functions on the one-row batch holding an observed path, and `refine_scan`
@@ -49,17 +43,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, IntegrationDivergedError
+from .errors import ConfigurationError
 from .grids import TimeGrid, increment_rows
 from .models import (ModelSpec, broadcast_eval, _euler_maruyama, rk4_sensitivity,
-                     _rk4_values)
+                     _rk4_march, _rk4_values)
 
 # Element cap per value-function evaluation block; keeps the quadrature
 # work matrix (elements x nodes) around half a GB.
 EVAL_BLOCK = 500_000
-# Element cap of the engine's scratch blocks (512 KB of float64): the noise
-# rows awaiting their transpose, and one block of tail score increments.
-SCRATCH_BLOCK = 65_536
+# Element cap of the row blocks that run_batch carries from the information
+# read through the sup sweep: 2 MB of float64 per (rows, n+1) array.
+ROW_BLOCK = 262_144
 # Floor below which the information integral is treated as non-invertible.
 INFO_FLOOR = 1e-10
 # Coarse scan size of the 1-d minimizers, and their settling tolerance as a
@@ -97,31 +91,17 @@ def simulate_batch(model: ModelSpec, theta0: float, epsilon: float, grid: TimeGr
     """Euler-Maruyama paths for a block of replications.
 
     Row r is driven by the stream (seed, stream_ids[r]), drawn by
-    grids.increment_rows bit for bit as NoiseSource(seed, sid).increments.
-    Returns (X, dW, diverged): X of shape (M, n+1) and the Brownian
-    increments dW of shape (M, n), whose running sum from 0 is W.  Diverged
-    rows are frozen at x0 from the blow-up node on and flagged; their numbers
-    are never used downstream.
+    grids.increment_rows bit for bit as NoiseSource(seed, sid).increments,
+    straight into the row-major increments dW of shape (M, n), whose running
+    sum from 0 is W.  The paths X, row-major (M, n+1), come from the one
+    Euler-Maruyama loop simulate_forward also runs, stepped over cache-sized
+    time tiles.  Returns (X, dW, diverged).  Diverged rows are frozen at x0
+    from the blow-up node on and flagged; their numbers are never used
+    downstream.
     """
-    m = len(stream_ids)
-    n = grid.n_steps
-    # time-major buffers: each Euler step reads and writes contiguous rows.
-    # The noise is drawn in C-ordered blocks of rows, each transposed into dw
-    # at once, so no second full-size noise array is ever live.
-    dw = np.empty((n, m))
-    rows_per_block = max(1, SCRATCH_BLOCK // n)
-    rows = np.empty((min(rows_per_block, m), n))
-    for lo in range(0, m, rows_per_block):
-        ids = stream_ids[lo: lo + rows_per_block]
-        dw[:, lo: lo + len(ids)] = increment_rows(seed, ids, n, grid.h, out=rows[: len(ids)]).T
-    del rows
-    # a row that blows up is frozen from its first node beyond the guard
-    xs, ok = _euler_maruyama(model, theta0, epsilon, grid, dw)
-    diverged = ~ok.all(axis=0)
-    for r in np.flatnonzero(diverged):
-        xs[np.argmin(ok[:, r]):, r] = model.x0
-    del ok
-    return np.ascontiguousarray(xs.T), dw.T, diverged
+    dW = increment_rows(seed, stream_ids, grid.n_steps, grid.h)
+    X, first = _euler_maruyama(model, theta0, epsilon, grid, dW)
+    return X, dW, first <= grid.n_steps
 
 
 def _resolution(f: np.ndarray) -> np.ndarray:
@@ -263,7 +243,9 @@ class ThetaTable:
     the RK4 diverges at a node or a probe, the part is None and its reads run
     the RK4 per row, as the engine did before tables: a drift that is not
     smooth in theta, or that blows up near an edge of theta_interval, costs
-    time but never changes an answer or aborts a block.
+    time but never changes an answer or aborts a block.  There a row whose
+    flow diverges reads window rows x = +inf with a NaN sensitivity, so its
+    window objective is +inf, and information 0, so the one-step flags it.
     """
 
     def __init__(self, model: ModelSpec, grid: TimeGrid, delta: float):
@@ -282,19 +264,26 @@ class ThetaTable:
         return table
 
     def _direct_window(self, thetas):
-        x, xdot = rk4_sensitivity(self.model, thetas, self.wgrid)
-        return np.ascontiguousarray(x.T), np.ascontiguousarray(xdot.T)
+        x, xdot, ok = rk4_sensitivity(self.model, thetas, self.wgrid, mask=True)
+        x, xdot = np.ascontiguousarray(x.T), np.ascontiguousarray(xdot.T)
+        x[~ok], xdot[~ok] = np.inf, np.nan
+        return (x, xdot), ok
 
     def _direct_info(self, thetas):
         flows = flow_batch(self.model, thetas, self.grid)
-        return (fisher_profile_batch(self.model, thetas, flows, self.grid),)
+        ok = np.isfinite(flows[:, -1])
+        flows[~ok] = self.model.x0
+        with np.errstate(over="ignore", invalid="ignore"):
+            info = fisher_profile_batch(self.model, thetas, flows, self.grid)
+        ok &= np.isfinite(info[:, -1])  # a running sum of squares ends non-finite
+        info[~ok] = 0.0
+        return (info,), ok
 
     def _checked(self, direct):
         lo, hi = self.model.theta_interval
         probes = lo + (hi - lo) * np.asarray(TABLE_PROBES)
-        try:
-            values = direct(np.concatenate((self.nodes, probes)))
-        except IntegrationDivergedError:
+        values, ok = direct(np.concatenate((self.nodes, probes)))
+        if not ok.all():
             return None
         k = self.nodes.size
         c = _barycentric_rows(self.nodes, probes)
@@ -335,7 +324,7 @@ class ThetaTable:
     def window(self, thetas: np.ndarray):
         """Window flow and its RK4 sensitivity at thetas, C-ordered (k, i+1) rows."""
         if self.node_window is None:
-            return self._direct_window(thetas)
+            return self._direct_window(thetas)[0]
         c = _barycentric_rows(self.nodes, thetas)
         return tuple(_contract(c, v) for v in self.node_window)
 
@@ -345,7 +334,7 @@ class ThetaTable:
         columns of the whole profiles."""
         sel = slice(self.i_delta, None) if cols is None else np.asarray(cols)
         if self.grid_info is None:
-            return self._direct_info(thetas)[0][:, sel]
+            return self._direct_info(thetas)[0][0][:, sel]
         return _contract(_barycentric_rows(self.nodes, thetas), self.grid_info[:, sel])
 
 
@@ -393,14 +382,17 @@ def pilot_batch(model: ModelSpec, X: np.ndarray, grid: TimeGrid, delta: float,
         return _gauss_newton(xw, flows[best], sens[best], w)[1]
 
     def evaluate(idx, thetas):
-        return _gauss_newton(xw[idx], *table.window(thetas), w)
+        # a trial whose window flow diverged, or overflows F, reads F = +inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _gauss_newton(xw[idx], *table.window(thetas), w)
 
     return refine_scan(cand, obj, first_step, evaluate)
 
 
 def flow_batch(model: ModelSpec, thetas: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Limit flows for a vector of parameters, C-ordered rows of shape (M, n+1)."""
-    return np.ascontiguousarray(_rk4_values(model, thetas, grid).T)
+    """Limit flows for a vector of parameters, C-ordered rows of shape (M, n+1).
+    A lane that diverges runs on without touching the others and ends non-finite."""
+    return np.ascontiguousarray(_rk4_march(model, thetas, grid, False)[0].T)
 
 
 def fisher_profile_batch(model: ModelSpec, thetas: np.ndarray, flows: np.ndarray,
@@ -417,35 +409,17 @@ def score_tail_profile_batch(model: ModelSpec, thetas: np.ndarray, X: np.ndarray
                              grid: TimeGrid, i_delta: int, cols=None) -> np.ndarray:
     """Tail score profiles sum_{i_delta <= k < j} B (X_{k+1} - X_k - S h) at
     the increasing grid nodes j in cols of [delta, T] (all of them by
-    default), for every row of X.  Built in blocks of rows of at most
-    SCRATCH_BLOCK increments; the running sum goes straight into the result
-    when cols is every node, and is otherwise read at cols from one block's
-    scratch row set, so besides the (M, len(cols)) result no path-sized array
-    is allocated."""
-    h = grid.h
+    default), for every row of X.  Its scratch arrays have the size of X on
+    [delta, T], so run_batch hands it one block of rows at a time."""
     tk = grid.times[None, i_delta:-1]
-    m, k = X.shape[0], X.shape[1] - 1 - i_delta
-    sel = None if cols is None else np.asarray(cols) - i_delta
-    if sel is not None and sel.size == k + 1:
-        sel = None
-    rows_per_block = max(1, SCRATCH_BLOCK // max(k, 1))
-    if sel is None:
-        out = np.zeros((m, k + 1))
-    else:
-        out = np.empty((m, sel.size))
-        prof = np.zeros((min(rows_per_block, m), k + 1))
-    for lo in range(0, m, rows_per_block):
-        r = slice(lo, lo + rows_per_block)
-        xk = X[r, i_delta:-1]
-        th = thetas[r, None]
-        incr = _state_weight(model, th, tk, xk) * \
-            (X[r, i_delta + 1:] - xk - broadcast_eval(model.drift(th, tk, xk), xk.shape) * h)
-        if sel is None:
-            np.cumsum(incr, axis=1, out=out[r, 1:])
-        else:
-            np.cumsum(incr, axis=1, out=prof[: xk.shape[0], 1:])
-            out[r] = prof[: xk.shape[0], sel]
-    return out
+    xk = X[:, i_delta:-1]
+    th = thetas[:, None]
+    incr = X[:, i_delta + 1:] - xk
+    incr -= broadcast_eval(model.drift(th, tk, xk), xk.shape) * grid.h
+    incr *= _state_weight(model, th, tk, xk)
+    prof = np.zeros((X.shape[0], xk.shape[1] + 1))
+    np.cumsum(incr, axis=1, out=prof[:, 1:])
+    return prof if cols is None else prof[:, np.asarray(cols) - i_delta]
 
 
 def _state_weight(model: ModelSpec, th, s, z) -> np.ndarray:
@@ -644,25 +618,23 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
     """Full pipeline for one block of replications.
 
     sup_stride > 0 additionally tracks sup |Y_hat - Y| over every
-    sup_stride-th node of [delta, T], in blocks of nodes: a block that is a
-    contiguous range (every block at sup_stride = 1) reads X and the one-step
-    as views, and Y reads theta0 as one scalar.
+    sup_stride-th node of [delta, T]; a contiguous range of sup nodes (every
+    sup_stride = 1 sweep) reads X and the one-step as views, and Y reads
+    theta0 as one scalar.
 
     table is the ThetaTable of (model, grid, delta) and limit is
     limit_weights(model, theta0, grid); a caller running many chunks or
     blocks builds each once and passes it to every chunk, and either is
     built here when not given.  The pilot reads the window flow and
     sensitivity from the table, and the one-step reads each row's
-    information profile from it at the row's pilot, so no per-row flow is
-    integrated unless the table fell back to RK4 per row.  The table depends
-    only on (model, grid, delta), so the results do not depend on the
-    chunking.
+    information profile from it at the row's pilot.
 
-    The one-step is formed only at the nodes some output reads: the report
-    nodes, T (the terminal identity, and the information test of
-    onestep_batch) and, with sup_stride > 0, the sup nodes.  The information
-    and the tail score are built at those nodes only, bit for bit the same
-    columns of their whole profiles.
+    After the simulation, the pilot and the head score, rows go in blocks of
+    about ROW_BLOCK elements through the information read, the tail score,
+    the one-step and the sup sweep, so no array of the size of X is built
+    after it.  The one-step is formed only at the report nodes, T (the
+    terminal identity, and the information test of onestep_batch) and the
+    sup nodes, bit for bit the same columns of its whole profile.
     """
     i = grid.node_index(delta)
     n = grid.n_steps
@@ -675,6 +647,7 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
     sup_nodes = np.union1d(np.arange(i, n + 1, sup_stride), n) if sup_stride > 0 else \
         np.array([], int)
     cols = np.unique(np.concatenate((r_idx, sup_nodes, [n])))
+    rep = np.searchsorted(cols, r_idx)
 
     X, dW, diverged = simulate_batch(model, theta0, epsilon, grid, seed, stream_ids)
     xi_rep = None
@@ -683,17 +656,35 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
         xi_rep = _limit_factor(limit, dW, r_idx)[0]
     del dW
     theta_pilot, flat = pilot_batch(model, X, grid, delta, table)
-
-    info = table.info(theta_pilot, cols)
-    tail = score_tail_profile_batch(model, theta_pilot, X, grid, i, cols)
     head = score_head_batch(model, theta_pilot, X, grid, i, epsilon)
-    rep = np.searchsorted(cols, r_idx)
-    theta_cols, clamped, info_bad = onestep_batch(model, theta_pilot, tail, head, info, rep)
-    del tail, info
+
+    m = X.shape[0]
+    th_rep = np.empty((m, rep.size))
+    clamped = np.empty((m, rep.size), dtype=bool)
+    info_bad = np.empty(m, dtype=bool)
+    theta_T = np.empty((m, 1))
+    sup_err = np.empty(m) if sup_stride > 0 else None
+    t_sup = grid.times[None, sup_nodes]
+    x_sup, th_sup = _columns(sup_nodes), _columns(np.searchsorted(cols, sup_nodes))
+    # the RK4 fallback integrates every row's flow in one lockstep pass
+    info_all = table.info(theta_pilot, cols) if table.grid_info is None else None
+    rows_per_block = max(1, ROW_BLOCK // (n + 1))
+    for lo in range(0, m, rows_per_block):
+        r = slice(lo, lo + rows_per_block)
+        th = theta_pilot[r]
+        info = table.info(th, cols) if info_all is None else info_all[r]
+        tail = score_tail_profile_batch(model, th, X[r], grid, i, cols)
+        theta_cols, clamped[r], info_bad[r] = onestep_batch(model, th, tail, head[r], info, rep)
+        del info, tail
+        th_rep[r] = theta_cols[:, rep]
+        theta_T[r] = theta_cols[:, -1:]
+        if sup_stride > 0:
+            x_sel = X[r, x_sup]
+            yh = vf.value(t_sup, x_sel, theta_cols[:, th_sup]) - vf.value(t_sup, x_sel, theta0)
+            sup_err[r] = np.max(np.abs(yh, out=yh), axis=1)
 
     t_rep = grid.times[r_idx]
     x_rep = X[:, r_idx]
-    th_rep = theta_cols[:, rep]
     y_hat, z_hat = value_pair(model, vf, epsilon, t_rep, x_rep, th_rep)
     y_true, z_true = value_pair(model, vf, epsilon, t_rep, x_rep, theta0)
 
@@ -710,22 +701,9 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
     # terminal identity
     t_T = grid.times[-1:]
     x_T = X[:, -1:]
-    y_hat_T = _blocked_value(vf, "value", t_T, x_T, theta_cols[:, -1:])
+    y_hat_T = _blocked_value(vf, "value", t_T, x_T, theta_T)
     phi_T = _blocked_value(vf, "value", t_T, x_T, theta0)
     terminal_abs_err = np.abs(y_hat_T[:, 0] - phi_T[:, 0])
-
-    sup_err = None
-    if sup_stride > 0:
-        sup_err = np.zeros(X.shape[0])
-        cols_per_block = max(1, EVAL_BLOCK // max(X.shape[0], 1))
-        for lo_c in range(0, sup_nodes.size, cols_per_block):
-            sel = sup_nodes[lo_c: lo_c + cols_per_block]
-            t_sel = grid.times[sel]
-            x_sel = X[:, _columns(sel)]
-            yh = _blocked_value(vf, "value", t_sel, x_sel,
-                                theta_cols[:, _columns(np.searchsorted(cols, sel))])
-            yh -= _blocked_value(vf, "value", t_sel, x_sel, theta0)
-            np.maximum(sup_err, np.max(np.abs(yh, out=yh), axis=1), out=sup_err)
 
     failed = diverged | flat | info_bad
     return BatchResult(

@@ -29,6 +29,9 @@ from .grids import NoiseSource, Path, TimeGrid
 
 # Simulated paths beyond this magnitude abort the replication.
 BLOWUP_GUARD = 1e12
+# Elements (steps x rows) per Euler-Maruyama tile: 512 KB of float64 for
+# the tile's increments and as much for its states.
+EULER_TILE = 65_536
 
 
 def broadcast_eval(value, shape):
@@ -250,28 +253,49 @@ def solve_limit_ode(model: ModelSpec, theta: float, grid: TimeGrid) -> Path:
 
 
 def _euler_maruyama(model: ModelSpec, theta, epsilon: float, grid: TimeGrid,
-                   dw: np.ndarray):
-    """Lockstep Euler-Maruyama paths from x0 for time-major increments dw (n, M).
+                    dW: np.ndarray):
+    """Lockstep Euler-Maruyama paths X (M, n+1) from x0 for increments dW (M, n).
 
-    Returns time-major (xs, ok), both (n+1, M), with ok false at the nodes
-    beyond the blow-up guard or non-finite.  Rows are independent, so a row
-    that blows up runs on without touching the others.
+    Each tile of EULER_TILE elements of dW is stepped time-major in small
+    buffers and written back transposed into X, so the full-size arrays are
+    only read and written row-major.  Rows are independent, so a row that
+    blows up runs on without touching the others.  Returns (X, first), first
+    the first node of each row beyond the blow-up guard or non-finite (n+1
+    if none); from that node on the row is frozen at x0.
     """
+    m, n = dW.shape
     h = grid.h
     times = grid.times
-    xs = np.empty((grid.n_steps + 1, dw.shape[1]))
+    X = np.empty((m, n + 1))
+    first = np.full(m, n + 1)
+    tile = max(1, min(n, EULER_TILE // max(m, 1)))
+    dw = np.empty((tile, m))
+    xs = np.empty((tile + 1, m))
     xs[0] = model.x0
+    noise = np.empty(m)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(grid.n_steps):
-            t = times[k]
-            x = xs[k]
-            # scalar coefficients broadcast in the update itself
-            s = np.asarray(model.drift(theta, t, x), dtype=float)
-            sig = np.asarray(model.diffusion(t, x), dtype=float)
-            xs[k + 1] = x + s * h + epsilon * sig * dw[k]
-        ok = xs <= BLOWUP_GUARD
-        ok &= xs >= -BLOWUP_GUARD
-    return xs, ok
+        for k0 in range(0, n, tile):
+            steps = min(tile, n - k0)
+            np.copyto(dw[:steps], dW[:, k0: k0 + steps].T)
+            for j in range(steps):
+                t = times[k0 + j]
+                x, nxt = xs[j], xs[j + 1]
+                # x + S h + (epsilon sigma) dw, in that order; scalar
+                # coefficients broadcast in the update itself
+                s = np.asarray(model.drift(theta, t, x), dtype=float)
+                sig = np.asarray(model.diffusion(t, x), dtype=float)
+                np.add(x, np.multiply(s, h, out=nxt), out=nxt)
+                np.multiply(np.multiply(sig, epsilon, out=noise), dw[j], out=noise)
+                nxt += noise
+            stepped = xs[1: steps + 1]
+            ok = (stepped <= BLOWUP_GUARD) & (stepped >= -BLOWUP_GUARD)
+            hit = ~ok.all(axis=0) & (first > n)
+            first[hit] = k0 + 1 + np.argmin(ok[:, hit], axis=0)
+            X[:, k0: k0 + steps + 1] = xs[: steps + 1].T
+            xs[0] = xs[steps]
+    for r in np.flatnonzero(first <= n):
+        X[r, first[r]:] = model.x0
+    return X, first
 
 
 def simulate_forward(
@@ -291,10 +315,9 @@ def simulate_forward(
     if not model.contains_theta(theta):
         raise ConfigurationError(f"theta={theta} outside closure of theta_interval")
     dw = noise.increments(grid.n_steps, grid.h)
-    xs, ok = _euler_maruyama(model, theta, epsilon, grid, dw[:, None])
-    if not ok.all():
-        k = int(np.argmin(ok[:, 0]))
-        raise SimulationDivergedError(f"simulated path exceeded guard at node {k}",
-                                      node_index=k)
-    return Path(grid, xs[:, 0]), Path(grid, np.concatenate(([0.0], np.cumsum(dw))))
+    X, first = _euler_maruyama(model, theta, epsilon, grid, dw[None, :])
+    if first[0] <= grid.n_steps:
+        raise SimulationDivergedError(f"simulated path exceeded guard at node {first[0]}",
+                                      node_index=int(first[0]))
+    return Path(grid, X[0]), Path(grid, np.concatenate(([0.0], np.cumsum(dw))))
 

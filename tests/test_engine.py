@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from snbsde import engine
+from snbsde import engine, models
 from snbsde.bsde import approximate_bsde, residual_decomposition
 from snbsde.engine import (REFINE_FACTOR, pilot_batch, run_batch, score_head_batch,
                            simulate_batch, _trapezoid_weights)
@@ -127,33 +127,59 @@ def test_sup_sweep_on_views_matches_gathered_copies(monkeypatch, name, params, t
     vf = _vf_for(b, eps)
     args = (b.model, vf, theta0, eps, grid, 0.1, (0.5, 1.0), SEED, range(8))
     paths, views = [], []
-    real_simulate, real_value = engine.simulate_batch, engine._blocked_value
+    real_simulate, real_value = engine.simulate_batch, vf.value
 
     def simulate(*a, **kw):
         out = real_simulate(*a, **kw)
         paths.append(out[0])
         return out
 
-    def value(vf, method, t_nodes, x_rows, theta_rows):
-        if t_nodes.size > 2:  # a sup block; the report and terminal reads have 1-2 nodes
-            views.append(np.shares_memory(x_rows, paths[-1]))
-        return real_value(vf, method, t_nodes, x_rows, theta_rows)
+    def value(t, x, theta):
+        if np.size(t) > 2:  # a sup block; the report and terminal reads have 1-2 nodes
+            views.append(np.shares_memory(x, paths[-1]))
+        return real_value(t, x, theta)
 
     monkeypatch.setattr(engine, "simulate_batch", simulate)
-    monkeypatch.setattr(engine, "_blocked_value", value)
+    monkeypatch.setattr(vf, "value", value)
     got = run_batch(*args, sup_stride=stride)
     assert views == [stride == 1] * 2
 
-    def gathered(vf, method, t_nodes, x_rows, theta_rows):
-        th = np.broadcast_to(theta_rows, x_rows.shape) if np.ndim(theta_rows) == 0 else theta_rows
-        return real_value(vf, method, t_nodes, x_rows, th)
+    def gathered(t, x, theta):
+        th = np.broadcast_to(theta, np.shape(x)) if np.ndim(theta) == 0 else theta
+        return real_value(t, x, th)
 
     monkeypatch.setattr(engine, "_columns", lambda idx: idx)
-    monkeypatch.setattr(engine, "_blocked_value", gathered)
+    monkeypatch.setattr(vf, "value", gathered)
     want = run_batch(*args, sup_stride=stride)
     assert not np.any(got.failed)
     assert np.array_equal(got.sup_abs_y_err, want.sup_abs_y_err)
     assert np.all(got.sup_abs_y_err > 0.0)
+
+
+@pytest.mark.parametrize("stride", [0, 1, 3])
+@pytest.mark.parametrize("name,params,theta0", [
+    ("linear-constant-drift", {}, 1.0),
+    ("custom-pde", {"drift_shape": "sine"}, 1.0)], ids=["constant", "sine"])
+def test_row_blocks_move_no_output(monkeypatch, name, params, theta0, stride):
+    # run_batch carries rows in blocks from the information read through the
+    # sup sweep; one row per block, blocks of 3 that split 10 rows unevenly
+    # and the default single block must give every output bit for bit
+    eps = 0.05
+    b = build_preset(name, params)
+    grid = TimeGrid(0.0, 1.0, 200)
+    vf = _vf_for(b, eps)
+    args = (b.model, vf, theta0, eps, grid, 0.1, (0.5, 1.0), SEED, range(10))
+    kw = dict(plugin=True, residuals=True, sup_stride=stride,
+              table=engine.ThetaTable(b.model, grid, 0.1),
+              limit=engine.limit_weights(b.model, theta0, grid))
+    whole = run_batch(*args, **kw)
+    assert engine.ROW_BLOCK // (grid.n_steps + 1) >= 10
+    assert not np.any(whole.failed)
+    for rows in (1, 3):
+        monkeypatch.setattr(engine, "ROW_BLOCK", rows * (grid.n_steps + 1))
+        got = run_batch(*args, **kw)
+        for f in dataclasses.fields(engine.BatchResult):
+            assert np.array_equal(getattr(got, f.name), getattr(whole, f.name)), (rows, f.name)
 
 
 def test_residuals_feed_nothing_else():
@@ -175,11 +201,10 @@ def test_residuals_feed_nothing_else():
 
 
 # Peak traced allocation of one closed-form block (M = 200, n = 2000,
-# sup_stride = 1, no residuals) in units of one (M, n+1) float64 array.  The
-# lean block reads 10.36 (numpy 2.4), of which about 0.2 is its theta table
-# (24 information rows at M = 200); keeping the (M, n+1-i) information
-# alive to the end reads 11.26, and a block that keeps every stage alive
-# read 18.0.
+# sup_stride = 1, no residuals) in units of one (M, n+1) float64 array.  In
+# row blocks of 131 rows it reads 4.78 (numpy 2.4); building the one-step on
+# every node of [delta, T] at once read 10.36, keeping the (M, n+1-i)
+# information alive to the end 11.26, and keeping every stage alive 18.0.
 PEAK_PATH_ARRAYS = 11.0
 
 
@@ -233,6 +258,38 @@ def test_lean_run_batch_peak_memory():
     assert ratio < PEAK_LEAN_PATH_ARRAYS, ratio
 
 
+# Peak traced allocation of a closed-form block at M = 1200, n = 1000,
+# sup_stride = 1, plugin on, in units of one (M, n+1) float64 array.  It
+# reads 2.42 as the first block of a process and 2.23 after others (numpy
+# 2.4): the paths and the noise while the simulation runs, then the paths
+# and a few 2 MB row blocks.  A block that built the information, tail score
+# and one-step on every sup node at once, and ran the sup sweep in column
+# blocks, read 3.82 and 3.63.
+PEAK_ROW_BLOCK_PATH_ARRAYS = 2.5
+
+
+def test_run_batch_peak_memory_in_row_blocks():
+    m, n, eps = 1200, 1000, 0.05
+    b = build_preset("linear-constant-drift")
+    grid = TimeGrid(0.0, 1.0, n)
+    vf = LinearValueFunction(b.linear, eps)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        res = run_batch(b.model, vf, 1.0, eps, grid, 0.1, (0.5, 1.0), SEED, range(m),
+                        plugin=True, sup_stride=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert not np.any(res.failed)
+    ratio = peak / (m * (n + 1) * 8)
+    assert ratio <= PEAK_ROW_BLOCK_PATH_ARRAYS, ratio
+
+
 def test_batch_closed_form_matches_gauss_hermite():
     # the preset's closed-form expectations against the Gauss-Hermite path
     eps = 0.1
@@ -251,34 +308,72 @@ def test_batch_closed_form_matches_gauss_hermite():
                             err_msg=field)
 
 
-def test_simulate_batch_matches_scalar_and_flags_divergence():
-    cubic = ModelSpec(drift=lambda th, t, x: th * x**3,
-                      drift_dtheta=lambda th, t, x: x**3,
-                      drift_dx=lambda th, t, x: 3.0 * th * x**2,
-                      drift_dtheta_dx=lambda th, t, x: 3.0 * x**2,
-                      diffusion=lambda t, x: 1.0, diffusion_dx=lambda t, x: 0.0,
-                      theta_interval=(0.5, 1.5), x0=1.0, horizon=1.0,
-                      kappa=1.0, growth_const=10.0)
-    grid = TimeGrid(0.0, 1.0, 100)
-    X, dW, diverged = simulate_batch(cubic, 1.0, 2.0, grid, 99, range(8))
-    assert np.any(diverged) and not np.all(diverged)
-    for r in range(8):
+# S = theta x^3 at epsilon = 2: some paths leave the blow-up guard within T = 1
+CUBIC = ModelSpec(drift=lambda th, t, x: th * x**3,
+                  drift_dtheta=lambda th, t, x: x**3,
+                  drift_dx=lambda th, t, x: 3.0 * th * x**2,
+                  drift_dtheta_dx=lambda th, t, x: 3.0 * x**2,
+                  diffusion=lambda t, x: 1.0, diffusion_dx=lambda t, x: 0.0,
+                  theta_interval=(0.5, 1.5), x0=1.0, horizon=1.0,
+                  kappa=1.0, growth_const=10.0)
+
+
+def _check_rows_against_scalar(X, dW, diverged, grid):
+    for r in range(X.shape[0]):
         if diverged[r]:
             with pytest.raises(SimulationDivergedError) as err:
-                simulate_forward(cubic, 1.0, 2.0, grid, NoiseSource(99, r))
+                simulate_forward(CUBIC, 1.0, 2.0, grid, NoiseSource(99, r))
             # frozen at x0 from the node where the scalar path stops, not before
             k = err.value.node_index
-            assert np.all(X[r, k:] == cubic.x0) and X[r, k - 1] != cubic.x0
+            assert np.all(X[r, k:] == CUBIC.x0) and X[r, k - 1] != CUBIC.x0
+            # and that node is the first one a float step takes beyond the guard
+            x = X[r, k - 1]
+            step = x + CUBIC.drift(1.0, grid.times[k - 1], x) * grid.h + 2.0 * dW[r, k - 1]
+            assert abs(x) <= models.BLOWUP_GUARD < abs(step)
         else:
-            Xs, Ws = simulate_forward(cubic, 1.0, 2.0, grid, NoiseSource(99, r))
+            Xs, Ws = simulate_forward(CUBIC, 1.0, 2.0, grid, NoiseSource(99, r))
             assert np.array_equal(X[r], Xs.values)
-            # both share one Euler loop, so check it against plain float steps
-            x = [cubic.x0]
-            for k in range(grid.n_steps):
-                x.append(x[-1] + float(cubic.drift(1.0, grid.times[k], x[-1])) * grid.h
-                         + 2.0 * float(cubic.diffusion(grid.times[k], x[-1])) * dW[r, k])
-            assert np.array_equal(X[r], x)
             assert np.array_equal(np.concatenate(([0.0], np.cumsum(dW[r]))), Ws.values)
+
+
+def test_simulate_batch_matches_scalar_and_flags_divergence():
+    grid = TimeGrid(0.0, 1.0, 100)
+    X, dW, diverged = simulate_batch(CUBIC, 1.0, 2.0, grid, 99, range(8))
+    assert np.any(diverged) and not np.all(diverged)
+    _check_rows_against_scalar(X, dW, diverged, grid)
+    for r in np.flatnonzero(~diverged):
+        # both share one Euler loop, so check it against plain float steps
+        x = [CUBIC.x0]
+        for k in range(grid.n_steps):
+            x.append(x[-1] + float(CUBIC.drift(1.0, grid.times[k], x[-1])) * grid.h
+                     + 2.0 * float(CUBIC.diffusion(grid.times[k], x[-1])) * dW[r, k])
+        assert np.array_equal(X[r], x)
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 40])
+def test_euler_tiles_match_scalar_paths_at_tile_edges(monkeypatch, n):
+    # 8 rows in tiles of 16 steps: one step, a part tile, one whole tile, one
+    # step past it and several tiles; every row must be its scalar path
+    monkeypatch.setattr(models, "EULER_TILE", 8 * 16)
+    grid = TimeGrid(0.0, 0.01 * n, n)
+    _check_rows_against_scalar(*simulate_batch(CUBIC, 1.0, 2.0, grid, 99, range(8)), grid)
+
+
+def test_euler_tiles_freeze_a_row_that_diverges_on_the_first_node_of_a_tile(monkeypatch):
+    grid = TimeGrid(0.0, 1.0, 100)
+    nodes = []
+    for r in range(8):
+        try:
+            simulate_forward(CUBIC, 1.0, 2.0, grid, NoiseSource(99, r))
+        except SimulationDivergedError as err:
+            nodes.append(err.node_index)
+    k = min(nodes)
+    assert k > 2
+    # tiles of k - 1 steps: node k opens the second tile
+    monkeypatch.setattr(models, "EULER_TILE", 8 * (k - 1))
+    X, dW, diverged = simulate_batch(CUBIC, 1.0, 2.0, grid, 99, range(8))
+    assert np.sum(diverged) == len(nodes)
+    _check_rows_against_scalar(X, dW, diverged, grid)
 
 
 # -- head score --------------------------------------------------------------
@@ -810,3 +905,56 @@ def test_pilot_never_picks_a_scan_candidate_whose_window_flow_diverges():
     theta, flat = pilot_batch(STEEP, X, grid, 0.1, table)
     assert not np.any(flat)
     assert np.all(np.abs(theta - 1.0) < 0.5)
+
+
+def test_theta_table_fallback_fails_rows_whose_flow_diverges():
+    # at theta0 = 4.95 some pilots exceed 1/T = 5, so their flow 1/(1 - theta t)
+    # blows up before T: the per-row information gives those rows 0, so they
+    # are failed, the block returns, and every other row is bit for bit its
+    # number in a block without them
+    grid = TimeGrid(0.0, 0.2, 200)
+    table = engine.ThetaTable(STEEP, grid, 0.1)
+    args = (STEEP, _LinearValue(), 4.95, 0.05, grid, 0.1, (0.15, 0.2), SEED)
+    kw = dict(plugin=True, sup_stride=1, table=table)
+    res = run_batch(*args, range(64), **kw)
+    assert table.node_window is None and table.node_info is None
+    assert not np.any(res.diverged | res.flat)
+    assert 0 < np.sum(res.failed) < 32
+    # the failed rows are those whose flow, or its information, diverges on
+    # [0, T]: RK4 per row raises for them, and their information reads 0
+    with pytest.raises(IntegrationDivergedError):
+        _rk4_values(STEEP, res.theta_pilot[res.failed], grid)
+    info = table.info(res.theta_pilot)
+    assert np.all(info[res.failed] == 0.0)
+    assert np.all(info[~res.failed, -1] >= engine.INFO_FLOOR)
+    kept = np.flatnonzero(~res.failed)
+    alone = run_batch(*args, kept.tolist(), **kw)
+    for f in dataclasses.fields(engine.BatchResult):
+        got = getattr(res, f.name)
+        got = got if got is None or f.name == "report_times" else got[kept]
+        assert np.array_equal(got, getattr(alone, f.name)), f.name
+
+
+def test_pilot_treats_a_trial_whose_window_flow_diverges_as_a_rise(monkeypatch):
+    # paths at theta0 = 10.5 put pilots next to 10, above which the window
+    # flow blows up before delta: Gauss-Newton trials there read F = +inf,
+    # are halved back, and no row is flat or depends on the batch
+    grid = TimeGrid(0.0, 0.2, 200)
+    table = engine.ThetaTable(STEEP, grid, 0.1)
+    trials = []
+    real = engine.ThetaTable._direct_window
+
+    def spy(self, thetas):
+        out = real(self, thetas)
+        trials.append(out[1])
+        return out
+
+    monkeypatch.setattr(engine.ThetaTable, "_direct_window", spy)
+    X, _, _ = simulate_batch(STEEP, 10.5, 0.05, grid, SEED, range(16))
+    theta, flat = pilot_batch(STEEP, X, grid, 0.1, table)
+    assert table.node_window is None
+    assert not np.all(np.concatenate(trials))
+    assert not np.any(flat)
+    rk4_sensitivity(STEEP, theta, table.wgrid)  # every pilot's window flow is finite
+    for r in range(X.shape[0]):
+        assert pilot_batch(STEEP, X[r:r + 1], grid, 0.1, table)[0][0] == theta[r]
