@@ -12,13 +12,14 @@ the same for any chunking or blocking of the replication set.
 every other pass in cache-sized pieces.  `simulate_batch` draws each Philox
 noise row straight into the row-major increments dW and steps Euler-Maruyama
 over time tiles, each in a small time-major buffer written back transposed
-into X; dW is kept, for the limiting Gaussian factor xi, only when residuals
-are requested.  The pilot and the head score read the window [0, delta] of
-every row.  Then each block of about ROW_BLOCK elements of rows goes through
-the information read, the tail score, the one-step and the sup sweep before
-the next block starts.  The one-step, and the information and tail score it
-is formed from, are built only at the nodes some output reads: the report
-nodes, T and, for the sup statistic, the sup nodes.
+into X.  With residuals, the limiting Gaussian factor xi is formed from dW
+in row blocks right after the simulation, and dW is dropped.  The pilot and
+the head score read the window [0, delta] of every row.  Then each block of
+about ROW_BLOCK elements of rows goes through the information read, the
+tail score, the one-step and the sup sweep before the next block starts.
+The one-step, and the information and tail score it is formed from, are
+built only at the nodes some output reads: the report nodes, T and, for the
+sup statistic, the sup nodes.
 
 No stage integrates a limit flow per replication.  The flow depends on a row
 only through one scalar theta, so a ThetaTable samples what the engine reads
@@ -399,10 +400,10 @@ def fisher_profile_batch(model: ModelSpec, thetas: np.ndarray, flows: np.ndarray
                          grid: TimeGrid) -> np.ndarray:
     """Information profiles int_0^t (S_theta / sigma)^2 ds along each flow row."""
     times = grid.times[None, :]
-    th = thetas[:, None]
-    q = np.square(broadcast_eval(model.drift_dtheta(th, times, flows), flows.shape))
-    q /= np.square(np.asarray(model.diffusion(times, flows), dtype=float))
-    return _cumtrapz_rows(q, grid.h)
+    q = np.square(model.drift_dtheta(thetas[:, None], times, flows))
+    q = np.divide(q, np.square(model.diffusion(times, flows)),
+                  out=q if np.shape(q) == flows.shape else None)
+    return _cumtrapz_rows(broadcast_eval(q, flows.shape), grid.h)
 
 
 def score_tail_profile_batch(model: ModelSpec, thetas: np.ndarray, X: np.ndarray,
@@ -415,18 +416,12 @@ def score_tail_profile_batch(model: ModelSpec, thetas: np.ndarray, X: np.ndarray
     xk = X[:, i_delta:-1]
     th = thetas[:, None]
     incr = X[:, i_delta + 1:] - xk
-    incr -= broadcast_eval(model.drift(th, tk, xk), xk.shape) * grid.h
-    incr *= _state_weight(model, th, tk, xk)
+    incr -= np.multiply(model.drift(th, tk, xk), grid.h)
+    # B = S_theta / sigma^2 on the coefficients' own shapes
+    incr *= np.divide(model.drift_dtheta(th, tk, xk), np.square(model.diffusion(tk, xk)))
     prof = np.zeros((X.shape[0], xk.shape[1] + 1))
     np.cumsum(incr, axis=1, out=prof[:, 1:])
     return prof if cols is None else prof[:, np.asarray(cols) - i_delta]
-
-
-def _state_weight(model: ModelSpec, th, s, z) -> np.ndarray:
-    """B(theta, s, z) = S_theta / sigma^2, broadcast over its arguments."""
-    shape = np.broadcast_shapes(np.shape(th), np.shape(s), np.shape(z))
-    return broadcast_eval(model.drift_dtheta(th, s, z), shape) / \
-        broadcast_eval(model.diffusion(s, z), shape) ** 2
 
 
 def score_head_batch(model: ModelSpec, thetas: np.ndarray, X: np.ndarray,
@@ -460,18 +455,24 @@ def score_head_batch(model: ModelSpec, thetas: np.ndarray, X: np.ndarray,
     xs = X[:, : i_delta + 1]
     th = thetas[:, None]
     tk = grid.times[None, : i_delta + 1]
-    shape = xs.shape
-    sig = broadcast_eval(model.diffusion(tk, xs), shape)
-    b = broadcast_eval(model.drift_dtheta(th, tk, xs), shape) / sig**2
-    path = b[:, 1:] + b[:, :-1]
+    # B, sigma and the correction on the coefficients' own shapes, broadcast
+    # where they meet the path
+    sig = model.diffusion(tk, xs)
+    b = np.divide(model.drift_dtheta(th, tk, xs), np.square(sig))
+    bp = broadcast_eval(b, xs.shape)
+    path = bp[:, 1:] + bp[:, :-1]
     path *= np.diff(xs, axis=1)
     head = 0.5 * np.sum(path, axis=1)
     del path
-    corr = broadcast_eval(model.drift_dtheta_dx(th, tk, xs), shape) - \
-        2.0 * b * sig * broadcast_eval(model.diffusion_dx(tk, xs), shape)
+    # corr is a fresh result: it is scaled in place, and takes B S in place
+    # once it is path-sized
+    corr = np.subtract(model.drift_dtheta_dx(th, tk, xs),
+                       2.0 * b * sig * model.diffusion_dx(tk, xs))
     corr *= 0.5 * epsilon**2
-    corr += b * broadcast_eval(model.drift(th, tk, xs), shape)
-    head -= np.sum(_trapezoid_weights(i_delta + 1, grid.h) * corr, axis=1)
+    corr = np.add(corr, b * model.drift(th, tk, xs),
+                  out=corr if np.shape(corr) == xs.shape else None)
+    head -= np.sum(_trapezoid_weights(i_delta + 1, grid.h) * broadcast_eval(corr, xs.shape),
+                   axis=1)
     return head
 
 
@@ -533,9 +534,9 @@ def value_pair(model: ModelSpec, vf, epsilon: float, t_nodes: np.ndarray,
                x_rows: np.ndarray, theta_rows: np.ndarray):
     """(Y, Z) = (u, epsilon sigma u_x) at (t_nodes, x_rows, theta_rows), (M, K)
     each; theta_rows may be one scalar theta."""
-    sig = broadcast_eval(model.diffusion(t_nodes[None, :], x_rows), x_rows.shape)
+    eps_sig = np.multiply(epsilon, model.diffusion(t_nodes[None, :], x_rows))
     y = _blocked_value(vf, "value", t_nodes, x_rows, theta_rows)
-    z = epsilon * sig * _blocked_value(vf, "value_x", t_nodes, x_rows, theta_rows)
+    z = eps_sig * _blocked_value(vf, "value_x", t_nodes, x_rows, theta_rows)
     return y, z
 
 
@@ -550,9 +551,9 @@ def residual_pair(model: ModelSpec, vf, theta0: float, epsilon: float,
     """
     udot = _blocked_value(vf, "value_theta", t_nodes, x_rows, theta0)
     udot_x = _blocked_value(vf, "value_theta_x", t_nodes, x_rows, theta0)
-    sig = broadcast_eval(model.diffusion(t_nodes[None, :], x_rows), x_rows.shape)
+    eps2_sig = np.multiply(epsilon**2, model.diffusion(t_nodes[None, :], x_rows))
     r_y = (y_err - epsilon * udot * xi) / epsilon
-    r_z = (z_err - epsilon**2 * sig * udot_x * xi) / epsilon**2
+    r_z = (z_err - eps2_sig * udot_x * xi) / epsilon**2
     return r_y, r_z
 
 
@@ -563,10 +564,9 @@ def limit_weights(model: ModelSpec, theta0: float, grid: TimeGrid):
     times = grid.times
     flow0 = _rk4_values(model, float(theta0), grid)
     info0 = fisher_profile_batch(model, np.array([float(theta0)]), flow0[None, :], grid)[0]
-    wgt = broadcast_eval(model.drift_dtheta(theta0, times[:-1], flow0[:-1]),
-                         (grid.n_steps,)) / \
-        broadcast_eval(model.diffusion(times[:-1], flow0[:-1]), (grid.n_steps,))
-    return wgt, info0
+    wgt = np.divide(model.drift_dtheta(theta0, times[:-1], flow0[:-1]),
+                    model.diffusion(times[:-1], flow0[:-1]))
+    return broadcast_eval(wgt, (grid.n_steps,)), info0
 
 
 def _limit_factor(limit, dW: np.ndarray, nodes: np.ndarray):
@@ -574,13 +574,19 @@ def _limit_factor(limit, dW: np.ndarray, nodes: np.ndarray):
     along the flow at theta0, at the given nodes, with a left-point
     stochastic sum; limit is limit_weights(model, theta0, grid).  Returns
     (xi, info): xi of shape (M, len(nodes)), 0 where I(theta0, t) is below
-    INFO_FLOOR, and I(theta0, t) at the nodes."""
+    INFO_FLOOR, and I(theta0, t) at the nodes.  The running sums are formed
+    in blocks of about ROW_BLOCK elements of rows, each row's in node order,
+    so no array of the size of dW is built."""
     wgt, info0 = limit
-    cums = np.zeros((dW.shape[0], wgt.size + 1))
-    np.cumsum(wgt[None, :] * dW, axis=1, out=cums[:, 1:])
+    rows = max(1, ROW_BLOCK // (wgt.size + 1))
+    sums = np.empty((dW.shape[0], nodes.size))
+    for lo in range(0, dW.shape[0], rows):
+        cums = np.zeros((dW[lo: lo + rows].shape[0], wgt.size + 1))
+        np.cumsum(np.multiply(wgt, dW[lo: lo + rows], out=cums[:, 1:]), axis=1, out=cums[:, 1:])
+        sums[lo: lo + rows] = cums[:, nodes]
     info_n = info0[None, nodes]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(info_n < INFO_FLOOR, 0.0, cums[:, nodes] / info_n), info_n[0]
+        return np.where(info_n < INFO_FLOOR, 0.0, sums / info_n), info_n[0]
 
 
 def onestep_batch(model: ModelSpec, theta_pilot: np.ndarray, tail: np.ndarray,

@@ -205,7 +205,7 @@ def full_mle(model: ModelSpec, X: Path, t: float, epsilon: float) -> float:
     xk = X.values[None, :j]
     dx = X.values[None, 1 : j + 1] - xk
     scale = epsilon**2 if epsilon > 0 else 1.0
-    inv_var = 1.0 / (scale * broadcast_eval(model.diffusion(tk, xk), tk.shape) ** 2)
+    inv_var = 1.0 / (scale * np.square(model.diffusion(tk, xk)))
 
     def f_and_step(thetas):
         th = thetas[:, None]
@@ -322,7 +322,7 @@ def limit_quantities(model: ModelSpec, theta0: float, delta: Optional[float],
         if q_end < INFO_FLOOR:
             raise SingularInformationError("flow is parameter-insensitive on the window")
         s = np.arange(n + 1) * (start / n)
-        sig = broadcast_eval(sigma(s, x), s.shape)
+        sig = sigma(s, x)
         simpson = np.where(np.arange(n + 1) % 2 == 1, 4.0, 2.0)
         simpson[[0, -1]] = 1.0
         simpson *= start / (3.0 * n)

@@ -11,7 +11,8 @@ epsilon -> 0 the paths concentrate on the deterministic flow
 
 All model callables must broadcast over numpy arrays in every argument; the
 package evaluates them on scalars, on vectors of parameter candidates, and on
-whole path arrays.
+whole path arrays.  A result may have any shape that broadcasts against the
+arguments, and a constant coefficient returns a scalar (see ModelSpec).
 """
 
 from dataclasses import dataclass
@@ -37,9 +38,11 @@ EULER_TILE = 65_536
 def broadcast_eval(value, shape):
     """Coerce a model-callable result to float64 with the expected shape.
 
-    Lets coefficient functions that are constant in some argument return a
-    plain scalar without breaking vectorized callers.  A result that already
-    has the shape is returned as it is.
+    A coefficient may return any shape that broadcasts against its
+    arguments, and a constant term should return a scalar; callers combine
+    such small results first and broadcast once, where they meet a path
+    sum.  A result that already has the shape is returned as it is, a
+    smaller one as a read-only view.
     """
     value = np.asarray(value, dtype=float)
     return value if value.shape == shape else np.broadcast_to(value, shape)
@@ -48,6 +51,11 @@ def broadcast_eval(value, shape):
 @dataclass
 class ModelSpec:
     """Coefficients of the forward dynamics together with their derivatives.
+
+    Each callable returns any shape that broadcasts against its arguments; a
+    term constant in an argument should not broadcast against it, so a
+    constant sigma returns the scalar sigma, not an array of the size of x.
+    Callers never write into a returned value, which may alias an argument.
 
     Parameters
     ----------
@@ -258,10 +266,15 @@ def _euler_maruyama(model: ModelSpec, theta, epsilon: float, grid: TimeGrid,
 
     Each tile of EULER_TILE elements of dW is stepped time-major in small
     buffers and written back transposed into X, so the full-size arrays are
-    only read and written row-major.  Rows are independent, so a row that
-    blows up runs on without touching the others.  Returns (X, first), first
-    the first node of each row beyond the blow-up guard or non-finite (n+1
-    if none); from that node on the row is frozen at x0.
+    only read and written row-major.  A step is x + (S h) + (epsilon sigma)
+    dw in that order, with S h and epsilon sigma formed on the coefficients'
+    own shapes: a constant model pays three row-sized operations per step,
+    and an array-valued coefficient is scaled into the step's preallocated
+    buffers.
+    Rows are independent, so a row that blows up runs on without touching
+    the others.  Returns (X, first), first the first node of each row beyond
+    the blow-up guard or non-finite (n+1 if none); from that node on the row
+    is frozen at x0.
     """
     m, n = dW.shape
     h = grid.h
@@ -280,13 +293,11 @@ def _euler_maruyama(model: ModelSpec, theta, epsilon: float, grid: TimeGrid,
             for j in range(steps):
                 t = times[k0 + j]
                 x, nxt = xs[j], xs[j + 1]
-                # x + S h + (epsilon sigma) dw, in that order; scalar
-                # coefficients broadcast in the update itself
-                s = np.asarray(model.drift(theta, t, x), dtype=float)
-                sig = np.asarray(model.diffusion(t, x), dtype=float)
-                np.add(x, np.multiply(s, h, out=nxt), out=nxt)
-                np.multiply(np.multiply(sig, epsilon, out=noise), dw[j], out=noise)
-                nxt += noise
+                s = model.drift(theta, t, x)
+                sig = model.diffusion(t, x)
+                np.add(x, np.multiply(s, h, out=nxt) if np.ndim(s) else s * h, out=nxt)
+                eps_sig = np.multiply(sig, epsilon, out=noise) if np.ndim(sig) else sig * epsilon
+                nxt += np.multiply(eps_sig, dw[j], out=noise)
             stepped = xs[1: steps + 1]
             ok = (stepped <= BLOWUP_GUARD) & (stepped >= -BLOWUP_GUARD)
             hit = ~ok.all(axis=0) & (first > n)

@@ -178,7 +178,7 @@ def _march(model: ModelSpec, driver: Callable, terminal: Callable,
 
     def noise(t):
         """eps sigma at the nodes, and r = (dt/4) (eps sigma / dx)^2 inside."""
-        eps_sig = epsilon * broadcast_eval(model.diffusion(t, xs), xs.shape)
+        eps_sig = broadcast_eval(np.multiply(epsilon, model.diffusion(t, xs)), xs.shape)
         return eps_sig, (0.25 * dt / dx**2) * eps_sig[1:-1] ** 2
 
     def f_at(t, v, eps_sig):

@@ -120,18 +120,20 @@ def make_linear_driver(beta: float, gamma: float) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# drift/diffusion families; theta and x may be scalars or broadcastable arrays
+# drift/diffusion families; theta and x may be scalars or broadcastable arrays.
+# Each returns its natural shape: a term constant in an argument does not
+# broadcast against it, so a constant coefficient is a scalar (or theta).
 
 def _const_drift(theta, t, x):
-    return theta + 0.0 * np.asarray(x, dtype=float)
+    return theta
 
 
-def _const_drift_dtheta(theta, t, x):
-    return np.ones(np.broadcast(theta, x).shape)
+def _one_theta_x(theta, t, x):
+    return 1.0
 
 
 def _zero_theta_x(theta, t, x):
-    return np.zeros(np.broadcast(theta, x).shape)
+    return 0.0
 
 
 def _prop_drift(theta, t, x):
@@ -139,15 +141,11 @@ def _prop_drift(theta, t, x):
 
 
 def _prop_drift_dtheta(theta, t, x):
-    return np.asarray(x, dtype=float) + 0.0 * theta
+    return np.asarray(x, dtype=float)
 
 
 def _prop_drift_dx(theta, t, x):
-    return theta + 0.0 * np.asarray(x, dtype=float)
-
-
-def _prop_drift_dtheta_dx(theta, t, x):
-    return np.ones(np.broadcast(theta, x).shape)
+    return theta
 
 
 def _sine_drift(theta, t, x):
@@ -155,7 +153,7 @@ def _sine_drift(theta, t, x):
 
 
 def _sine_drift_dtheta(theta, t, x):
-    return np.sin(np.asarray(x, dtype=float)) + 0.0 * theta
+    return np.sin(np.asarray(x, dtype=float))
 
 
 def _sine_drift_dx(theta, t, x):
@@ -163,7 +161,7 @@ def _sine_drift_dx(theta, t, x):
 
 
 def _sine_drift_dtheta_dx(theta, t, x):
-    return np.cos(np.asarray(x, dtype=float)) + 0.0 * theta
+    return np.cos(np.asarray(x, dtype=float))
 
 
 def _tanh_drift(theta, t, x):
@@ -171,7 +169,7 @@ def _tanh_drift(theta, t, x):
 
 
 def _tanh_drift_dtheta(theta, t, x):
-    return np.tanh(np.asarray(x, dtype=float)) + 0.0 * theta
+    return np.tanh(np.asarray(x, dtype=float))
 
 
 def _tanh_drift_dx(theta, t, x):
@@ -179,23 +177,25 @@ def _tanh_drift_dx(theta, t, x):
 
 
 def _tanh_drift_dtheta_dx(theta, t, x):
-    return (1.0 - np.tanh(np.asarray(x, dtype=float)) ** 2) + 0.0 * theta
+    return 1.0 - np.tanh(np.asarray(x, dtype=float)) ** 2
 
 
 def _const_diffusion(sigma, t, x):
-    return sigma + 0.0 * np.asarray(x, dtype=float)
+    return sigma
 
 
 def _zero_diffusion_dx(t, x):
-    return np.zeros(np.shape(x))
+    return 0.0
 
 
-_DRIFT_SHAPES = {
-    "sine": (_sine_drift, _sine_drift_dtheta,
-             _sine_drift_dx, _sine_drift_dtheta_dx),
-    "tanh": (_tanh_drift, _tanh_drift_dtheta,
-             _tanh_drift_dx, _tanh_drift_dtheta_dx),
+# (S, S_theta, S_x, S_theta_x) of each preset's drift; custom-pde picks a shape
+_DRIFTS = {
+    "linear-constant-drift": (_const_drift, _one_theta_x, _zero_theta_x, _zero_theta_x),
+    "linear-ou": (_prop_drift, _prop_drift_dtheta, _prop_drift_dx, _one_theta_x),
+    "sine": (_sine_drift, _sine_drift_dtheta, _sine_drift_dx, _sine_drift_dtheta_dx),
+    "tanh": (_tanh_drift, _tanh_drift_dtheta, _tanh_drift_dx, _tanh_drift_dtheta_dx),
 }
+_DRIFT_SHAPES = ("sine", "tanh")
 
 
 # ---------------------------------------------------------------------------
@@ -262,59 +262,29 @@ def build_preset(name: str, params: Optional[dict] = None) -> ModelBundle:
         raise ConfigurationError("sigma must be positive")
 
     growth = max(abs(interval[0]), abs(interval[1]), sigma)
-    diffusion = partial(_const_diffusion, sigma)
-    kappa = sigma * sigma
-
-    if name == "linear-constant-drift":
-        model = ModelSpec(
-            drift=_const_drift,
-            drift_dtheta=_const_drift_dtheta,
-            drift_dx=_zero_theta_x,
-            drift_dtheta_dx=_zero_theta_x,
-            diffusion=diffusion,
-            diffusion_dx=_zero_diffusion_dx,
-            theta_interval=interval,
-            x0=x0,
-            horizon=horizon,
-            kappa=kappa,
-            growth_const=growth,
-        )
-        linear = LinearModelSpec(sigma, beta, gamma, terminal, interval, x0, horizon)
-    elif name == "linear-ou":
-        model = ModelSpec(
-            drift=_prop_drift,
-            drift_dtheta=_prop_drift_dtheta,
-            drift_dx=_prop_drift_dx,
-            drift_dtheta_dx=_prop_drift_dtheta_dx,
-            diffusion=diffusion,
-            diffusion_dx=_zero_diffusion_dx,
-            theta_interval=interval,
-            x0=x0,
-            horizon=horizon,
-            kappa=kappa,
-            growth_const=growth,
-        )
-        linear = None
-    else:
+    shape = name
+    if name == "custom-pde":
         shape = params.get("drift_shape", "sine")
         if shape not in _DRIFT_SHAPES:
             raise ConfigurationError(
-                f"unknown drift_shape '{shape}'; choose from {', '.join(sorted(_DRIFT_SHAPES))}")
-        s, s_th, s_x, s_thx = _DRIFT_SHAPES[shape]
-        model = ModelSpec(
-            drift=s,
-            drift_dtheta=s_th,
-            drift_dx=s_x,
-            drift_dtheta_dx=s_thx,
-            diffusion=diffusion,
-            diffusion_dx=_zero_diffusion_dx,
-            theta_interval=interval,
-            x0=x0,
-            horizon=horizon,
-            kappa=kappa,
-            growth_const=growth,
-        )
-        linear = None
+                f"unknown drift_shape '{shape}'; choose from {', '.join(_DRIFT_SHAPES)}")
+    s, s_th, s_x, s_thx = _DRIFTS[shape]
+    model = ModelSpec(
+        drift=s,
+        drift_dtheta=s_th,
+        drift_dx=s_x,
+        drift_dtheta_dx=s_thx,
+        diffusion=partial(_const_diffusion, sigma),
+        diffusion_dx=_zero_diffusion_dx,
+        theta_interval=interval,
+        x0=x0,
+        horizon=horizon,
+        kappa=sigma * sigma,
+        growth_const=growth,
+    )
+    linear = None
+    if name == "linear-constant-drift":
+        linear = LinearModelSpec(sigma, beta, gamma, terminal, interval, x0, horizon)
 
     validate_model(model)
     driver = make_linear_driver(beta, gamma)

@@ -200,9 +200,34 @@ def test_residuals_feed_nothing_else():
             assert np.array_equal(getattr(lean, f.name), getattr(full, f.name)), f.name
 
 
+def _traced_peak(fn):
+    """(fn(), the peak traced allocation above what was allocated before it).
+
+    numpy imports numpy.ma at the first np.unique of a process and
+    numpy.random at the first noise draw, about 2 MB of traced allocation
+    together; both are imported before the peak is reset, so a reading does
+    not depend on whether an earlier test paid those imports."""
+    import numpy.ma  # noqa: F401
+    import numpy.random  # noqa: F401
+
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return out, peak
+
+
 # Peak traced allocation of one closed-form block (M = 200, n = 2000,
 # sup_stride = 1, no residuals) in units of one (M, n+1) float64 array.  In
-# row blocks of 131 rows it reads 4.78 (numpy 2.4); building the one-step on
+# row blocks of 131 rows it reads 4.23 (numpy 2.4; 4.78 before the lazy
+# numpy imports were paid ahead of the trace); building the one-step on
 # every node of [delta, T] at once read 10.36, keeping the (M, n+1-i)
 # information alive to the end 11.26, and keeping every stage alive 18.0.
 PEAK_PATH_ARRAYS = 11.0
@@ -213,18 +238,8 @@ def test_run_batch_peak_memory():
     b = build_preset("linear-constant-drift")
     grid = TimeGrid(0.0, 1.0, n)
     vf = LinearValueFunction(b.linear, eps)
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        res = run_batch(b.model, vf, 1.0, eps, grid, 0.1, (0.5, 1.0), SEED, range(m),
-                        sup_stride=1)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+    res, peak = _traced_peak(lambda: run_batch(b.model, vf, 1.0, eps, grid, 0.1, (0.5, 1.0),
+                                               SEED, range(m), sup_stride=1))
     assert not np.any(res.failed)
     ratio = peak / (m * (n + 1) * 8)
     assert ratio < PEAK_PATH_ARRAYS, ratio
@@ -232,8 +247,10 @@ def test_run_batch_peak_memory():
 
 # Peak traced allocation of the same block without the sup statistic
 # (sup_stride = 0), in units of one (M, n+1) float64 array.  The block reads
-# 3.0 (numpy 2.4), set by the simulation's path buffers; a block that builds
-# the information and tail score at every node of [delta, T] read 3.84.
+# 2.42 (numpy 2.4), set by the paths and the noise while the simulation
+# runs; it read 3.0 while the constant coefficients came back as path-sized
+# arrays, and 3.84 when the block built the information and tail score at
+# every node of [delta, T].
 PEAK_LEAN_PATH_ARRAYS = 3.4
 
 
@@ -242,17 +259,8 @@ def test_lean_run_batch_peak_memory():
     b = build_preset("linear-constant-drift")
     grid = TimeGrid(0.0, 1.0, n)
     vf = LinearValueFunction(b.linear, eps)
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        res = run_batch(b.model, vf, 1.0, eps, grid, 0.1, (0.5, 1.0), SEED, range(m))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+    res, peak = _traced_peak(lambda: run_batch(b.model, vf, 1.0, eps, grid, 0.1, (0.5, 1.0),
+                                               SEED, range(m)))
     assert not np.any(res.failed)
     ratio = peak / (m * (n + 1) * 8)
     assert ratio < PEAK_LEAN_PATH_ARRAYS, ratio
@@ -260,34 +268,41 @@ def test_lean_run_batch_peak_memory():
 
 # Peak traced allocation of a closed-form block at M = 1200, n = 1000,
 # sup_stride = 1, plugin on, in units of one (M, n+1) float64 array.  It
-# reads 2.42 as the first block of a process and 2.23 after others (numpy
-# 2.4): the paths and the noise while the simulation runs, then the paths
-# and a few 2 MB row blocks.  A block that built the information, tail score
-# and one-step on every sup node at once, and ran the sup sweep in column
-# blocks, read 3.82 and 3.63.
+# reads 2.23 (numpy 2.4): the paths and the noise while the simulation
+# runs, then the paths and a few 2 MB row blocks.  A block that built the
+# information, tail score and one-step on every sup node at once, and ran
+# the sup sweep in column blocks, read 3.63.
 PEAK_ROW_BLOCK_PATH_ARRAYS = 2.5
 
 
-def test_run_batch_peak_memory_in_row_blocks():
+def _row_block_peak(**kw):
+    """(result, peak in path arrays) of the closed-form block at M = 1200, n = 1000."""
     m, n, eps = 1200, 1000, 0.05
     b = build_preset("linear-constant-drift")
     grid = TimeGrid(0.0, 1.0, n)
     vf = LinearValueFunction(b.linear, eps)
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        res = run_batch(b.model, vf, 1.0, eps, grid, 0.1, (0.5, 1.0), SEED, range(m),
-                        plugin=True, sup_stride=1)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+    res, peak = _traced_peak(lambda: run_batch(b.model, vf, 1.0, eps, grid, 0.1, (0.5, 1.0),
+                                               SEED, range(m), plugin=True, sup_stride=1, **kw))
     assert not np.any(res.failed)
-    ratio = peak / (m * (n + 1) * 8)
+    return res, peak / (m * (n + 1) * 8)
+
+
+def test_run_batch_peak_memory_in_row_blocks():
+    ratio = _row_block_peak()[1]
     assert ratio <= PEAK_ROW_BLOCK_PATH_ARRAYS, ratio
+
+
+# The same block with residuals on, in the same units: it reads 2.44 (numpy
+# 2.4), the paths and the noise dW, which the limiting factor xi reads in
+# row blocks.  Forming xi's weighted increments and their running sums at
+# full size read 4.01.
+PEAK_RESIDUAL_PATH_ARRAYS = 2.6
+
+
+def test_residual_run_batch_peak_memory():
+    res, ratio = _row_block_peak(residuals=True)
+    assert np.all(np.isfinite(res.xi))
+    assert ratio <= PEAK_RESIDUAL_PATH_ARRAYS, ratio
 
 
 def test_batch_closed_form_matches_gauss_hermite():
@@ -548,17 +563,7 @@ def test_score_head_batch_peak_memory(model):
     grid = TimeGrid(0.0, 1.0, 1000)
     X, _, _ = simulate_batch(model, 1.0, 0.05, grid, SEED, range(m))
     thetas = np.full(m, 1.0)
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        head = score_head_batch(model, thetas, X, grid, i, 0.05)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+    head, peak = _traced_peak(lambda: score_head_batch(model, thetas, X, grid, i, 0.05))
     assert np.all(np.isfinite(head))
     ratio = peak / (m * (i + 1) * 8)
     assert ratio < PEAK_HEAD_ARRAYS, ratio

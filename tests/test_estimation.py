@@ -13,7 +13,7 @@ from snbsde.estimation import (EstimationWindow, fisher_information,
                                one_step_mle, onestep_error_limit,
                                onestep_trace, score_head)
 from snbsde.grids import NoiseSource, TimeGrid, brownian_path
-from snbsde.models import ModelSpec, simulate_forward, solve_limit_ode
+from snbsde.models import ModelSpec, broadcast_eval, simulate_forward, solve_limit_ode
 from snbsde.presets import build_preset
 from snbsde.value_functions import LinearValueFunction
 
@@ -155,7 +155,8 @@ def test_full_mle_matches_closed_form_discrete_mle(name):
     grid = TimeGrid(0.0, 1.0, 1000)
     X, _ = simulate_forward(b.model, 0.8, 0.05, grid, NoiseSource(32, 0))
     xk = X.values[:-1]
-    g = b.model.drift_dtheta(1.0, X.times[:-1], xk)
+    # a coefficient may return a scalar; the sums need one value per step
+    g = broadcast_eval(b.model.drift_dtheta(1.0, X.times[:-1], xk), xk.shape)
     want = np.sum(g * np.diff(X.values)) / np.sum(g * g * grid.h)
     assert b.model.contains_theta(want)
     assert abs(full_mle(b.model, X, 1.0, 0.05) - want) <= 1e-12
