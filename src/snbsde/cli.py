@@ -22,11 +22,12 @@ import numpy as np
 from .bsde import approximate_bsde
 from .errors import ConfigurationError, SnbsdeError
 from .estimation import EstimationWindow, full_mle, mde_estimate, onestep_trace
-from .experiment import (ExperimentConfig, build_value_function, config_to_dict,
-                         run_monte_carlo, shrinking_window_study, _fmt, _write_csv)
+from .experiment import (PDE_KEYS, ExperimentConfig, build_value_function, config_to_dict,
+                         pde_grid, run_monte_carlo, shrinking_window_study, _fmt,
+                         _write_csv)
 from .grids import NoiseSource, TimeGrid
 from .models import simulate_forward
-from .pde import PdeGrid, default_domain, solve_semilinear_pde
+from .pde import solve_semilinear_pde
 from .presets import build_preset
 
 # ExperimentConfig's defaults plus the keys only the command line has: the
@@ -36,7 +37,7 @@ _DEFAULTS = {key: value for key, value in config_to_dict(ExperimentConfig()).ite
              if key != "pde_params"}
 _DEFAULTS.update(epsilon=0.1, pde={}, study={})
 _TOP_KEYS = set(_DEFAULTS)
-_PDE_KEYS = {"x_min", "x_max", "n_x", "n_t", "dtheta", "theta"}
+_PDE_KEYS = set(PDE_KEYS) | {"theta"}
 _STUDY_KEYS = {"kappa_list", "sup_stride"}
 
 # acceptance-scale replication count for --full; explicit settings still win
@@ -190,14 +191,8 @@ def cmd_approximate(cfg: dict, outdir: str) -> None:
 
 def cmd_pde_solve(cfg: dict, outdir: str) -> None:
     bundle = build_preset(cfg["model"], cfg["model_params"])
-    pde_cfg = cfg["pde"]
-    theta = float(pde_cfg.get("theta", cfg["theta0"]))
-    if "x_min" in pde_cfg and "x_max" in pde_cfg:
-        lo, hi = float(pde_cfg["x_min"]), float(pde_cfg["x_max"])
-    else:
-        lo, hi = default_domain(bundle.model)
-    grid = PdeGrid(lo, hi, int(pde_cfg.get("n_x", 400)),
-                   bundle.model.horizon, pde_cfg.get("n_t"))
+    theta = float(cfg["pde"].get("theta", cfg["theta0"]))
+    grid = pde_grid(bundle, _experiment_config(cfg).pde_params)
     sol = solve_semilinear_pde(bundle.model, bundle.driver, bundle.terminal.f,
                                theta, float(cfg["epsilon"]), grid)
     n_rows = sol.values.shape[0]

@@ -46,8 +46,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grids import TimeGrid, increment_rows
-from .models import (ModelSpec, broadcast_eval, _euler_maruyama, rk4_sensitivity,
-                     _rk4_march, _rk4_values)
+from .models import (ModelSpec, broadcast_eval, finite_or_raise, flow_ode, rk4,
+                     sensitivity_ode, _euler_maruyama)
 
 # Element cap per value-function evaluation block; keeps the quadrature
 # work matrix (elements x nodes) around half a GB.
@@ -241,12 +241,13 @@ class ThetaTable:
     A node part is checked when it is built: its interpolant at the
     TABLE_PROBES fractions of theta_interval must match direct RK4 within
     TABLE_TOL, relative to the sup norm of each profile.  If it misses, or
-    the RK4 diverges at a node or a probe, the part is None and its reads run
-    the RK4 per row, as the engine did before tables: a drift that is not
-    smooth in theta, or that blows up near an edge of theta_interval, costs
-    time but never changes an answer or aborts a block.  There a row whose
-    flow diverges reads window rows x = +inf with a NaN sensitivity, so its
-    window objective is +inf, and information 0, so the one-step flags it.
+    the RK4 diverges at a node or a probe, the part is None and each read
+    integrates RK4 at the rows' own thetas in one lockstep pass, so every
+    row reads its direct RK4 values: a drift that is not smooth in theta, or
+    that blows up near an edge of theta_interval, costs time but never
+    aborts a block.  A row whose flow diverges there reads window rows
+    x = +inf with a NaN sensitivity, so its window objective is +inf, and
+    information 0, so the one-step flags it.
     """
 
     def __init__(self, model: ModelSpec, grid: TimeGrid, delta: float):
@@ -264,10 +265,18 @@ class ThetaTable:
         table._info_owner = self._info_owner or self
         return table
 
-    def _direct_window(self, thetas):
-        x, xdot, ok = rk4_sensitivity(self.model, thetas, self.wgrid, mask=True)
-        x, xdot = np.ascontiguousarray(x.T), np.ascontiguousarray(xdot.T)
+    def _window_rows(self, thetas):
+        """RK4 window flow and sensitivity at thetas, C-ordered (k, i+1) rows,
+        and whether each lane stayed finite; a lane that did not reads
+        x = +inf and a NaN sensitivity."""
+        y = rk4(*sensitivity_ode(self.model, thetas), self.wgrid)
+        ok = np.isfinite(y).all(axis=(0, 1))
+        x, xdot = np.ascontiguousarray(y[:, 0].T), np.ascontiguousarray(y[:, 1].T)
         x[~ok], xdot[~ok] = np.inf, np.nan
+        return x, xdot, ok
+
+    def _direct_window(self, thetas):
+        x, xdot, ok = self._window_rows(thetas)
         return (x, xdot), ok
 
     def _direct_info(self, thetas):
@@ -297,10 +306,9 @@ class ThetaTable:
         """(candidates, flow, sensitivity, ok): SCAN_POINTS points spanning
         the closed theta_interval, their (SCAN_POINTS, i+1) window rows, and
         whether each candidate's window RK4 stayed finite; the rows of the
-        others are not finite."""
+        others read x = +inf and a NaN sensitivity."""
         cand = np.linspace(*self.model.theta_interval, SCAN_POINTS)
-        x, xdot, ok = rk4_sensitivity(self.model, cand, self.wgrid, mask=True)
-        return cand, np.ascontiguousarray(x.T), np.ascontiguousarray(xdot.T), ok
+        return (cand,) + self._window_rows(cand)
 
     @cached_property
     def node_window(self):
@@ -393,7 +401,7 @@ def pilot_batch(model: ModelSpec, X: np.ndarray, grid: TimeGrid, delta: float,
 def flow_batch(model: ModelSpec, thetas: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Limit flows for a vector of parameters, C-ordered rows of shape (M, n+1).
     A lane that diverges runs on without touching the others and ends non-finite."""
-    return np.ascontiguousarray(_rk4_march(model, thetas, grid, False)[0].T)
+    return np.ascontiguousarray(rk4(*flow_ode(model, thetas), grid).T)
 
 
 def fisher_profile_batch(model: ModelSpec, thetas: np.ndarray, flows: np.ndarray,
@@ -562,7 +570,7 @@ def limit_weights(model: ModelSpec, theta0: float, grid: TimeGrid):
     left-point weights (S_theta / sigma)(theta0, t_k, x_k), k < n, and the
     information profile I(theta0, t) at every node."""
     times = grid.times
-    flow0 = _rk4_values(model, float(theta0), grid)
+    flow0 = finite_or_raise(rk4(*flow_ode(model, float(theta0)), grid), grid)
     info0 = fisher_profile_batch(model, np.array([float(theta0)]), flow0[None, :], grid)[0]
     wgt = np.divide(model.drift_dtheta(theta0, times[:-1], flow0[:-1]),
                     model.diffusion(times[:-1], flow0[:-1]))

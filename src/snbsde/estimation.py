@@ -39,14 +39,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (ConfigurationError, FlatObjectiveError, IntegrationDivergedError,
-                     SingularInformationError)
+from .errors import ConfigurationError, FlatObjectiveError, SingularInformationError
 from .engine import (INFO_FLOOR, SCAN_POINTS, fisher_profile_batch, limit_weights,
                      onestep_batch, pilot_batch, refine_scan, score_head_batch,
                      score_tail_profile_batch, ThetaTable, _limit_factor, _step,
                      _table_for)
-from .grids import Path
-from .models import ModelSpec, broadcast_eval
+from .grids import Path, TimeGrid
+from .models import ModelSpec, broadcast_eval, finite_or_raise, rk4
 
 # RK4 steps of the theta0 limit pass (limit_quantities): an even count on the
 # learning window [0, delta], for the composite Simpson rule on its nodes, and
@@ -248,26 +247,6 @@ class LimitQuantities:
         return int(hit[0])
 
 
-def _rk4_pass(rhs, y, t0: float, t1: float, n: int) -> np.ndarray:
-    """n classical RK4 steps of y' = rhs(t, y) from (t0, y) to t1; returns the
-    (n+1, len(y)) states at the nodes t0 + k h.  A non-finite state raises."""
-    h = (t1 - t0) / n
-    out = np.empty((n + 1, y.size))
-    out[0] = y
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            t = t0 + k * h
-            k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out[k + 1] = y
-    if not np.isfinite(out).all():
-        raise IntegrationDivergedError(f"theta0 limit pass diverged on [{t0:.6g}, {t1:.6g}]")
-    return out
-
-
 def limit_quantities(model: ModelSpec, theta0: float, delta: Optional[float],
                      times: Sequence[float] = ()) -> LimitQuantities:
     """The limit flow x_t and the information I(theta0, t) at each of times
@@ -316,13 +295,13 @@ def limit_quantities(model: ModelSpec, theta0: float, delta: Optional[float],
     d2 = None
     if delta is not None:
         n = LIMIT_WINDOW_STEPS
-        nodes = _rk4_pass(rhs, y, 0.0, start, n)
+        wgrid = TimeGrid(0.0, start, n)
+        nodes = finite_or_raise(rk4(rhs, y, wgrid), wgrid)
         y = nodes[-1]
         x, log_psi, c, q_end = nodes[:, 0], nodes[:, 2], nodes[:, 3], y[4]
         if q_end < INFO_FLOOR:
             raise SingularInformationError("flow is parameter-insensitive on the window")
-        s = np.arange(n + 1) * (start / n)
-        sig = sigma(s, x)
+        sig = sigma(wgrid.times, x)
         simpson = np.where(np.arange(n + 1) % 2 == 1, 4.0, 2.0)
         simpson[[0, -1]] = 1.0
         simpson *= start / (3.0 * n)
@@ -334,7 +313,8 @@ def limit_quantities(model: ModelSpec, theta0: float, delta: Optional[float],
         if b > start:
             # the 1e-9 keeps a rounding excess of a whole number from adding a step
             steps = max(1, int(np.ceil((b - start) / h_max - 1e-9)))
-            y = _rk4_pass(rhs, y, start, b, steps)[-1]
+            leg = TimeGrid(start, b, steps)
+            y = finite_or_raise(rk4(rhs, y, leg), leg)[-1]
             start = b
         states[b] = y
     return LimitQuantities(times=times,

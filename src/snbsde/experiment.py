@@ -34,6 +34,8 @@ STUDY_COLUMNS = ("schedule", "kappa", "epsilon", "delta_requested",
 FAILURE_FRACTION_CAP = 0.10
 MIN_WINDOW_NODES = 4
 MIN_DIAGNOSTIC_SAMPLES = 100
+# keys of ExperimentConfig.pde_params
+PDE_KEYS = ("x_min", "x_max", "n_x", "n_t", "dtheta")
 
 
 def _fmt(v) -> str:
@@ -73,7 +75,6 @@ class ExperimentConfig:
     backend: str = "closed-form"
     chunk_size: int = 1024
     plugin: bool = True
-    sup_stride: int = 0
     pde_params: dict = field(default_factory=dict)
 
     def grid(self) -> TimeGrid:
@@ -117,25 +118,33 @@ class ExperimentConfig:
         return bundle
 
 
+def pde_grid(bundle: ModelBundle, pde_params: dict) -> PdeGrid:
+    """The PdeGrid that pde_params (keys PDE_KEYS) ask for: the rectangle
+    [x_min, x_max] when both bounds are given, the default_domain when
+    neither is, n_x = 400 space intervals unless given.  Raises
+    ConfigurationError for an unknown key or a lone bound."""
+    for key in pde_params:
+        if key not in PDE_KEYS:
+            raise ConfigurationError(f"unknown pde parameter '{key}'")
+    if ("x_min" in pde_params) != ("x_max" in pde_params):
+        raise ConfigurationError("pde parameters x_min and x_max must be given together")
+    if "x_min" in pde_params:
+        lo, hi = float(pde_params["x_min"]), float(pde_params["x_max"])
+    else:
+        lo, hi = default_domain(bundle.model)
+    return PdeGrid(lo, hi, int(pde_params.get("n_x", 400)), bundle.model.horizon,
+                   pde_params.get("n_t"))
+
+
 def build_value_function(bundle: ModelBundle, config: ExperimentConfig,
                          epsilon: float):
     """Closed-form evaluator when available, otherwise a grid-solver bundle."""
     if config.backend == "closed-form":
         return LinearValueFunction(bundle.linear, epsilon)
-    extra = dict(config.pde_params)
-    for key in extra:
-        if key not in ("x_min", "x_max", "n_x", "n_t", "dtheta"):
-            raise ConfigurationError(f"unknown pde parameter '{key}'")
-    if "x_min" in extra and "x_max" in extra:
-        lo, hi = float(extra["x_min"]), float(extra["x_max"])
-    else:
-        lo, hi = default_domain(bundle.model)
-    grid = PdeGrid(lo, hi, int(extra.get("n_x", 400)),
-                   bundle.model.horizon, extra.get("n_t"))
-    return theta_derivatives_by_bundle(bundle.model, bundle.driver,
-                                       bundle.terminal.f, config.theta0,
-                                       epsilon, grid,
-                                       dtheta=extra.get("dtheta"))
+    return theta_derivatives_by_bundle(bundle.model, bundle.driver, bundle.terminal.f,
+                                       config.theta0, epsilon,
+                                       pde_grid(bundle, config.pde_params),
+                                       dtheta=config.pde_params.get("dtheta"))
 
 
 @dataclass
@@ -218,18 +227,18 @@ def _concat_results(parts: List[engine.BatchResult]) -> engine.BatchResult:
 def run_epsilon_block(bundle: ModelBundle, config: ExperimentConfig,
                       epsilon: float, eps_index: int, *, delta: Optional[float] = None,
                       report_times: Optional[Sequence[float]] = None,
-                      sup_stride: Optional[int] = None,
+                      sup_stride: int = 0,
                       residuals: bool = False,
                       table: Optional[engine.ThetaTable] = None) -> EpsilonBlock:
     """Run all replications of one noise level through the engine.
 
     table is the study's engine.ThetaTable of (bundle.model, config.grid(),
-    delta); a block builds its own when none is given.
+    delta); a block builds its own when none is given.  sup_stride is
+    engine.run_batch's.
     """
     grid = config.grid()
     delta = config.delta if delta is None else delta
     report_times = config.t_report if report_times is None else report_times
-    sup_stride = config.sup_stride if sup_stride is None else sup_stride
     vf = build_value_function(bundle, config, epsilon)
     m = config.n_replications
     # what every chunk reads of the limit flow, built once for the block

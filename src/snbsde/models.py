@@ -167,97 +167,68 @@ def validate_model(model: ModelSpec, n_samples: int = 5, rel_tol: float = 1e-5) 
                     raise ModelValidationError("drift violates declared Lipschitz bound in x")
 
 
-def _rk4_march(model: ModelSpec, theta, grid: TimeGrid, sensitivity: bool, x_start=None):
-    """Lockstep RK4 of the limit ODE from x_start (x0 by default) at the
-    start of the grid, optionally with its theta-derivative.
-
-    With sensitivity, the same four stages are applied to
-    xdot' = S_x(theta, t, x) xdot + S_theta(theta, t, x), xdot_0 = 0, which is
-    the exact derivative in theta of the discrete RK4 flow.  A lane that
-    diverges runs on without touching the others.  Returns (x, xdot, finite):
-    xdot is None without sensitivity, and finite, shaped (n,) + theta.shape,
-    marks the nodes after the start where x (and xdot) are finite.
-    """
-    theta = np.asarray(theta, dtype=float)
-    times = grid.times
+def rk4(rhs, y0, grid: TimeGrid) -> np.ndarray:
+    """Classical RK4 of y' = rhs(t, y) from y0 at the start of grid: the
+    states at the nodes, shaped (n+1,) + y0.shape.  Each element of y is a
+    lane stepped by elementwise arithmetic, so a lane that diverges ends
+    non-finite without touching the others; nothing is raised (a caller
+    that must fail calls finite_or_raise)."""
+    y = np.array(y0, dtype=float)
     h = grid.h
-    x = np.broadcast_to(np.asarray(model.x0 if x_start is None else x_start, dtype=float),
-                        theta.shape).copy()
-    out = np.empty((grid.n_steps + 1,) + theta.shape)
-    out[0] = x
-    S = model.drift
-    if sensitivity:
-        v = np.zeros(theta.shape)
-        dout = np.empty(out.shape)
-        dout[0] = v
-        S_x = model.drift_dx
-        S_th = model.drift_dtheta
+    out = np.empty((grid.n_steps + 1,) + y.shape)
+    out[0] = y
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(grid.n_steps):
-            t = times[k]
+        for k, t in enumerate(grid.times[:-1]):
             tm = t + 0.5 * h
-            k1 = S(theta, t, x)
-            x2 = x + 0.5 * h * k1
-            k2 = S(theta, tm, x2)
-            x3 = x + 0.5 * h * k2
-            k3 = S(theta, tm, x3)
-            x4 = x + h * k3
-            k4 = S(theta, t + h, x4)
-            if sensitivity:
-                d1 = S_x(theta, t, x) * v + S_th(theta, t, x)
-                v2 = v + 0.5 * h * d1
-                d2 = S_x(theta, tm, x2) * v2 + S_th(theta, tm, x2)
-                v3 = v + 0.5 * h * d2
-                d3 = S_x(theta, tm, x3) * v3 + S_th(theta, tm, x3)
-                v4 = v + h * d3
-                d4 = S_x(theta, t + h, x4) * v4 + S_th(theta, t + h, x4)
-                v = v + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-                dout[k + 1] = v
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out[k + 1] = x
-    finite = np.isfinite(out[1:])
-    if not sensitivity:
-        return out, None, finite
-    finite &= np.isfinite(dout[1:])
-    return out, dout, finite
+            k1 = rhs(t, y)
+            k2 = rhs(tm, y + 0.5 * h * k1)
+            k3 = rhs(tm, y + 0.5 * h * k2)
+            k4 = rhs(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out[k + 1] = y
+    return out
 
 
-def _rk4(model: ModelSpec, theta, grid: TimeGrid, sensitivity: bool, x_start=None):
-    """_rk4_march, raising IntegrationDivergedError at the first non-finite node."""
-    out, dout, finite = _rk4_march(model, theta, grid, sensitivity, x_start)
+def finite_or_raise(states: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """states, the rk4 output on grid, if every one is finite; otherwise
+    IntegrationDivergedError at the first node holding a non-finite state."""
+    finite = np.isfinite(states).reshape(grid.n_steps + 1, -1).all(axis=1)
     if not finite.all():
-        node = 1 + int(np.argmin(finite.reshape(grid.n_steps, -1).all(axis=1)))
-        raise IntegrationDivergedError(
-            f"limit ODE diverged at node {node} (t={grid.times[node]:.6g})",
-            node_index=node,
-        )
-    return (out, dout) if sensitivity else out
+        node = int(np.argmin(finite))
+        raise IntegrationDivergedError(f"limit ODE diverged at node {node} "
+                                       f"(t={grid.times[node]:.6g})", node_index=node)
+    return states
 
 
-def _rk4_values(model: ModelSpec, theta, grid: TimeGrid, x_start=None):
-    """RK4 solution values of the limit ODE; theta may be a scalar or a vector.
+def flow_ode(model: ModelSpec, theta, x_start=None):
+    """(rhs, y0) of the limit ODE x' = S(theta, t, x) from x_start (x0 by
+    default), one lane per element of theta."""
+    theta = np.asarray(theta, dtype=float)
+    x = model.x0 if x_start is None else x_start
+    return (lambda t, y: model.drift(theta, t, y)), np.broadcast_to(x, theta.shape)
 
-    Returns an array of shape (n+1,) for scalar theta, or (n+1, k) when theta
-    is a vector of k parameter candidates advanced in lockstep.
-    """
-    return _rk4(model, theta, grid, False, x_start)
 
+def sensitivity_ode(model: ModelSpec, theta):
+    """(rhs, y0) of the limit ODE and its theta-derivative, y = (x, xdot)
+    shaped (2,) + theta.shape from (x0, 0), with xdot' = S_x xdot + S_theta;
+    under RK4, xdot is the exact theta-derivative of the discrete flow."""
+    theta = np.asarray(theta, dtype=float)
 
-def rk4_sensitivity(model: ModelSpec, theta, grid: TimeGrid, mask: bool = False):
-    """RK4 flow and its exact theta-derivative, (x, xdot), each shaped as
-    _rk4_values returns them.  With mask, a lane that diverges raises
-    nothing: the call returns (x, xdot, ok), ok shaped as theta and true
-    where the lane stayed finite at every node."""
-    if not mask:
-        return _rk4(model, theta, grid, True)
-    x, xdot, finite = _rk4_march(model, theta, grid, True)
-    return x, xdot, finite.all(axis=0)
+    def rhs(t, y):
+        out = np.empty(y.shape)
+        x = y[0]
+        out[0] = model.drift(theta, t, x)
+        np.add(model.drift_dx(theta, t, x) * y[1], model.drift_dtheta(theta, t, x), out=out[1])
+        return out
+
+    y0 = np.zeros((2,) + theta.shape)
+    y0[0] = model.x0
+    return rhs, y0
 
 
 def solve_limit_ode(model: ModelSpec, theta: float, grid: TimeGrid) -> Path:
     """Solve dx/dt = S(theta, t, x), x(t_start) = x0 with fixed-step RK4."""
-    values = _rk4_values(model, float(theta), grid)
-    return Path(grid, values)
+    return Path(grid, finite_or_raise(rk4(*flow_ode(model, float(theta)), grid), grid))
 
 
 def _euler_maruyama(model: ModelSpec, theta, epsilon: float, grid: TimeGrid,

@@ -36,7 +36,7 @@ from .errors import (
     PdeDivergenceError,
 )
 from .grids import TimeGrid
-from .models import ModelSpec, broadcast_eval, _rk4_values
+from .models import ModelSpec, broadcast_eval, finite_or_raise, flow_ode, rk4
 from .value_functions import characteristics_limit_value
 
 # Stored time rows (one step each) when the grid leaves n_t unset.
@@ -80,7 +80,8 @@ def default_domain(model: ModelSpec, n_samples: int = 33) -> Tuple[float, float]
     """Default rectangle [x0 - 6 L, x0 + 6 L] with L the largest limit-flow
     excursion over the closure of theta_interval, plus one unit of margin."""
     a, b = model.theta_interval
-    flows = _rk4_values(model, np.linspace(a, b, n_samples), TimeGrid(0.0, model.horizon, 200))
+    grid = TimeGrid(0.0, model.horizon, 200)
+    flows = finite_or_raise(rk4(*flow_ode(model, np.linspace(a, b, n_samples)), grid), grid)
     lam = float(np.max(np.abs(flows - model.x0))) + 1.0
     return model.x0 - 6.0 * lam, model.x0 + 6.0 * lam
 

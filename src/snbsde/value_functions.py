@@ -25,9 +25,9 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, EvaluationError
+from .errors import ConfigurationError, EvaluationError, IntegrationDivergedError
 from .grids import TimeGrid
-from .models import ModelSpec, broadcast_eval, _rk4_values
+from .models import ModelSpec, broadcast_eval, finite_or_raise, flow_ode, rk4
 
 GH_NODES_DEFAULT = 64
 # hermgauss weights underflow to nan past ~300 nodes, so the ladder stops at 256
@@ -260,7 +260,8 @@ def characteristics_limit_value(model: ModelSpec, driver: Callable, terminal: Ca
     arithmetic, so a lane's value does not depend on the other lanes; the
     forward pass is stored on half steps so the backward pass has exact stage
     states.  Returns a float for scalar x and theta, else an array of their
-    broadcast shape.
+    broadcast shape; raises IntegrationDivergedError when either pass turns
+    non-finite.
     """
     T = model.horizon
     if t > T:
@@ -272,7 +273,8 @@ def characteristics_limit_value(model: ModelSpec, driver: Callable, terminal: Ca
     else:
         half_steps = TimeGrid(t, T, 2 * n_steps)
         ts = half_steps.times
-        xs = _rk4_values(model, np.ravel(theta), half_steps, x_start=np.ravel(x))
+        xs = finite_or_raise(rk4(*flow_ode(model, np.ravel(theta), np.ravel(x)), half_steps),
+                             half_steps)
         # backward transport on full steps
         h = 2.0 * half_steps.h
         y = broadcast_eval(terminal(xs[-1]), xs.shape[1:])
@@ -288,6 +290,6 @@ def characteristics_limit_value(model: ModelSpec, driver: Callable, terminal: Ca
                 k4 = g(k - 2, y - h * k3)
                 y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(y)):
-            raise ConfigurationError("transport equation diverged on the characteristic")
+            raise IntegrationDivergedError("transport equation diverged on the characteristic")
         y = y.reshape(shape)
     return y if y.shape else float(y)

@@ -165,13 +165,14 @@ def test_efficiency_bounds_take_every_report_time_in_one_call():
 
 
 def test_approximate_bsde_builds_one_table(monkeypatch):
-    # the pilot and the one-step read one theta table: its window flow twice
-    # (scan and nodes, rk4_sensitivity) and its information nodes once
-    # (flow_batch)
+    # the pilot and the one-step read one theta table: three RK4 passes, its
+    # window flow twice (scan and nodes) and its information nodes once
+    # (flow_batch); the fourth is the theta0 flow of the limiting factor
+    # (limit_weights)
     eps = 0.1
     b, X, W, vf = _setup("square", eps, 29)
     shared = approximate_bsde(b.model, vf, X, W, EstimationWindow(0.1), eps, theta0=1.0)
-    calls = {"tables": 0, "rk4_sensitivity": 0, "flow_batch": 0}
+    calls = {"tables": 0, "rk4": 0, "flow_batch": 0}
     real_init = engine.ThetaTable.__init__
 
     def init(self, *args, **kw):
@@ -179,7 +180,7 @@ def test_approximate_bsde_builds_one_table(monkeypatch):
         real_init(self, *args, **kw)
 
     monkeypatch.setattr(engine.ThetaTable, "__init__", init)
-    for name in ("rk4_sensitivity", "flow_batch"):
+    for name in ("rk4", "flow_batch"):
         real = getattr(engine, name)
 
         def spy(*args, _name=name, _real=real, **kw):
@@ -188,7 +189,7 @@ def test_approximate_bsde_builds_one_table(monkeypatch):
 
         monkeypatch.setattr(engine, name, spy)
     approximate_bsde(b.model, vf, X, W, EstimationWindow(0.1), eps, theta0=1.0)
-    assert calls == {"tables": 1, "rk4_sensitivity": 2, "flow_batch": 1}
+    assert calls == {"tables": 1, "rk4": 4, "flow_batch": 1}
 
     # the same call with a fresh table per stage gives every field bit for bit
     real_mde, real_trace = estimation.mde_estimate, estimation.onestep_trace

@@ -91,6 +91,20 @@ def test_unknown_keys_are_named(tmp_path, capsys):
                  str(tmp_path / "o")]) == 1
     assert "unknown configuration key 'pde.nx'" in capsys.readouterr().err
 
+    # an echo.json of a release that still had the top-level sup_stride
+    cfg.write_text(json.dumps({"sup_stride": 0}))
+    assert main(["experiment", "--config", str(cfg), "--output",
+                 str(tmp_path / "o")]) == 1
+    assert "unknown configuration key 'sup_stride'" in capsys.readouterr().err
+
+
+def test_lone_pde_bound_is_a_configuration_error(tmp_path, capsys):
+    # one bound alone used to be dropped for the default rectangle
+    for bound in ("pde.x_min=-50", "pde.x_max=50"):
+        assert main(["pde-solve", "--set", bound, "--set", "pde.n_x=40",
+                     "--output", str(tmp_path / "o")]) == 1
+        assert "x_min and x_max must be given together" in capsys.readouterr().err
+
 
 def test_configuration_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"

@@ -13,13 +13,24 @@ from snbsde.errors import (ConfigurationError, FlatObjectiveError,
                            IntegrationDivergedError, SimulationDivergedError)
 from snbsde.estimation import EstimationWindow, mde_estimate, score_head
 from snbsde.grids import NoiseSource, Path, TimeGrid
-from snbsde.models import (ModelSpec, rk4_sensitivity, simulate_forward, validate_model,
-                           _rk4_values)
+from snbsde.models import (ModelSpec, finite_or_raise, flow_ode, rk4, sensitivity_ode,
+                           simulate_forward, validate_model)
 from snbsde.pde import PdeGrid, theta_derivatives_by_bundle
 from snbsde.presets import build_preset
 from snbsde.value_functions import LinearValueFunction
 
 SEED = 4141
+
+
+def _flow(model, theta, grid):
+    """RK4 limit flow, raising IntegrationDivergedError at a non-finite node."""
+    return finite_or_raise(rk4(*flow_ode(model, theta), grid), grid)
+
+
+def _sensitivity(model, theta, grid):
+    """(x, xdot) of the RK4 flow and its theta-derivative, raising as _flow."""
+    y = finite_or_raise(rk4(*sensitivity_ode(model, theta), grid), grid)
+    return y[:, 0], y[:, 1]
 
 
 def _vf_for(bundle, epsilon):
@@ -642,13 +653,13 @@ def test_pilot_matches_golden_section_oracle(name, params, theta0):
     w = _trapezoid_weights(i + 1, wgrid.h)
     lo, hi = model.theta_interval
     xw = X[:, : i + 1]
-    f_pilot = np.sum(w * (xw - _rk4_values(model, theta, wgrid).T) ** 2, axis=1)
-    dense = _rk4_values(model, np.linspace(lo, hi, 4001), wgrid)
+    f_pilot = np.sum(w * (xw - _flow(model, theta, wgrid).T) ** 2, axis=1)
+    dense = _flow(model, np.linspace(lo, hi, 4001), wgrid)
     f_dense = np.array([np.sum(w[:, None] * (xw[r, :, None] - dense) ** 2, axis=0).min()
                         for r in range(X.shape[0])])
     assert np.all(f_pilot <= f_dense + engine._resolution(f_dense))
     # the pilot is the stationary point of the discrete F: F'/F'' vanishes
-    x, xdot = rk4_sensitivity(model, theta, wgrid)
+    x, xdot = _sensitivity(model, theta, wgrid)
     r = X[:, : i + 1] - x.T
     newton = np.sum(w * r * xdot.T, axis=1) / np.sum(w * xdot.T**2, axis=1)
     assert np.max(np.abs(newton)) < 1e-3 * (hi - lo) * REFINE_FACTOR
@@ -746,7 +757,7 @@ def test_theta_table_matches_direct_rk4(name, params):
     lo, hi = model.theta_interval
     thetas = np.random.default_rng(7).uniform(lo, hi, 200)
     x, xdot = table.window(thetas)
-    x_d, xdot_d = rk4_sensitivity(model, thetas, table.wgrid)
+    x_d, xdot_d = _sensitivity(model, thetas, table.wgrid)
     assert np.max(_rel_sup(x, x_d.T)) <= 1e-12
     assert np.max(_rel_sup(xdot[:, 1:], xdot_d.T[:, 1:])) <= 1e-12
     info = table.info(thetas)
@@ -790,7 +801,7 @@ def test_theta_table_edge_pilots_read_node_values():
     assert not np.any(flat)
     assert np.array_equal(theta, [lo, lo, hi, hi])
     x, xdot = table.window(theta)
-    x_d, xdot_d = rk4_sensitivity(model, theta, table.wgrid)
+    x_d, xdot_d = _sensitivity(model, theta, table.wgrid)
     assert np.array_equal(x, x_d.T) and np.array_equal(xdot, xdot_d.T)
     assert table.node_window is not None
     info = table.info(theta)
@@ -849,11 +860,11 @@ def test_theta_table_guard_falls_back_to_rows_on_a_kink():
     xw = X[:, : i + 1]
     w = _trapezoid_weights(i + 1, wgrid.h)
     cand = np.linspace(*KINK.theta_interval, engine.SCAN_POINTS)
-    x, xdot = (np.ascontiguousarray(a.T) for a in rk4_sensitivity(KINK, cand, wgrid))
+    x, xdot = (np.ascontiguousarray(a.T) for a in _sensitivity(KINK, cand, wgrid))
     obj = np.stack([np.sum(w * (xw - x[j]) ** 2, axis=1) for j in range(cand.size)], axis=1)
 
     def evaluate(idx, thetas):
-        xe, xdote = rk4_sensitivity(KINK, thetas, wgrid)
+        xe, xdote = _sensitivity(KINK, thetas, wgrid)
         return engine._gauss_newton(xw[idx], np.ascontiguousarray(xe.T),
                                     np.ascontiguousarray(xdote.T), w)
 
@@ -872,7 +883,7 @@ def test_theta_table_guard_falls_back_to_rows_on_a_kink():
 def test_theta_table_survives_a_flow_that_diverges_near_an_edge():
     grid = TimeGrid(0.0, 1.0, 200)
     with pytest.raises(IntegrationDivergedError):
-        _rk4_values(BLOWUP, BLOWUP.theta_interval[1], grid)
+        _flow(BLOWUP, BLOWUP.theta_interval[1], grid)
     # the window interpolant passes its check; the information on [delta, T]
     # falls back to RK4 per row
     table = engine.ThetaTable(BLOWUP, grid, 0.1)
@@ -903,7 +914,7 @@ def test_pilot_never_picks_a_scan_candidate_whose_window_flow_diverges():
     table = engine.ThetaTable(STEEP, grid, 0.1)
     cand, _, _, ok = table.scan
     with pytest.raises(IntegrationDivergedError):
-        rk4_sensitivity(STEEP, cand, table.wgrid)
+        _sensitivity(STEEP, cand, table.wgrid)
     assert np.array_equal(ok, cand < 10.0)
     X, _, diverged = simulate_batch(STEEP, 1.0, 0.05, grid, SEED, range(8))
     assert not np.any(diverged)
@@ -928,7 +939,7 @@ def test_theta_table_fallback_fails_rows_whose_flow_diverges():
     # the failed rows are those whose flow, or its information, diverges on
     # [0, T]: RK4 per row raises for them, and their information reads 0
     with pytest.raises(IntegrationDivergedError):
-        _rk4_values(STEEP, res.theta_pilot[res.failed], grid)
+        _flow(STEEP, res.theta_pilot[res.failed], grid)
     info = table.info(res.theta_pilot)
     assert np.all(info[res.failed] == 0.0)
     assert np.all(info[~res.failed, -1] >= engine.INFO_FLOOR)
@@ -960,6 +971,6 @@ def test_pilot_treats_a_trial_whose_window_flow_diverges_as_a_rise(monkeypatch):
     assert table.node_window is None
     assert not np.all(np.concatenate(trials))
     assert not np.any(flat)
-    rk4_sensitivity(STEEP, theta, table.wgrid)  # every pilot's window flow is finite
+    _sensitivity(STEEP, theta, table.wgrid)  # every pilot's window flow is finite
     for r in range(X.shape[0]):
         assert pilot_batch(STEEP, X[r:r + 1], grid, 0.1, table)[0][0] == theta[r]

@@ -6,8 +6,8 @@ import pytest
 
 from snbsde import bsde, engine, estimation, experiment, models
 from snbsde.errors import ConfigurationError, DiagnosticError, ExperimentAbortedError
-from snbsde.experiment import (ExperimentConfig, _ks_uniform_p, config_to_dict,
-                               normality_diagnostics, run_epsilon_block,
+from snbsde.experiment import (ExperimentConfig, _ks_uniform_p, build_value_function,
+                               config_to_dict, normality_diagnostics, run_epsilon_block,
                                run_monte_carlo, shrinking_window_study)
 from snbsde.models import ModelSpec
 from snbsde.presets import build_preset
@@ -38,6 +38,16 @@ def test_config_validation():
         cfg = ExperimentConfig(**{**BASE, **repl})
         with pytest.raises(ConfigurationError):
             cfg.validate()
+
+
+def test_lone_pde_bound_is_a_configuration_error():
+    # one bound alone used to be dropped for the default rectangle
+    config = ExperimentConfig(**{**BASE, "model": "custom-pde", "model_params": {},
+                                 "backend": "pde"})
+    bundle = config.validate()
+    for lone in ({"x_min": -50.0}, {"x_max": 50.0}):
+        with pytest.raises(ConfigurationError, match="given together"):
+            build_value_function(bundle, dataclasses.replace(config, pde_params=lone), 0.1)
 
 
 def test_ks_tail_probability_oracle():
@@ -111,10 +121,10 @@ def test_reports_identical_across_chunking(tmp_path):
 
 def test_epsilon_block_builds_its_tables_once(monkeypatch):
     # the theta table and the limit weights depend on the block only, so a
-    # block of many chunks integrates the limit flow only for them: once for
-    # the scan and once for the window nodes (rk4_sensitivity), once for the
-    # information nodes (flow_batch) and once at theta0 (limit_weights)
-    calls = {"rk4_sensitivity": 0, "flow_batch": 0, "limit_weights": 0, "run_batch": 0}
+    # block of many chunks integrates the limit flow only for them, in four
+    # RK4 passes: once for the scan and once for the window nodes, once for
+    # the information nodes (flow_batch) and once at theta0 (limit_weights)
+    calls = {"rk4": 0, "flow_batch": 0, "limit_weights": 0, "run_batch": 0}
     for name in calls:
         real = getattr(engine, name)
 
@@ -127,8 +137,7 @@ def test_epsilon_block_builds_its_tables_once(monkeypatch):
                                  "backend": "pde", "theta0": 0.5, "chunk_size": 40,
                                  "pde_params": {"n_x": 64, "n_t": 50}})
     block = run_epsilon_block(config.validate(), config, 0.1, 0, residuals=True)
-    assert calls == {"rk4_sensitivity": 2, "flow_batch": 1, "limit_weights": 1,
-                     "run_batch": 4}
+    assert calls == {"rk4": 4, "flow_batch": 1, "limit_weights": 1, "run_batch": 4}
     assert not np.any(block.result.failed)
     assert block.result.xi.shape == (config.n_replications, 1)
 
@@ -147,12 +156,13 @@ def _count_calls(monkeypatch, module, names):
 
 
 def test_study_builds_its_table_once(monkeypatch):
-    # one table serves every noise level of a study: the window flow twice
-    # (scan and nodes) and the information once, for two epsilon blocks
-    calls = _count_calls(monkeypatch, engine, ("rk4_sensitivity", "flow_batch", "run_batch"))
+    # one table serves every noise level of a study: three RK4 passes, the
+    # window flow twice (scan and nodes) and the information once
+    # (flow_batch), for two epsilon blocks
+    calls = _count_calls(monkeypatch, engine, ("rk4", "flow_batch", "run_batch"))
     config = ExperimentConfig(**{**BASE, "epsilon_list": (0.1, 0.05), "chunk_size": 60})
     report = run_monte_carlo(config)
-    assert calls == {"rk4_sensitivity": 2, "flow_batch": 1, "run_batch": 6}
+    assert calls == {"rk4": 3, "flow_batch": 1, "run_batch": 6}
     assert report.failures == {0.1: 0, 0.05: 0}
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from snbsde.errors import ConfigurationError, DomainError, PdeDivergenceError
 from snbsde.grids import TimeGrid
-from snbsde.models import ModelSpec, solve_limit_ode, _rk4_values
+from snbsde.models import ModelSpec, flow_ode, rk4, solve_limit_ode
 from snbsde.pde import (DEFAULT_ROWS, PdeGrid, default_domain, eval_solution,
                         solve_semilinear_pde, theta_derivatives_by_bundle)
 from snbsde.presets import TERMINALS, build_preset
@@ -199,7 +199,7 @@ def test_default_domain_batched_flows_match_scalar_loop(name, params):
     model = build_preset(name, params).model
     grid = TimeGrid(0.0, model.horizon, 200)
     thetas = np.linspace(*model.theta_interval, 33)
-    batched = _rk4_values(model, thetas, grid)
+    batched = rk4(*flow_ode(model, thetas), grid)
     span = 0.0
     for j, theta in enumerate(thetas):
         x = solve_limit_ode(model, float(theta), grid).values
@@ -267,7 +267,7 @@ def _scalar_limit(model, driver, terminal, t, x, theta, n_steps=256):
         return float(terminal(x))
     half = TimeGrid(t, model.horizon, 2 * n_steps)
     ts = half.times
-    xs = _rk4_values(model, float(theta), half, x_start=float(x))
+    xs = rk4(*flow_ode(model, float(theta), float(x)), half)
     h = 2.0 * half.h
     y = float(terminal(xs[-1]))
 

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from snbsde.errors import ConfigurationError, EvaluationError
+from snbsde.errors import ConfigurationError, EvaluationError, IntegrationDivergedError
 from snbsde.presets import TERMINALS, build_preset, linear_driver
 from snbsde.value_functions import (LinearModelSpec, LinearValueFunction,
                                     TerminalCondition,
@@ -201,6 +201,16 @@ def test_characteristics_nonlinear_flow():
     got = characteristics_limit_value(b.model, b.driver, TERMINALS["square"].f,
                                       t, x, theta)
     assert abs(got - want) < 1e-9
+
+
+def test_characteristics_transport_divergence_is_a_runtime_failure():
+    # y' = -f = -y^3 backward from y(T) = Phi(x_T) = 16 blows up within
+    # 1/512 of T, inside the first backward step: a numerical failure, not a
+    # configuration error
+    b = build_preset("linear-constant-drift", {"terminal": "square"})
+    with pytest.raises(IntegrationDivergedError):
+        characteristics_limit_value(b.model, lambda t, x, y, z: y**3, TERMINALS["square"].f,
+                                    0.0, 3.0, 1.0)
 
 
 def test_characteristics_horizon_edge():
