@@ -39,6 +39,11 @@ _DEFAULTS.update(epsilon=0.1, pde={}, study={})
 _TOP_KEYS = set(_DEFAULTS)
 _PDE_KEYS = set(PDE_KEYS) | {"theta"}
 _STUDY_KEYS = {"kappa_list", "sup_stride"}
+# the pde keys each subcommand reads: pde-solve solves at the one theta
+# pde.theta (theta0 by default), so it has no dtheta; the others build the
+# bundle at theta0, on the pde backend only
+_PDE_READ = {"pde-solve": _PDE_KEYS - {"dtheta"}, "approximate": set(PDE_KEYS),
+             "experiment": set(PDE_KEYS), "delta-study": set(PDE_KEYS)}
 
 # acceptance-scale replication count for --full; explicit settings still win
 _FULL_DEFAULTS = {
@@ -46,13 +51,19 @@ _FULL_DEFAULTS = {
 }
 
 
-def _check_keys(cfg: dict) -> None:
+def _check_keys(cfg: dict, command: str) -> None:
     for key in cfg:
         if key not in _TOP_KEYS:
             raise ConfigurationError(f"unknown configuration key '{key}'")
+    read, where = _PDE_READ.get(command, set()), ""
+    if read and command != "pde-solve" and cfg.get("backend") != "pde":
+        read, where = set(), f" with backend {cfg.get('backend')}"
     for key in cfg.get("pde", {}):
         if key not in _PDE_KEYS:
             raise ConfigurationError(f"unknown configuration key 'pde.{key}'")
+        if key not in read:
+            raise ConfigurationError(
+                f"configuration key 'pde.{key}' is not read by {command}{where}")
     for key in cfg.get("study", {}):
         if key not in _STUDY_KEYS:
             raise ConfigurationError(f"unknown configuration key 'study.{key}'")
@@ -102,7 +113,7 @@ def load_config(args) -> dict:
         _apply_override(cfg, key, value)
     if args.seed is not None:
         cfg["base_seed"] = args.seed
-    _check_keys(cfg)
+    _check_keys(cfg, args.command)
     return cfg
 
 
@@ -134,7 +145,7 @@ def _experiment_config(cfg: dict) -> ExperimentConfig:
         return type(default)(cfg[key])
 
     shared = [f.name for f in fields(ExperimentConfig) if f.name in _DEFAULTS]
-    return ExperimentConfig(pde_params={k: v for k, v in cfg["pde"].items() if k != "theta"},
+    return ExperimentConfig(pde_params=dict(cfg["pde"]),
                             **{key: coerce(key) for key in shared})
 
 
@@ -192,7 +203,7 @@ def cmd_approximate(cfg: dict, outdir: str) -> None:
 def cmd_pde_solve(cfg: dict, outdir: str) -> None:
     bundle = build_preset(cfg["model"], cfg["model_params"])
     theta = float(cfg["pde"].get("theta", cfg["theta0"]))
-    grid = pde_grid(bundle, _experiment_config(cfg).pde_params)
+    grid = pde_grid(bundle, {k: v for k, v in cfg["pde"].items() if k != "theta"})
     sol = solve_semilinear_pde(bundle.model, bundle.driver, bundle.terminal.f,
                                theta, float(cfg["epsilon"]), grid)
     n_rows = sol.values.shape[0]

@@ -10,13 +10,15 @@ the same for any chunking or blocking of the replication set.
 
 `run_batch` keeps one path-sized array, the row-major paths X, and makes
 every other pass in cache-sized pieces.  `simulate_batch` draws each Philox
-noise row straight into the row-major increments dW and steps Euler-Maruyama
-over time tiles, each in a small time-major buffer written back transposed
-into X.  With residuals, the limiting Gaussian factor xi is formed from dW
-in row blocks right after the simulation, and dW is dropped.  The pilot and
-the head score read the window [0, delta] of every row.  Then each block of
-about ROW_BLOCK elements of rows goes through the information read, the
-tail score, the one-step and the sup sweep before the next block starts.
+noise row straight into X[:, 1:]; with residuals it forms the limiting
+Gaussian factor xi from those increments in row blocks, and then steps
+Euler-Maruyama in place over time tiles, each copied into a small time-major
+buffer before its states are written back transposed over it.  A run of
+many chunks and blocks allocates X once and hands that buffer to every one
+of them.  The pilot and the head score read the window [0, delta] of every
+row.  Then each block of about ROW_BLOCK elements of rows goes through the
+information read, the tail score, the one-step and the sup sweep before the
+next block starts.
 The one-step, and the information and tail score it is formed from, are
 built only at the nodes some output reads: the report nodes, T and, for the
 sup statistic, the sup nodes.
@@ -88,21 +90,40 @@ def _cumtrapz_rows(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def simulate_batch(model: ModelSpec, theta0: float, epsilon: float, grid: TimeGrid,
-                   seed: int, stream_ids: Sequence[int]):
+                   seed: int, stream_ids: Sequence[int], *, limit=None,
+                   xi_nodes: Sequence[int] = (), paths: Optional[np.ndarray] = None):
     """Euler-Maruyama paths for a block of replications.
 
     Row r is driven by the stream (seed, stream_ids[r]), drawn by
     grids.increment_rows bit for bit as NoiseSource(seed, sid).increments,
-    straight into the row-major increments dW of shape (M, n), whose running
-    sum from 0 is W.  The paths X, row-major (M, n+1), come from the one
-    Euler-Maruyama loop simulate_forward also runs, stepped over cache-sized
-    time tiles.  Returns (X, dW, diverged).  Diverged rows are frozen at x0
-    from the blow-up node on and flagged; their numbers are never used
-    downstream.
+    straight into the columns 1..n of the row-major paths X (M, n+1).  With
+    limit = limit_weights(model, theta0, grid), the limiting Gaussian factor
+    xi (M, len(xi_nodes)) is formed from those increments at the grid nodes
+    xi_nodes; then the one Euler-Maruyama loop simulate_forward also runs
+    steps X in place over cache-sized time tiles.  Nothing path-sized is
+    allocated but X itself, and not even X when the caller owns a path
+    buffer: paths, a C-ordered float64 array of at least M rows and n+1
+    columns, whose first M rows become X and are overwritten; a caller that
+    reuses it for the next block must be done with this X.
+
+    Returns (X, xi, diverged), xi None without limit.  Diverged rows are
+    frozen at x0 from the blow-up node on and flagged; their numbers are
+    never used downstream.
     """
-    dW = increment_rows(seed, stream_ids, grid.n_steps, grid.h)
-    X, first = _euler_maruyama(model, theta0, epsilon, grid, dW)
-    return X, dW, first <= grid.n_steps
+    m, n = len(stream_ids), grid.n_steps
+    if paths is None:
+        X = np.empty((m, n + 1))
+    elif paths.dtype != np.float64 or not paths.flags.c_contiguous or \
+            paths.shape[0] < m or paths.shape[1:] != (n + 1,):
+        raise ConfigurationError(f"path buffer {paths.shape} cannot hold {m} paths "
+                                 f"of {n + 1} nodes")
+    else:
+        X = paths[:m]
+    increment_rows(seed, stream_ids, n, grid.h, out=X[:, 1:])
+    xi = None if limit is None else \
+        _limit_factor(limit, X[:, 1:], np.asarray(xi_nodes, dtype=int))[0]
+    first = _euler_maruyama(model, theta0, epsilon, grid, X)
+    return X, xi, first <= n
 
 
 def _resolution(f: np.ndarray) -> np.ndarray:
@@ -580,11 +601,12 @@ def limit_weights(model: ModelSpec, theta0: float, grid: TimeGrid):
 def _limit_factor(limit, dW: np.ndarray, nodes: np.ndarray):
     """Limiting Gaussian factor xi(t) = int_0^t (S_theta / sigma) dW / I(t)
     along the flow at theta0, at the given nodes, with a left-point
-    stochastic sum; limit is limit_weights(model, theta0, grid).  Returns
-    (xi, info): xi of shape (M, len(nodes)), 0 where I(theta0, t) is below
-    INFO_FLOOR, and I(theta0, t) at the nodes.  The running sums are formed
-    in blocks of about ROW_BLOCK elements of rows, each row's in node order,
-    so no array of the size of dW is built."""
+    stochastic sum over the increments dW (M, n), which may be the view
+    X[:, 1:] of a path buffer; limit is limit_weights(model, theta0, grid).
+    Returns (xi, info): xi of shape (M, len(nodes)), 0 where I(theta0, t) is
+    below INFO_FLOOR, and I(theta0, t) at the nodes.  The running sums are
+    formed in blocks of about ROW_BLOCK elements of rows, each row's in node
+    order, so no array of the size of dW is built."""
     wgt, info0 = limit
     rows = max(1, ROW_BLOCK // (wgt.size + 1))
     sums = np.empty((dW.shape[0], nodes.size))
@@ -628,7 +650,8 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
               delta: float, report_times: Sequence[float], seed: int,
               stream_ids: Sequence[int], *, plugin: bool = False,
               residuals: bool = False, sup_stride: int = 0,
-              table: Optional[ThetaTable] = None, limit=None) -> BatchResult:
+              table: Optional[ThetaTable] = None, limit=None,
+              paths: Optional[np.ndarray] = None) -> BatchResult:
     """Full pipeline for one block of replications.
 
     sup_stride > 0 additionally tracks sup |Y_hat - Y| over every
@@ -642,6 +665,12 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
     built here when not given.  The pilot reads the window flow and
     sensitivity from the table, and the one-step reads each row's
     information profile from it at the row's pilot.
+
+    paths is the caller's path buffer, as simulate_batch takes it: a run of
+    many chunks or blocks allocates one and hands it to every chunk, which
+    simulates into its first rows.  No field of the result is a view of it,
+    so it can be overwritten by the next chunk.  Without it, the block
+    allocates its own paths.
 
     After the simulation, the pilot and the head score, rows go in blocks of
     about ROW_BLOCK elements through the information read, the tail score,
@@ -663,12 +692,11 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
     cols = np.unique(np.concatenate((r_idx, sup_nodes, [n])))
     rep = np.searchsorted(cols, r_idx)
 
-    X, dW, diverged = simulate_batch(model, theta0, epsilon, grid, seed, stream_ids)
-    xi_rep = None
-    if residuals:
-        limit = limit_weights(model, theta0, grid) if limit is None else limit
-        xi_rep = _limit_factor(limit, dW, r_idx)[0]
-    del dW
+    if residuals and limit is None:
+        limit = limit_weights(model, theta0, grid)
+    X, xi_rep, diverged = simulate_batch(model, theta0, epsilon, grid, seed, stream_ids,
+                                         limit=limit if residuals else None,
+                                         xi_nodes=r_idx, paths=paths)
     theta_pilot, flat = pilot_batch(model, X, grid, delta, table)
     head = score_head_batch(model, theta_pilot, X, grid, i, epsilon)
 

@@ -224,17 +224,25 @@ def _concat_results(parts: List[engine.BatchResult]) -> engine.BatchResult:
     return engine.BatchResult(report_times=parts[0].report_times, **merged)
 
 
+def _path_buffer(config: ExperimentConfig) -> np.ndarray:
+    """The (min(M, chunk_size), n+1) paths every chunk of a run simulates into."""
+    return np.empty((min(config.n_replications, config.chunk_size), config.n_steps + 1))
+
+
 def run_epsilon_block(bundle: ModelBundle, config: ExperimentConfig,
                       epsilon: float, eps_index: int, *, delta: Optional[float] = None,
                       report_times: Optional[Sequence[float]] = None,
                       sup_stride: int = 0,
                       residuals: bool = False,
-                      table: Optional[engine.ThetaTable] = None) -> EpsilonBlock:
+                      table: Optional[engine.ThetaTable] = None,
+                      paths: Optional[np.ndarray] = None) -> EpsilonBlock:
     """Run all replications of one noise level through the engine.
 
     table is the study's engine.ThetaTable of (bundle.model, config.grid(),
-    delta); a block builds its own when none is given.  sup_stride is
-    engine.run_batch's.
+    delta); a block builds its own when none is given.  paths is the run's
+    path buffer of min(n_replications, chunk_size) rows, which every chunk
+    simulates into in turn; a block allocates its own when none is given.
+    sup_stride is engine.run_batch's.
     """
     grid = config.grid()
     delta = config.delta if delta is None else delta
@@ -245,13 +253,15 @@ def run_epsilon_block(bundle: ModelBundle, config: ExperimentConfig,
     # unless the study shares its own
     table = engine.ThetaTable(bundle.model, grid, delta) if table is None else table
     limit = engine.limit_weights(bundle.model, config.theta0, grid) if residuals else None
+    paths = _path_buffer(config) if paths is None else paths
     parts = []
     for lo in range(0, m, config.chunk_size):
         ids = [(eps_index << 32) | r for r in range(lo, min(lo + config.chunk_size, m))]
         parts.append(engine.run_batch(
             bundle.model, vf, config.theta0, epsilon, grid, delta,
             report_times, config.base_seed, ids, plugin=config.plugin,
-            residuals=residuals, sup_stride=sup_stride, table=table, limit=limit))
+            residuals=residuals, sup_stride=sup_stride, table=table, limit=limit,
+            paths=paths))
     res = _concat_results(parts)
     n_failed = int(np.sum(res.failed))
     if n_failed > FAILURE_FRACTION_CAP * m:
@@ -333,10 +343,12 @@ def run_monte_carlo(config: ExperimentConfig) -> ExperimentReport:
     bounds = None
     # the limit flow does not depend on epsilon: one table serves every block
     table = engine.ThetaTable(model, grid, config.delta)
+    # and one path buffer every chunk of every block simulates into
+    paths = _path_buffer(config)
 
     for e_idx, eps in enumerate(config.epsilon_list):
         block = run_epsilon_block(bundle, config, eps, e_idx,
-                                  report_times=report_times, table=table)
+                                  report_times=report_times, table=table, paths=paths)
         res = block.result
         failures[eps] = block.n_failed
         valid = ~res.failed
@@ -473,6 +485,7 @@ def shrinking_window_study(config: ExperimentConfig,
     # owns the information part of (model, grid) that every window's table
     # shares; its own window parts are never read, so never built
     tables = engine.ThetaTable(bundle.model, grid, config.delta)
+    paths = _path_buffer(config)
 
     for s_idx, (name, kappa, fn) in enumerate(schedules):
         deltas = [fn(e) for e in eps_list]
@@ -502,7 +515,7 @@ def shrinking_window_study(config: ExperimentConfig,
                 block = run_epsilon_block(
                     bundle, config, eps, (s_idx + 1) << 20 | e_idx,
                     delta=d_snap, report_times=(grid.t_end,),
-                    sup_stride=sup_stride, table=tables.for_window(d_snap))
+                    sup_stride=sup_stride, table=tables.for_window(d_snap), paths=paths)
                 res = block.result
                 valid = ~res.failed
                 q95 = float(np.percentile(res.sup_abs_y_err[valid], 95.0))

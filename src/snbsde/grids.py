@@ -90,8 +90,10 @@ def increment_rows(seed: int, stream_ids: Sequence[int], n_steps: int, h: float,
     sqrt(h) * Generator(Philox(key=(seed << 64) | sid)).standard_normal(n_steps).
     One bit generator is re-keyed per row through its `state` setter
     (key = [sid, seed], counter 0, empty buffer) instead of constructing a
-    generator per row.  `out`, if given, is a C-ordered (len(stream_ids),
-    n_steps) float64 array filled in place and returned.
+    generator per row.  `out`, if given, is a (len(stream_ids), n_steps)
+    float64 array whose rows are each contiguous, such as the columns
+    X[:, 1:] of a C-ordered (M, n_steps + 1) path array; it is filled in
+    place and returned, and nothing outside it is written.
     """
     if n_steps < 1:
         raise ConfigurationError("n_steps must be >= 1")

@@ -232,25 +232,26 @@ def solve_limit_ode(model: ModelSpec, theta: float, grid: TimeGrid) -> Path:
 
 
 def _euler_maruyama(model: ModelSpec, theta, epsilon: float, grid: TimeGrid,
-                    dW: np.ndarray):
-    """Lockstep Euler-Maruyama paths X (M, n+1) from x0 for increments dW (M, n).
+                    X: np.ndarray):
+    """Lockstep Euler-Maruyama paths from x0, stepped in place in the C-ordered
+    X (M, n+1), whose columns 1..n hold the increments dW on entry.
 
-    Each tile of EULER_TILE elements of dW is stepped time-major in small
-    buffers and written back transposed into X, so the full-size arrays are
-    only read and written row-major.  A step is x + (S h) + (epsilon sigma)
-    dw in that order, with S h and epsilon sigma formed on the coefficients'
-    own shapes: a constant model pays three row-sized operations per step,
-    and an array-valued coefficient is scaled into the step's preallocated
+    Each tile of EULER_TILE elements of increments is copied time-major into
+    a small buffer before that tile's states are written back transposed
+    over them, so X is only read and written row-major and no second
+    path-sized array is needed.  A step is x + (S h) + (epsilon sigma) dw in
+    that order, with S h and epsilon sigma formed on the coefficients' own
+    shapes: a constant model pays three row-sized operations per step, and
+    an array-valued coefficient is scaled into the step's preallocated
     buffers.
     Rows are independent, so a row that blows up runs on without touching
-    the others.  Returns (X, first), first the first node of each row beyond
-    the blow-up guard or non-finite (n+1 if none); from that node on the row
-    is frozen at x0.
+    the others.  Returns first, the first node of each row beyond the
+    blow-up guard or non-finite (n+1 if none); from that node on the row is
+    frozen at x0.
     """
-    m, n = dW.shape
+    m, n = X.shape[0], X.shape[1] - 1
     h = grid.h
     times = grid.times
-    X = np.empty((m, n + 1))
     first = np.full(m, n + 1)
     tile = max(1, min(n, EULER_TILE // max(m, 1)))
     dw = np.empty((tile, m))
@@ -260,7 +261,7 @@ def _euler_maruyama(model: ModelSpec, theta, epsilon: float, grid: TimeGrid,
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, n, tile):
             steps = min(tile, n - k0)
-            np.copyto(dw[:steps], dW[:, k0: k0 + steps].T)
+            np.copyto(dw[:steps], X[:, k0 + 1: k0 + steps + 1].T)
             for j in range(steps):
                 t = times[k0 + j]
                 x, nxt = xs[j], xs[j + 1]
@@ -277,7 +278,7 @@ def _euler_maruyama(model: ModelSpec, theta, epsilon: float, grid: TimeGrid,
             xs[0] = xs[steps]
     for r in np.flatnonzero(first <= n):
         X[r, first[r]:] = model.x0
-    return X, first
+    return first
 
 
 def simulate_forward(
@@ -297,7 +298,9 @@ def simulate_forward(
     if not model.contains_theta(theta):
         raise ConfigurationError(f"theta={theta} outside closure of theta_interval")
     dw = noise.increments(grid.n_steps, grid.h)
-    X, first = _euler_maruyama(model, theta, epsilon, grid, dw[None, :])
+    X = np.empty((1, grid.n_steps + 1))
+    X[0, 1:] = dw
+    first = _euler_maruyama(model, theta, epsilon, grid, X)
     if first[0] <= grid.n_steps:
         raise SimulationDivergedError(f"simulated path exceeded guard at node {first[0]}",
                                       node_index=int(first[0]))

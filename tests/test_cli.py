@@ -97,6 +97,25 @@ def test_unknown_keys_are_named(tmp_path, capsys):
                  str(tmp_path / "o")]) == 1
     assert "unknown configuration key 'sup_stride'" in capsys.readouterr().err
 
+    # a pde key the subcommand does not read is named, not ignored: pde-solve
+    # solves at one theta, so it has no dtheta; the bundle commands build at
+    # theta0, and read no pde key at all on the closed-form backend
+    unread = [
+        (["pde-solve", "--set", "pde.dtheta=0.3"], "'pde.dtheta' is not read by pde-solve"),
+        (["experiment", "--set", "backend=pde", "--set", "pde.theta=0.5"],
+         "'pde.theta' is not read by experiment"),
+        (["delta-study", "--set", "backend=pde", "--set", "pde.theta=0.5"],
+         "'pde.theta' is not read by delta-study"),
+        (["approximate", "--set", "backend=pde", "--set", "pde.theta=0.5"],
+         "'pde.theta' is not read by approximate"),
+        (["experiment", "--set", "pde.n_x=64"],
+         "'pde.n_x' is not read by experiment with backend closed-form"),
+        (["simulate", "--set", "pde.n_x=64"], "'pde.n_x' is not read by simulate"),
+    ]
+    for argv, message in unread:
+        assert main(argv + ["--output", str(tmp_path / "o")]) == 1, argv
+        assert message in capsys.readouterr().err, argv
+
 
 def test_lone_pde_bound_is_a_configuration_error(tmp_path, capsys):
     # one bound alone used to be dropped for the default rectangle

@@ -12,7 +12,7 @@ from snbsde.engine import (REFINE_FACTOR, pilot_batch, run_batch, score_head_bat
 from snbsde.errors import (ConfigurationError, FlatObjectiveError,
                            IntegrationDivergedError, SimulationDivergedError)
 from snbsde.estimation import EstimationWindow, mde_estimate, score_head
-from snbsde.grids import NoiseSource, Path, TimeGrid
+from snbsde.grids import NoiseSource, Path, TimeGrid, increment_rows
 from snbsde.models import (ModelSpec, finite_or_raise, flow_ode, rk4, sensitivity_ode,
                            simulate_forward, validate_model)
 from snbsde.pde import PdeGrid, theta_derivatives_by_bundle
@@ -258,10 +258,12 @@ def test_run_batch_peak_memory():
 
 # Peak traced allocation of the same block without the sup statistic
 # (sup_stride = 0), in units of one (M, n+1) float64 array.  The block reads
-# 2.42 (numpy 2.4), set by the paths and the noise while the simulation
-# runs; it read 3.0 while the constant coefficients came back as path-sized
-# arrays, and 3.84 when the block built the information and tail score at
-# every node of [delta, T].
+# 2.42 (numpy 2.4), set by the tail score of a row block on top of the
+# paths; the simulation, with the noise drawn into the paths, reads 1.42.
+# While the noise was a second path-sized array the simulation also read
+# 2.42; the block read 3.0 while the constant coefficients came back as
+# path-sized arrays, and 3.84 when it built the information and tail score
+# at every node of [delta, T].
 PEAK_LEAN_PATH_ARRAYS = 3.4
 
 
@@ -279,10 +281,12 @@ def test_lean_run_batch_peak_memory():
 
 # Peak traced allocation of a closed-form block at M = 1200, n = 1000,
 # sup_stride = 1, plugin on, in units of one (M, n+1) float64 array.  It
-# reads 2.23 (numpy 2.4): the paths and the noise while the simulation
-# runs, then the paths and a few 2 MB row blocks.  A block that built the
-# information, tail score and one-step on every sup node at once, and ran
-# the sup sweep in column blocks, read 3.63.
+# reads 2.23 (numpy 2.4), set by the tail score of a 2 MB row block on top
+# of the paths, with the previous block's one-step and sup values still
+# alive; the pilot reads 1.91 and the simulation 1.14.  While the noise was
+# a second path-sized array the simulation read 2.14.  A block that built
+# the information, tail score and one-step on every sup node at once, and
+# ran the sup sweep in column blocks, read 3.63.
 PEAK_ROW_BLOCK_PATH_ARRAYS = 2.5
 
 
@@ -303,17 +307,76 @@ def test_run_batch_peak_memory_in_row_blocks():
     assert ratio <= PEAK_ROW_BLOCK_PATH_ARRAYS, ratio
 
 
-# The same block with residuals on, in the same units: it reads 2.44 (numpy
-# 2.4), the paths and the noise dW, which the limiting factor xi reads in
-# row blocks.  Forming xi's weighted increments and their running sums at
-# full size read 4.01.
-PEAK_RESIDUAL_PATH_ARRAYS = 2.6
+# The same block with residuals on, in the same units: it reads 2.24 (numpy
+# 2.4), set, as without residuals, by the tail score of a row block; the
+# limiting factor xi reads the noise in the paths' columns 1..n in row
+# blocks before the Euler steps overwrite it, and the simulation reads
+# 1.44.  It read 2.44 while the noise dW was a second path-sized array, and
+# 4.01 when xi's weighted increments and running sums were formed at full
+# size.
+PEAK_RESIDUAL_PATH_ARRAYS = 2.5
 
 
 def test_residual_run_batch_peak_memory():
     res, ratio = _row_block_peak(residuals=True)
     assert np.all(np.isfinite(res.xi))
     assert ratio <= PEAK_RESIDUAL_PATH_ARRAYS, ratio
+
+
+# Peak traced allocation of simulate_batch at M = 1000, n = 4000, in units
+# of one (M, n+1) float64 array.  It reads 1.04 (numpy 2.4): the paths, into
+# whose columns 1..n the noise is drawn, and the Euler tile buffers.  With
+# the noise in a second path-sized array dW it read 2.04.  Simulating into a
+# caller's path buffer reads only the tile buffers, 0.04.
+PEAK_SIMULATE_PATH_ARRAYS = 1.1
+PEAK_SIMULATE_INTO_BUFFER_PATH_ARRAYS = 0.1
+
+
+def test_simulate_batch_peak_memory():
+    m, n = 1000, 4000
+    b = build_preset("linear-constant-drift")
+    grid = TimeGrid(0.0, 1.0, n)
+    unit = m * (n + 1) * 8
+    (X, _, diverged), peak = _traced_peak(
+        lambda: simulate_batch(b.model, 1.0, 0.05, grid, SEED, range(m)))
+    assert not np.any(diverged)
+    assert peak / unit <= PEAK_SIMULATE_PATH_ARRAYS, peak / unit
+    del X
+    paths = np.empty((m, n + 1))
+    (X, _, _), peak = _traced_peak(
+        lambda: simulate_batch(b.model, 1.0, 0.05, grid, SEED, range(m), paths=paths))
+    assert X.base is paths
+    assert peak / unit <= PEAK_SIMULATE_INTO_BUFFER_PATH_ARRAYS, peak / unit
+
+
+def test_no_batch_output_shares_memory_with_the_path_buffer():
+    # the next chunk overwrites the buffer, so no field may be a view of it;
+    # a chunk shorter than the buffer uses its first rows and leaves the rest
+    eps = 0.05
+    b = build_preset("linear-ou")
+    grid = TimeGrid(0.0, 1.0, 200)
+    vf = _vf_for(b, eps)
+    args = (b.model, vf, 0.5, eps, grid, 0.1, (0.5, 1.0), SEED, range(6))
+    kw = dict(plugin=True, residuals=True, sup_stride=1)
+    paths = np.full((9, grid.n_steps + 1), np.nan)
+    got = run_batch(*args, paths=paths, **kw)
+    want = run_batch(*args, **kw)
+    assert not np.any(got.failed)
+    assert np.all(np.isnan(paths[6:])) and np.all(np.isfinite(paths[:6]))
+    for f in dataclasses.fields(engine.BatchResult):
+        value = getattr(got, f.name)
+        assert value is not None and not np.shares_memory(value, paths), f.name
+        assert np.array_equal(value, getattr(want, f.name)), f.name
+
+
+@pytest.mark.parametrize("paths", [np.empty((5, 201)), np.empty((6, 200)),
+                                   np.empty((6, 201), np.float32), np.empty((201, 6)).T],
+                         ids=["rows", "nodes", "float32", "column-major"])
+def test_simulate_batch_rejects_a_path_buffer_that_cannot_hold_the_block(paths):
+    b = build_preset("linear-constant-drift")
+    with pytest.raises(ConfigurationError, match="path buffer"):
+        simulate_batch(b.model, 1.0, 0.05, TimeGrid(0.0, 1.0, 200), SEED, range(6),
+                       paths=paths)
 
 
 def test_batch_closed_form_matches_gauss_hermite():
@@ -344,7 +407,13 @@ CUBIC = ModelSpec(drift=lambda th, t, x: th * x**3,
                   kappa=1.0, growth_const=10.0)
 
 
-def _check_rows_against_scalar(X, dW, diverged, grid):
+def _cubic_increments(grid):
+    """The increments that drive the CUBIC rows simulated at seed 99, streams 0..7."""
+    return increment_rows(99, range(8), grid.n_steps, grid.h)
+
+
+def _check_rows_against_scalar(X, diverged, grid):
+    dW = _cubic_increments(grid)
     for r in range(X.shape[0]):
         if diverged[r]:
             with pytest.raises(SimulationDivergedError) as err:
@@ -364,9 +433,11 @@ def _check_rows_against_scalar(X, dW, diverged, grid):
 
 def test_simulate_batch_matches_scalar_and_flags_divergence():
     grid = TimeGrid(0.0, 1.0, 100)
-    X, dW, diverged = simulate_batch(CUBIC, 1.0, 2.0, grid, 99, range(8))
+    X, xi, diverged = simulate_batch(CUBIC, 1.0, 2.0, grid, 99, range(8))
+    assert xi is None
     assert np.any(diverged) and not np.all(diverged)
-    _check_rows_against_scalar(X, dW, diverged, grid)
+    _check_rows_against_scalar(X, diverged, grid)
+    dW = _cubic_increments(grid)
     for r in np.flatnonzero(~diverged):
         # both share one Euler loop, so check it against plain float steps
         x = [CUBIC.x0]
@@ -382,7 +453,8 @@ def test_euler_tiles_match_scalar_paths_at_tile_edges(monkeypatch, n):
     # step past it and several tiles; every row must be its scalar path
     monkeypatch.setattr(models, "EULER_TILE", 8 * 16)
     grid = TimeGrid(0.0, 0.01 * n, n)
-    _check_rows_against_scalar(*simulate_batch(CUBIC, 1.0, 2.0, grid, 99, range(8)), grid)
+    X, _, diverged = simulate_batch(CUBIC, 1.0, 2.0, grid, 99, range(8))
+    _check_rows_against_scalar(X, diverged, grid)
 
 
 def test_euler_tiles_freeze_a_row_that_diverges_on_the_first_node_of_a_tile(monkeypatch):
@@ -397,9 +469,9 @@ def test_euler_tiles_freeze_a_row_that_diverges_on_the_first_node_of_a_tile(monk
     assert k > 2
     # tiles of k - 1 steps: node k opens the second tile
     monkeypatch.setattr(models, "EULER_TILE", 8 * (k - 1))
-    X, dW, diverged = simulate_batch(CUBIC, 1.0, 2.0, grid, 99, range(8))
+    X, _, diverged = simulate_batch(CUBIC, 1.0, 2.0, grid, 99, range(8))
     assert np.sum(diverged) == len(nodes)
-    _check_rows_against_scalar(X, dW, diverged, grid)
+    _check_rows_against_scalar(X, diverged, grid)
 
 
 # -- head score --------------------------------------------------------------

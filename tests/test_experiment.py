@@ -317,6 +317,50 @@ def test_window_tables_share_the_information_bit_for_bit(monkeypatch):
             assert (got is None and want is None) or np.array_equal(got, want), f.name
 
 
+@pytest.mark.parametrize("chunk", [7, 64])
+def test_shared_path_buffer_matches_fresh_buffers(monkeypatch, chunk):
+    # every chunk of a block simulates into the one path buffer it is handed;
+    # with residuals each must be bit for bit the chunk that allocates its
+    # own paths, the short last chunk too (150 = 21 * 7 + 3 = 2 * 64 + 22)
+    config = ExperimentConfig(**{**BASE, "chunk_size": chunk})
+    bundle = config.validate()
+    shared = np.full((chunk, config.n_steps + 1), np.nan)
+    got = run_epsilon_block(bundle, config, 0.1, 0, residuals=True, paths=shared).result
+
+    handed = []
+    real = engine.run_batch
+
+    def fresh(*args, paths, **kw):
+        handed.append(paths)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(engine, "run_batch", fresh)
+    want = run_epsilon_block(bundle, config, 0.1, 0, residuals=True).result
+    # a block given no buffer allocates one and hands it to every chunk
+    assert len(handed) == -(-config.n_replications // chunk)
+    assert all(p is handed[0] for p in handed) and handed[0].shape == shared.shape
+    assert not np.any(got.failed) and np.all(got.xi != 0.0)
+    for f in dataclasses.fields(engine.BatchResult):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
+def test_a_run_hands_one_path_buffer_to_every_chunk(monkeypatch):
+    handed = []
+    real = engine.run_batch
+
+    def spy(*args, **kw):
+        handed.append(kw["paths"])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(engine, "run_batch", spy)
+    run_monte_carlo(ExperimentConfig(**{**BASE, "epsilon_list": (0.1, 0.05), "chunk_size": 60}))
+    shrinking_window_study(ExperimentConfig(**WINDOWS), kappa_list=(3.0,))
+    assert len(handed) == 6 + 3
+    runs = (handed[:6], handed[6:])
+    assert [r[0].shape for r in runs] == [(60, 201), (100, 4001)]
+    assert all(p is r[0] for r in runs for p in r)
+
+
 def test_config_round_trip():
     d = config_to_dict(ExperimentConfig(**BASE))
     assert config_to_dict(ExperimentConfig(**d)) == d

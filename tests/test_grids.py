@@ -122,6 +122,13 @@ def test_increment_row_independent_of_its_position():
     got = increment_rows(9, ids[2:], 50, 0.02, out=into)
     assert got is into
     npt.assert_array_equal(into, rows[2:])
+    # the engine draws into the columns 1..n of its path buffer: rows that
+    # are each contiguous, with column 0 left as it was
+    wide = np.full((4, 51), np.nan)
+    got = increment_rows(9, ids, 50, 0.02, out=wide[:, 1:])
+    assert np.shares_memory(got, wide)
+    assert wide[:, 1:].tobytes() == rows.tobytes()
+    assert np.all(np.isnan(wide[:, 0]))
 
 
 def test_brownian_path_starts_at_zero():
