@@ -23,8 +23,8 @@ from .bsde import approximate_bsde
 from .errors import ConfigurationError, SnbsdeError
 from .estimation import EstimationWindow, full_mle, mde_estimate, onestep_trace
 from .experiment import (PDE_KEYS, ExperimentConfig, build_value_function, config_to_dict,
-                         pde_grid, run_monte_carlo, shrinking_window_study, _fmt,
-                         _write_csv)
+                         pde_grid, run_monte_carlo, shrinking_window_study,
+                         unread_pde_params, _fmt, _write_csv)
 from .grids import NoiseSource, TimeGrid
 from .models import simulate_forward
 from .pde import solve_semilinear_pde
@@ -39,11 +39,12 @@ _DEFAULTS.update(epsilon=0.1, pde={}, study={})
 _TOP_KEYS = set(_DEFAULTS)
 _PDE_KEYS = set(PDE_KEYS) | {"theta"}
 _STUDY_KEYS = {"kappa_list", "sup_stride"}
-# the pde keys each subcommand reads: pde-solve solves at the one theta
-# pde.theta (theta0 by default), so it has no dtheta; the others build the
-# bundle at theta0, on the pde backend only
-_PDE_READ = {"pde-solve": _PDE_KEYS - {"dtheta"}, "approximate": set(PDE_KEYS),
-             "experiment": set(PDE_KEYS), "delta-study": set(PDE_KEYS)}
+# the subcommands whose pde table becomes ExperimentConfig.pde_params, so
+# that experiment.unread_pde_params rules which keys they read
+_STUDY_COMMANDS = {"approximate", "experiment", "delta-study"}
+# the pde keys each other subcommand reads: pde-solve solves at the one theta
+# pde.theta (theta0 by default), so it has no dtheta; the rest read none
+_PDE_READ = {"pde-solve": _PDE_KEYS - {"dtheta"}}
 
 # acceptance-scale replication count for --full; explicit settings still win
 _FULL_DEFAULTS = {
@@ -55,15 +56,19 @@ def _check_keys(cfg: dict, command: str) -> None:
     for key in cfg:
         if key not in _TOP_KEYS:
             raise ConfigurationError(f"unknown configuration key '{key}'")
-    read, where = _PDE_READ.get(command, set()), ""
-    if read and command != "pde-solve" and cfg.get("backend") != "pde":
-        read, where = set(), f" with backend {cfg.get('backend')}"
-    for key in cfg.get("pde", {}):
+    pde = cfg.get("pde", {})
+    for key in pde:
         if key not in _PDE_KEYS:
             raise ConfigurationError(f"unknown configuration key 'pde.{key}'")
-        if key not in read:
-            raise ConfigurationError(
-                f"configuration key 'pde.{key}' is not read by {command}{where}")
+    backend = cfg.get("backend")
+    if command in _STUDY_COMMANDS:
+        unread = unread_pde_params(backend, pde)
+        where = "" if backend == "pde" else f" with backend {backend}"
+    else:
+        unread, where = [key for key in pde if key not in _PDE_READ.get(command, ())], ""
+    if unread:
+        raise ConfigurationError(
+            f"configuration key 'pde.{unread[0]}' is not read by {command}{where}")
     for key in cfg.get("study", {}):
         if key not in _STUDY_KEYS:
             raise ConfigurationError(f"unknown configuration key 'study.{key}'")

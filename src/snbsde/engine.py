@@ -141,12 +141,15 @@ def _gauss_newton(xw: np.ndarray, x: np.ndarray, xdot: np.ndarray, w: np.ndarray
     """Window objective F = sum w (xw - x)^2 and Gauss-Newton step per row.
 
     All arrays are C-ordered (k, nw+1) rows, so every sum runs along one
-    contiguous row and a row's numbers do not depend on the other rows.
+    contiguous row and a row's numbers do not depend on the other rows.  One
+    scratch array holds each weighted product in turn.
     """
     r = xw - x
     wxdot = w * xdot
-    f = np.sum(w * r**2, axis=1)
-    return f, _step(np.sum(wxdot * r, axis=1), np.sum(wxdot * xdot, axis=1))
+    t = np.square(r)
+    f = np.sum(np.multiply(w, t, out=t), axis=1)
+    grad = np.sum(np.multiply(wxdot, r, out=t), axis=1)
+    return f, _step(grad, np.sum(np.multiply(wxdot, xdot, out=t), axis=1))
 
 
 def refine_scan(cand: np.ndarray, obj: np.ndarray, first_step, evaluate):
@@ -158,11 +161,13 @@ def refine_scan(cand: np.ndarray, obj: np.ndarray, first_step, evaluate):
     scan values have no usable spread, or hold a NaN, is flat.  Otherwise its
     minimum is bracketed between the neighbours of its best candidate and
     refined inside that bracket, one lockstep pass over the rows still moving:
-    first_step(best) gives each row's step at its best candidate, and
-    evaluate(idx, thetas) the pair (F, step) of the rows idx at their trial
-    values.  A step that raises F by more than the scan's flatness threshold,
-    below which F differences are rounding, is halved; otherwise the trial is
-    accepted and stepped on.  A row settles once its step is at most half of
+    first_step(best) gives each row's pair (F, step) at its best candidate,
+    and evaluate(idx, thetas) the pair of the rows idx at their trial values.
+    obj decides only each row's best candidate and whether it is flat; the
+    refinement compares trial values with the F of first_step.  A step that
+    raises F by more than the scan's flatness threshold, below which F
+    differences are rounding, is halved; otherwise the trial is accepted and
+    stepped on.  A row settles once its step is at most half of
     (hi - lo) * REFINE_FACTOR.
 
     Returns (theta, flat) where flat also marks rows that had not settled
@@ -180,8 +185,8 @@ def refine_scan(cand: np.ndarray, obj: np.ndarray, first_step, evaluate):
     a = cand[np.maximum(best - 1, 0)]
     b = cand[np.minimum(best + 1, cand.size - 1)]
     theta = cand[best]
-    f_acc = obj[np.arange(obj.shape[0]), best]
-    trial = np.clip(theta + first_step(best), a, b)
+    f_acc, step = first_step(best)
+    trial = np.clip(theta + step, a, b)
     live = ~flat & (np.abs(trial - theta) > half_tol)
     for _ in range(PILOT_MAX_PASSES):
         idx = np.flatnonzero(live)
@@ -221,16 +226,21 @@ def _barycentric_rows(nodes: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return c
 
 
-def _contract(c: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _contract(c: np.ndarray, values: np.ndarray, out=None) -> np.ndarray:
     # einsum without `optimize` over C-ordered (K, n) values with n >= 2 adds
     # one node's products to the whole output at a time, so every entry sums
     # the nodes in their order, whatever the rows and columns.  A single
     # column would make the node sum einsum's inner loop, and a BLAS product
-    # (c @ values) may block the rows: either can change the last bit.
+    # (c @ values) may block the rows: either can change the last bit.  The
+    # table reads and the pilot's scan both contract through here.
     v = np.ascontiguousarray(values)
-    if v.shape[1] == 1:
-        return np.einsum("mk,kn->mn", c, np.repeat(v, 2, axis=1))[:, :1]
-    return np.einsum("mk,kn->mn", c, v)
+    if v.shape[1] > 1:
+        return np.einsum("mk,kn->mn", c, v, out=out)
+    res = np.einsum("mk,kn->mn", c, np.repeat(v, 2, axis=1))[:, :1]
+    if out is None:
+        return res
+    out[...] = res
+    return out
 
 
 def _within(got: np.ndarray, want: np.ndarray) -> bool:
@@ -247,7 +257,8 @@ class ThetaTable:
     profile are sampled at TABLE_NODES Chebyshev points of the closed
     theta_interval and read back by barycentric interpolation (Trefethen,
     Approximation Theory and Approximation Practice, ch. 5).  `scan` holds
-    the pilot's scan candidates with their exact window flow and sensitivity.
+    the pilot's scan candidates with their exact window flow and sensitivity,
+    and `centred_scan` the weighted candidate rows the scan contracts with.
     Each part is built on first use and then kept, so a study that hands one
     table to all its blocks and chunks builds each part once, and a single
     path builds only the parts it reads.  The content depends only on
@@ -323,13 +334,32 @@ class ThetaTable:
         return tuple(np.ascontiguousarray(v[:k]) for v in values) if ok else None
 
     @cached_property
+    def weights(self) -> np.ndarray:
+        """Trapezoidal weights w of the window nodes."""
+        return _trapezoid_weights(self.i_delta + 1, self.wgrid.h)
+
+    @cached_property
     def scan(self):
         """(candidates, flow, sensitivity, ok): SCAN_POINTS points spanning
         the closed theta_interval, their (SCAN_POINTS, i+1) window rows, and
         whether each candidate's window RK4 stayed finite; the rows of the
-        others read x = +inf and a NaN sensitivity."""
+        others read x = +inf and a NaN sensitivity.  The pilot scores the
+        candidates through `centred_scan` and refines from these exact rows."""
         cand = np.linspace(*self.model.theta_interval, SCAN_POINTS)
         return (cand,) + self._window_rows(cand)
+
+    @cached_property
+    def centred_scan(self):
+        """(-2 w g, sum w g^2) of the scan candidates' centred window flows
+        g_j = x_j - x0: a C-ordered (i+1, SCAN_POINTS) array, one column per
+        candidate, and the SCAN_POINTS weighted norms.  Every flow and every
+        path starts at x0, so centring keeps the terms of the expanded window
+        objective as small as its differences.  A candidate whose window RK4
+        diverged reads 0 in both."""
+        _, x, _, ok = self.scan
+        g = np.where(ok[:, None], x - self.model.x0, 0.0)
+        return (np.ascontiguousarray((-2.0 * self.weights)[:, None] * g.T),
+                np.sum(self.weights * g**2, axis=1))
 
     @cached_property
     def node_window(self):
@@ -385,31 +415,40 @@ def pilot_batch(model: ModelSpec, X: np.ndarray, grid: TimeGrid, delta: float,
     Minimizes F(theta) = sum_k w_k (X_k - x_k(theta))^2, the trapezoidal
     L^2 distance to the RK4 limit flow: a SCAN_POINTS scan over the closure
     of theta_interval, then refine_scan with Gauss-Newton steps on the
-    sensitivity of the RK4 flow.  The scan reads the table's exact candidate
-    flows; each Gauss-Newton pass reads x and its sensitivity at the live
-    rows' trial values from the table's interpolants (from RK4 per row when
-    the table fell back).  Without a table, the one of (model, grid, delta)
-    is built, so a single path gets the numbers a block gets.
+    sensitivity of the RK4 flow.  With y = X - x0 and the table's centred
+    candidate rows g_j (`ThetaTable.centred_scan`), the scan scores every
+    candidate at once as F_j = sum w y^2 - 2 sum w y g_j + sum w g_j^2, one
+    contraction of the window rows plus a norm per row.  That F decides only
+    each row's best candidate and whether the row is flat; the refinement
+    starts from the exact F and step at the best candidate's flow.  Each
+    Gauss-Newton pass reads x and its sensitivity at the live rows' trial
+    values from the table's interpolants (from RK4 per row when the table
+    fell back).  Without a table, the one of (model, grid, delta) is built,
+    so a single path gets the numbers a block gets.
 
     Returns (theta_pilot, flat) where flat marks rows whose window objective
     has no usable spread or that had not settled after PILOT_MAX_PASSES.
     """
     table = _table_for(model, grid, delta, table)
-    i = table.i_delta
-    xw = X[:, : i + 1]
-    w = _trapezoid_weights(i + 1, table.wgrid.h)
-
+    xw = X[:, : table.i_delta + 1]
+    w = table.weights
     cand, flows, sens, ok = table.scan
+    wg, gg = table.centred_scan
+
+    # obj outlives the window-sized scratch y, so it is allocated first and
+    # freeing y leaves no hole below it
+    obj = np.empty((X.shape[0], SCAN_POINTS))
+    y = np.subtract(xw, model.x0)
+    _contract(y, wg, out=obj)
+    obj += np.sum(np.multiply(w, np.square(y, out=y), out=y), axis=1)[:, None]
+    obj += gg
     # a candidate whose window flow diverges is never the best one
-    obj = np.full((X.shape[0], SCAN_POINTS), np.inf)
-    buf = np.empty(xw.shape)  # w (xw - flow)^2 of one candidate, built in place
-    for j in np.flatnonzero(ok):
-        np.square(np.subtract(xw, flows[j], out=buf), out=buf)
-        obj[:, j] = np.sum(np.multiply(w, buf, out=buf), axis=1)
+    obj[:, ~ok] = np.inf
+    del y
 
     def first_step(best):
-        # the scan already holds the flow and sensitivity at each row's best candidate
-        return _gauss_newton(xw, flows[best], sens[best], w)[1]
+        # the scan holds the exact flow and sensitivity at each row's best candidate
+        return _gauss_newton(xw, flows[best], sens[best], w)
 
     def evaluate(idx, thetas):
         # a trial whose window flow diverged, or overflows F, reads F = +inf

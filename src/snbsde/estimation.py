@@ -217,7 +217,7 @@ def full_mle(model: ModelSpec, X: Path, t: float, epsilon: float) -> float:
 
     cand = np.linspace(*model.theta_interval, SCAN_POINTS)
     obj, steps = f_and_step(cand)
-    theta, flat = refine_scan(cand, obj[None, :], lambda best: steps[best],
+    theta, flat = refine_scan(cand, obj[None, :], lambda best: (obj[best], steps[best]),
                               lambda idx, thetas: f_and_step(thetas))
     if flat[0]:
         raise FlatObjectiveError(

@@ -113,9 +113,19 @@ class ExperimentConfig:
         if self.backend == "closed-form" and bundle.linear is None:
             raise ConfigurationError(
                 f"model {self.model} has no closed form; use the pde backend")
+        unread = unread_pde_params(self.backend, self.pde_params)
+        if unread:
+            raise ConfigurationError(
+                f"pde parameter '{unread[0]}' is not read by the {self.backend} backend")
         if self.chunk_size < 1:
             raise ConfigurationError("chunk_size must be at least 1")
         return bundle
+
+
+def unread_pde_params(backend: str, pde_params) -> list:
+    """The keys of pde_params that a study on backend does not read: all of
+    them on the closed-form backend, those outside PDE_KEYS on the pde one."""
+    return [key for key in pde_params if backend != "pde" or key not in PDE_KEYS]
 
 
 def pde_grid(bundle: ModelBundle, pde_params: dict) -> PdeGrid:

@@ -759,6 +759,11 @@ def test_pilot_row_independent_of_batch(monkeypatch, name, params, theta0):
         passes.append(len(counts))
     chunk, _ = pilot_batch(model, X, PILOT_GRID, 0.1)
     assert np.array_equal(chunk, alone)
+    # sub-blocks of sizes other than 1 and the whole block, ragged last ones
+    for size in (3, 7):
+        blocks = [pilot_batch(model, X[lo:lo + size], PILOT_GRID, 0.1)[0]
+                  for lo in range(0, X.shape[0], size)]
+        assert np.array_equal(np.concatenate(blocks), alone)
 
     # the slowest row runs its last passes as the only live lane
     last = int(np.argmax(passes))
@@ -941,7 +946,7 @@ def test_theta_table_guard_falls_back_to_rows_on_a_kink():
                                     np.ascontiguousarray(xdote.T), w)
 
     pilot, _ = engine.refine_scan(cand, obj,
-                                  lambda best: engine._gauss_newton(xw, x[best], xdot[best], w)[1],
+                                  lambda best: engine._gauss_newton(xw, x[best], xdot[best], w),
                                   evaluate)
     assert np.array_equal(res.theta_pilot, pilot)
     tail = engine.score_tail_profile_batch(KINK, pilot, X, grid, i)
@@ -970,7 +975,8 @@ def test_refine_scan_skips_infinite_candidates_and_flags_nan_rows():
     cand = np.linspace(0.0, 1.0, 5)
     obj = np.array([[np.inf, 1.0, 3.0, 2.0, 4.0],
                     [5.0, 3.0, np.nan, 2.0, 4.0]])
-    theta, flat = engine.refine_scan(cand, obj, lambda best: np.zeros(best.size),
+    theta, flat = engine.refine_scan(cand, obj,
+                                     lambda best: (obj[[0, 1], best], np.zeros(best.size)),
                                      lambda idx, thetas: (obj[idx, 0], 0.0 * thetas))
     assert flat.tolist() == [False, True]
     assert theta.tolist() == [0.25, 0.5]
@@ -993,6 +999,50 @@ def test_pilot_never_picks_a_scan_candidate_whose_window_flow_diverges():
     theta, flat = pilot_batch(STEEP, X, grid, 0.1, table)
     assert not np.any(flat)
     assert np.all(np.abs(theta - 1.0) < 0.5)
+
+
+def _pilot_by_loop(model, X, grid, delta):
+    """The pilot with its scan scored one candidate at a time, each F summed
+    along its own window row, and the refinement seeded with that F."""
+    table = engine.ThetaTable(model, grid, delta)
+    i = table.i_delta
+    xw = X[:, : i + 1]
+    w = _trapezoid_weights(i + 1, table.wgrid.h)
+    cand, flows, sens, ok = table.scan
+    obj = np.full((X.shape[0], cand.size), np.inf)
+    for j in np.flatnonzero(ok):
+        obj[:, j] = np.sum(w * (xw - flows[j]) ** 2, axis=1)
+
+    def first_step(best):
+        step = engine._gauss_newton(xw, flows[best], sens[best], w)[1]
+        return obj[np.arange(best.size), best], step
+
+    def evaluate(idx, thetas):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return engine._gauss_newton(xw[idx], *table.window(thetas), w)
+
+    return engine.refine_scan(cand, obj, first_step, evaluate)
+
+
+def _scan_cases():
+    for name, params, theta0 in PILOT_CASES:
+        yield _pilot_paths(name, params, theta0) + (PILOT_GRID,)
+    # far from 0, where the expanded objective cancels unless centred on x0
+    for eps in (0.02, 1e-4):
+        yield _pilot_paths("linear-constant-drift", {"x0": 1e4}, 1.0, eps=eps) + (PILOT_GRID,)
+    # the upper scan candidates' window flows diverge
+    grid = TimeGrid(0.0, 0.2, 200)
+    for theta0 in (1.0, 10.5):
+        X, _, _ = simulate_batch(STEEP, theta0, 0.05, grid, SEED, range(16))
+        yield STEEP, X, grid
+
+
+def test_contracted_scan_gives_the_pilots_of_the_candidate_loop():
+    for model, X, grid in _scan_cases():
+        theta, flat = pilot_batch(model, X, grid, 0.1)
+        want, want_flat = _pilot_by_loop(model, X, grid, 0.1)
+        assert np.array_equal(flat, want_flat)
+        assert np.array_equal(theta, want)
 
 
 def test_theta_table_fallback_fails_rows_whose_flow_diverges():

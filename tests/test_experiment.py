@@ -50,6 +50,21 @@ def test_lone_pde_bound_is_a_configuration_error():
             build_value_function(bundle, dataclasses.replace(config, pde_params=lone), 0.1)
 
 
+def test_validate_rejects_pde_params_the_backend_does_not_read():
+    # the closed-form backend reads no pde parameter, the pde backend PDE_KEYS
+    closed = ExperimentConfig(pde_params={"n_x": 3, "bogus": 1}, n_replications=100,
+                              epsilon_list=(0.1,), t_report=(0.5,))
+    with pytest.raises(ConfigurationError, match="'n_x' is not read by the closed-form"):
+        closed.validate()
+    with pytest.raises(ConfigurationError, match="'n_x' is not read"):
+        dataclasses.replace(closed, pde_params={"n_x": 64}).validate()
+    pde = ExperimentConfig(**{**BASE, "model": "custom-pde", "model_params": {},
+                              "backend": "pde", "pde_params": {"n_x": 64, "bogus": 1}})
+    with pytest.raises(ConfigurationError, match="'bogus' is not read by the pde"):
+        pde.validate()
+    assert dataclasses.replace(pde, pde_params={"n_x": 64}).validate().name == "custom-pde"
+
+
 def test_ks_tail_probability_oracle():
     # 2 sum_k (-1)^{k-1} exp(-2 k^2 lam^2); classic table values
     assert abs(_ks_uniform_p(1.0) - 0.2700) < 1e-4
