@@ -18,7 +18,11 @@ many chunks and blocks allocates X once and hands that buffer to every one
 of them.  The pilot and the head score read the window [0, delta] of every
 row.  Then each block of about ROW_BLOCK elements of rows goes through the
 information read, the tail score, the one-step and the sup sweep before the
-next block starts.
+next block starts.  The blocks share one scratch set, allocated once per
+run_batch call: the information read and the tail profile are written into
+it (`ThetaTable.info` and `score_tail_profile_batch` take out=), the
+one-step is formed in place over them, and the sup sweep takes the value
+difference in the array the value function returned.
 The one-step, and the information and tail score it is formed from, are
 built only at the nodes some output reads: the report nodes, T and, for the
 sup statistic, the sup nodes.
@@ -388,14 +392,20 @@ class ThetaTable:
         c = _barycentric_rows(self.nodes, thetas)
         return tuple(_contract(c, v) for v in self.node_window)
 
-    def info(self, thetas: np.ndarray, cols=None) -> np.ndarray:
+    def info(self, thetas: np.ndarray, cols=None, out=None) -> np.ndarray:
         """Information profiles at thetas on the grid nodes cols of [delta, T]
         (all of them by default), (k, len(cols)) rows: bit for bit those
-        columns of the whole profiles."""
+        columns of the whole profiles.  out, a C-ordered (k, len(cols))
+        float64 array, receives them in place of a new array, so a caller
+        that reads row block after row block reuses one scratch buffer."""
         sel = slice(self.i_delta, None) if cols is None else np.asarray(cols)
         if self.grid_info is None:
-            return self._direct_info(thetas)[0][0][:, sel]
-        return _contract(_barycentric_rows(self.nodes, thetas), self.grid_info[:, sel])
+            info = self._direct_info(thetas)[0][0][:, sel]
+            if out is None:
+                return info
+            out[...] = info
+            return out
+        return _contract(_barycentric_rows(self.nodes, thetas), self.grid_info[:, sel], out=out)
 
 
 def _table_for(model: ModelSpec, grid: TimeGrid, delta: float,
@@ -475,21 +485,30 @@ def fisher_profile_batch(model: ModelSpec, thetas: np.ndarray, flows: np.ndarray
 
 
 def score_tail_profile_batch(model: ModelSpec, thetas: np.ndarray, X: np.ndarray,
-                             grid: TimeGrid, i_delta: int, cols=None) -> np.ndarray:
+                             grid: TimeGrid, i_delta: int, cols=None,
+                             out=None) -> np.ndarray:
     """Tail score profiles sum_{i_delta <= k < j} B (X_{k+1} - X_k - S h) at
     the increasing grid nodes j in cols of [delta, T] (all of them by
     default), for every row of X.  Its scratch arrays have the size of X on
-    [delta, T], so run_batch hands it one block of rows at a time."""
+    [delta, T], so run_batch hands it one block of rows at a time.
+
+    The increments are formed in the columns 1.. of the whole profile and
+    summed there in place.  out, a C-ordered float64 array of X's rows and
+    the n+1-i_delta columns of [delta, T], holds that profile in place of a
+    new array, so row blocks reuse one scratch buffer; the result is then a
+    view of out when cols is a contiguous range (or None), and a copy of its
+    columns otherwise."""
     tk = grid.times[None, i_delta:-1]
     xk = X[:, i_delta:-1]
     th = thetas[:, None]
-    incr = X[:, i_delta + 1:] - xk
+    prof = np.empty((X.shape[0], xk.shape[1] + 1)) if out is None else out
+    prof[:, 0] = 0.0
+    incr = np.subtract(X[:, i_delta + 1:], xk, out=prof[:, 1:])
     incr -= np.multiply(model.drift(th, tk, xk), grid.h)
     # B = S_theta / sigma^2 on the coefficients' own shapes
     incr *= np.divide(model.drift_dtheta(th, tk, xk), np.square(model.diffusion(tk, xk)))
-    prof = np.zeros((X.shape[0], xk.shape[1] + 1))
-    np.cumsum(incr, axis=1, out=prof[:, 1:])
-    return prof if cols is None else prof[:, np.asarray(cols) - i_delta]
+    np.cumsum(incr, axis=1, out=incr)
+    return prof if cols is None else prof[:, _columns(np.asarray(cols) - i_delta)]
 
 
 def score_head_batch(model: ModelSpec, thetas: np.ndarray, X: np.ndarray,
@@ -714,9 +733,14 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
     After the simulation, the pilot and the head score, rows go in blocks of
     about ROW_BLOCK elements through the information read, the tail score,
     the one-step and the sup sweep, so no array of the size of X is built
-    after it.  The one-step is formed only at the report nodes, T (the
-    terminal identity, and the information test of onestep_batch) and the
-    sup nodes, bit for bit the same columns of its whole profile.
+    after it.  The information and the whole tail profile of every block are
+    written into one pair of scratch buffers allocated here, and the sup
+    sweep subtracts the value at theta0 in the array the value at the
+    one-step returned (vf's value methods return arrays the caller owns; a
+    read-only one is not written).  The one-step is formed only at the
+    report nodes, T (the terminal identity, and the information test of
+    onestep_batch) and the sup nodes, bit for bit the same columns of its
+    whole profile.
     """
     i = grid.node_index(delta)
     n = grid.n_steps
@@ -749,19 +773,27 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
     x_sup, th_sup = _columns(sup_nodes), _columns(np.searchsorted(cols, sup_nodes))
     # the RK4 fallback integrates every row's flow in one lockstep pass
     info_all = table.info(theta_pilot, cols) if table.grid_info is None else None
-    rows_per_block = max(1, ROW_BLOCK // (n + 1))
+    rows_per_block = max(1, min(m, ROW_BLOCK // (n + 1)))
+    # one scratch set for every row block: the information read and the
+    # whole tail profile, which the one-step then consumes
+    info_buf = np.empty((rows_per_block, cols.size)) if info_all is None else None
+    prof_buf = np.empty((rows_per_block, n + 1 - i))
     for lo in range(0, m, rows_per_block):
         r = slice(lo, lo + rows_per_block)
         th = theta_pilot[r]
-        info = table.info(th, cols) if info_all is None else info_all[r]
-        tail = score_tail_profile_batch(model, th, X[r], grid, i, cols)
+        k = th.size
+        info = table.info(th, cols, out=info_buf[:k]) if info_all is None else info_all[r]
+        tail = score_tail_profile_batch(model, th, X[r], grid, i, cols, out=prof_buf[:k])
         theta_cols, clamped[r], info_bad[r] = onestep_batch(model, th, tail, head[r], info, rep)
-        del info, tail
         th_rep[r] = theta_cols[:, rep]
         theta_T[r] = theta_cols[:, -1:]
         if sup_stride > 0:
             x_sel = X[r, x_sup]
-            yh = vf.value(t_sup, x_sel, theta_cols[:, th_sup]) - vf.value(t_sup, x_sel, theta0)
+            # value methods return arrays the caller owns, so the difference
+            # is taken in the first one unless it is a read-only view
+            yh = vf.value(t_sup, x_sel, theta_cols[:, th_sup])
+            yh = np.subtract(yh, vf.value(t_sup, x_sel, theta0),
+                             out=yh if yh.flags.writeable else None)
             sup_err[r] = np.max(np.abs(yh, out=yh), axis=1)
 
     t_rep = grid.times[r_idx]

@@ -243,7 +243,9 @@ def _euler_maruyama(model: ModelSpec, theta, epsilon: float, grid: TimeGrid,
     that order, with S h and epsilon sigma formed on the coefficients' own
     shapes: a constant model pays three row-sized operations per step, and
     an array-valued coefficient is scaled into the step's preallocated
-    buffers.
+    buffers.  The loop body is the arithmetic and the two coefficient calls:
+    a coefficient counts as array-valued when it has a nonzero ndim, so a
+    Python float, a NumPy scalar and a 0-d array all take the scalar branch.
     Rows are independent, so a row that blows up runs on without touching
     the others.  Returns first, the first node of each row beyond the
     blow-up guard or non-finite (n+1 if none); from that node on the row is
@@ -252,6 +254,8 @@ def _euler_maruyama(model: ModelSpec, theta, epsilon: float, grid: TimeGrid,
     m, n = X.shape[0], X.shape[1] - 1
     h = grid.h
     times = grid.times
+    drift, diffusion = model.drift, model.diffusion
+    add, multiply = np.add, np.multiply
     first = np.full(m, n + 1)
     tile = max(1, min(n, EULER_TILE // max(m, 1)))
     dw = np.empty((tile, m))
@@ -262,14 +266,14 @@ def _euler_maruyama(model: ModelSpec, theta, epsilon: float, grid: TimeGrid,
         for k0 in range(0, n, tile):
             steps = min(tile, n - k0)
             np.copyto(dw[:steps], X[:, k0 + 1: k0 + steps + 1].T)
-            for j in range(steps):
-                t = times[k0 + j]
+            for j, t in enumerate(times[k0: k0 + steps]):
                 x, nxt = xs[j], xs[j + 1]
-                s = model.drift(theta, t, x)
-                sig = model.diffusion(t, x)
-                np.add(x, np.multiply(s, h, out=nxt) if np.ndim(s) else s * h, out=nxt)
-                eps_sig = np.multiply(sig, epsilon, out=noise) if np.ndim(sig) else sig * epsilon
-                nxt += np.multiply(eps_sig, dw[j], out=noise)
+                s = drift(theta, t, x)
+                sig = diffusion(t, x)
+                add(x, multiply(s, h, out=nxt) if getattr(s, "ndim", 0) else s * h, out=nxt)
+                eps_sig = multiply(sig, epsilon, out=noise) if getattr(sig, "ndim", 0) \
+                    else sig * epsilon
+                nxt += multiply(eps_sig, dw[j], out=noise)
             stepped = xs[1: steps + 1]
             ok = (stepped <= BLOWUP_GUARD) & (stepped >= -BLOWUP_GUARD)
             hit = ~ok.all(axis=0) & (first > n)

@@ -270,7 +270,8 @@ class PdeValueFunction:
     Values at nearby theta come from second-order Taylor expansion in
     (theta - theta_c); the bundle spacing d therefore bounds the admissible
     evaluation offsets (intended use: offsets of the same order as d or the
-    estimator error, both small).
+    estimator error, both small).  The value methods return new arrays that
+    the caller owns and may write into.
     """
 
     def __init__(self, model: ModelSpec, driver: Callable, terminal: Callable,

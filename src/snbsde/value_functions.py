@@ -174,7 +174,11 @@ def gauss_hermite_expectation(fn: Callable, mean, sd) -> np.ndarray:
 
 
 class LinearValueFunction:
-    """Closed-form value function of the constant-drift linear case."""
+    """Closed-form value function of the constant-drift linear case.
+
+    The value methods return a float for scalar arguments and otherwise a
+    new array that the caller owns and may write into.
+    """
 
     def __init__(self, spec: LinearModelSpec, epsilon: float):
         if epsilon < 0:
@@ -190,22 +194,34 @@ class LinearValueFunction:
         and the terminal convention Phi^(order)(x) at t = T.
 
         tau, the sd of N, e^{beta tau} and the t = T test are formed on t's
-        own shape (one row of times in the engine) and the shift on the
-        shape of t and theta; only the mean x + shift and the product with
-        the expectation take the full broadcast shape.  Each element sees the
-        same operations as on fully broadcast arguments, so the bits do not
-        depend on the shapes passed.
+        own shape (one row of times in the engine).  The mean
+        (theta + eps sigma gamma) tau + x is formed in the one array of the
+        full broadcast shape that the kernel allocates, which then takes the
+        product of e^{beta tau} and the expectation, and Phi^(order)(x) at
+        the elements where t = T.  Each element sees the same operations as
+        on fully broadcast arguments, so the bits do not depend on the shapes
+        passed, and the result is an array the caller owns.
         """
         s = self.spec
         terminal = s.terminal
         tau = s.horizon - np.asarray(t, dtype=float)
         sd = self.epsilon * s.sigma * np.sqrt(np.maximum(tau, 0.0))
         x = np.asarray(x, dtype=float)
-        mean = x + (np.asarray(theta, dtype=float) + self.epsilon * s.sigma * s.gamma) * tau
-        out = np.exp(s.beta * tau) * terminal.expect(order, mean, sd)
+        theta = np.asarray(theta, dtype=float)
+        out = np.empty(np.broadcast_shapes(x.shape, theta.shape, tau.shape))
+        drift = np.add(theta, self.epsilon * s.sigma * s.gamma,
+                       out=out if theta.shape == out.shape else None)
+        np.multiply(drift, tau, out=out)
+        out += x
+        np.multiply(np.exp(s.beta * tau), terminal.expect(order, out, sd), out=out)
         at_T = tau <= 0.0
         if np.any(at_T):
-            out = np.where(at_T, np.asarray(terminal.derivative(order)(x), dtype=float), out)
+            # index the axes along which t varies by its own t = T entries,
+            # and take every element along the others
+            at_T = at_T.reshape((1,) * (out.ndim - at_T.ndim) + at_T.shape)
+            hits = np.nonzero(at_T) if at_T.ndim else ()
+            sel = tuple(h if size > 1 else slice(None) for h, size in zip(hits, at_T.shape))
+            out[sel] = terminal.derivative(order)(np.broadcast_to(x, out.shape)[sel])
         return out if out.shape else float(out)
 
     # -- value and derivatives --------------------------------------------

@@ -16,7 +16,7 @@ from snbsde import engine
 from snbsde.engine import pilot_batch, run_batch, simulate_batch
 from snbsde.estimation import full_mle, limit_quantities
 from snbsde.grids import NoiseSource, TimeGrid
-from snbsde.models import simulate_forward
+from snbsde.models import ModelSpec, simulate_forward
 from snbsde.pde import PdeGrid, theta_derivatives_by_bundle
 from snbsde.presets import build_preset
 from snbsde.value_functions import LinearValueFunction
@@ -127,3 +127,32 @@ def test_euler_step_order_is_pinned(name, theta0):
                     (EPS * model.diffusion(t, x)) * dw[k])
     X, _ = simulate_forward(model, theta0, EPS, grid, NoiseSource(SEED, 4))
     assert _same_bits(X.values, np.array(want))
+
+
+# S = theta (1 + t) and sigma = 1 + t/2: 0-d values that change every step,
+# a NumPy scalar and a 0-d array, so a loop that evaluated either once, or
+# took a 0-d array for a path-shaped one, would move bits
+TIME_VARYING = ModelSpec(
+    drift=lambda th, t, x: th * (1.0 + t), drift_dtheta=lambda th, t, x: 1.0 + t,
+    drift_dx=lambda th, t, x: 0.0, drift_dtheta_dx=lambda th, t, x: 0.0,
+    diffusion=lambda t, x: np.asarray(1.0 + 0.5 * t), diffusion_dx=lambda t, x: 0.0,
+    theta_interval=(0.1, 1.9), x0=0.3, horizon=1.0, kappa=1.0, growth_const=4.0)
+
+
+def test_euler_loop_evaluates_zero_dimensional_coefficients_every_step():
+    model, theta0, grid = TIME_VARYING, 0.8, TimeGrid(0.0, 1.0, 200)
+
+    def by_hand(sid):
+        dw = NoiseSource(SEED, sid).increments(grid.n_steps, grid.h)
+        x, out = model.x0, [model.x0]
+        for k in range(grid.n_steps):
+            t = float(grid.times[k])
+            x = (x + (theta0 * (1.0 + t)) * grid.h) + (EPS * (1.0 + 0.5 * t)) * dw[k]
+            out.append(x)
+        return np.array(out)
+
+    X, _ = simulate_forward(model, theta0, EPS, grid, NoiseSource(SEED, 4))
+    assert _same_bits(X.values, by_hand(4))
+    batch, _, diverged = simulate_batch(model, theta0, EPS, grid, SEED, range(5))
+    assert not np.any(diverged)
+    assert _same_bits(batch, np.array([by_hand(sid) for sid in range(5)]))

@@ -281,13 +281,15 @@ def test_lean_run_batch_peak_memory():
 
 # Peak traced allocation of a closed-form block at M = 1200, n = 1000,
 # sup_stride = 1, plugin on, in units of one (M, n+1) float64 array.  It
-# reads 2.23 (numpy 2.4), set by the tail score of a 2 MB row block on top
-# of the paths, with the previous block's one-step and sup values still
-# alive; the pilot reads 1.91 and the simulation 1.14.  While the noise was
-# a second path-sized array the simulation read 2.14.  A block that built
-# the information, tail score and one-step on every sup node at once, and
-# ran the sup sweep in column blocks, read 3.63.
-PEAK_ROW_BLOCK_PATH_ARRAYS = 2.5
+# reads 1.86 (numpy 2.4), set by the sup sweep of a 2 MB row block: value
+# at theta0 on top of the paths, the value at the one-step and the one
+# scratch set (information and tail profile) that every row block reuses;
+# the pilot reads 1.72, the tail score 1.66 and the simulation 1.14.  It
+# read 2.24 while each row block allocated its own information, tail
+# profile and value difference, and 3.63 for a block that built the
+# information, tail score and one-step on every sup node at once and ran
+# the sup sweep in column blocks.
+PEAK_ROW_BLOCK_PATH_ARRAYS = 1.95
 
 
 def _row_block_peak(**kw):
@@ -307,14 +309,14 @@ def test_run_batch_peak_memory_in_row_blocks():
     assert ratio <= PEAK_ROW_BLOCK_PATH_ARRAYS, ratio
 
 
-# The same block with residuals on, in the same units: it reads 2.24 (numpy
-# 2.4), set, as without residuals, by the tail score of a row block; the
+# The same block with residuals on, in the same units: it reads 1.87 (numpy
+# 2.4), set, as without residuals, by the sup sweep of a row block; the
 # limiting factor xi reads the noise in the paths' columns 1..n in row
 # blocks before the Euler steps overwrite it, and the simulation reads
-# 1.44.  It read 2.44 while the noise dW was a second path-sized array, and
-# 4.01 when xi's weighted increments and running sums were formed at full
-# size.
-PEAK_RESIDUAL_PATH_ARRAYS = 2.5
+# 1.44.  It read 2.24 before the row blocks reused one scratch set, 2.44
+# while the noise dW was a second path-sized array, and 4.01 when xi's
+# weighted increments and running sums were formed at full size.
+PEAK_RESIDUAL_PATH_ARRAYS = 1.95
 
 
 def test_residual_run_batch_peak_memory():
@@ -1071,6 +1073,33 @@ def test_theta_table_fallback_fails_rows_whose_flow_diverges():
         got = getattr(res, f.name)
         got = got if got is None or f.name == "report_times" else got[kept]
         assert np.array_equal(got, getattr(alone, f.name)), f.name
+
+
+def test_scratch_buffers_give_fresh_results():
+    # run_batch fills one information and one tail-profile buffer per row
+    # block: starting from NaN, each must read bit for bit as a fresh call,
+    # for every column selection, through the table's interpolant and its
+    # RK4 fallback; a contiguous range of the tail is a view of its buffer
+    cases = [(build_preset("linear-ou").model, TimeGrid(0.0, 1.0, 200), 0.5),
+             (STEEP, TimeGrid(0.0, 0.2, 200), 4.95)]
+    for model, grid, theta0 in cases:
+        i, n = grid.node_index(0.1), grid.n_steps
+        X, _, _ = simulate_batch(model, theta0, 0.05, grid, SEED, range(7))
+        table = engine.ThetaTable(model, grid, 0.1)
+        thetas, _ = pilot_batch(model, X, grid, 0.1, table)
+        assert (table.grid_info is None) == (model is STEEP)
+        for cols in (None, list(range(i + 5, n + 1)), [i, i + 7, i + 8, n]):
+            width = n + 1 - i if cols is None else len(cols)
+            contiguous = cols is None or cols[-1] - cols[0] == len(cols) - 1
+            prof = np.full((7, n + 1 - i), np.nan)
+            got = engine.score_tail_profile_batch(model, thetas, X, grid, i, cols, out=prof)
+            want = engine.score_tail_profile_batch(model, thetas, X, grid, i, cols)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), cols
+            assert np.shares_memory(got, prof) == contiguous, cols
+            buf = np.full((7, width), np.nan)
+            got = table.info(thetas, cols, out=buf)
+            want = table.info(thetas, cols)
+            assert got is buf and got.tobytes() == want.tobytes(), cols
 
 
 def test_pilot_treats_a_trial_whose_window_flow_diverges_as_a_rise(monkeypatch):

@@ -131,23 +131,24 @@ def test_derivatives_against_finite_differences():
         assert abs(vf.value_theta_x(t, x, theta) - fd_thx) < 1e-7
 
 
-@pytest.mark.parametrize("terminal,quadrature", [("identity", False), ("cosine", False),
-                                                 ("cosine", True)],
-                         ids=["identity", "cosine", "cosine-quadrature"])
+@pytest.mark.parametrize("terminal,quadrature", [("identity", False), ("square", False),
+                                                 ("cosine", False), ("cosine", True)],
+                         ids=["identity", "square", "cosine", "cosine-quadrature"])
 def test_time_row_arguments_match_the_full_broadcast(terminal, quadrature):
     # the engine passes one row of times, (M, K) states and a scalar theta;
     # every method must return, bit for bit, what it returns on arguments
-    # broadcast to (M, K) beforehand, the t = T column included
+    # broadcast to (M, K) beforehand, the t = T columns included wherever
+    # they sit in the row
     spec = _both_paths(_linear_spec(terminal))[quadrature]
     vf = LinearValueFunction(spec, 0.3)
-    t = np.array([[0.0, 0.37, 0.9, 1.0]])
     x = np.random.default_rng(5).normal(size=(6, 4))
     theta = 0.8
-    full = [np.ascontiguousarray(np.broadcast_to(v, x.shape)) for v in (t, x, theta)]
-    for name in ("value", "value_x", "value_theta", "value_theta_x"):
-        got = getattr(vf, name)(t, x, theta)
-        assert got.shape == x.shape, name
-        assert np.array_equal(got, getattr(vf, name)(*full)), name
+    for t in (np.array([[0.0, 0.37, 0.9, 1.0]]), np.array([[1.0, 0.37, 1.0, 0.9]])):
+        full = [np.ascontiguousarray(np.broadcast_to(v, x.shape)) for v in (t, x, theta)]
+        for name in ("value", "value_x", "value_theta", "value_theta_x"):
+            got = getattr(vf, name)(t, x, theta)
+            assert got.shape == x.shape, name
+            assert got.tobytes() == getattr(vf, name)(*full).tobytes(), (name, t)
 
 
 def test_wrong_closed_form_declaration_rejected():
