@@ -53,3 +53,6 @@ for cmd in simulate estimate approximate pde-solve experiment delta-study; do
     replay "$cmd" "$cmd"
 done
 replay delta-study-stride3 delta-study --set study.sup_stride=3
+# the PDE backend on a drift with no closed form: the march, its bundle and the
+# characteristics bounds go through the replay and the chunking contract too
+replay experiment-pde experiment --set backend=pde --set model=custom-pde

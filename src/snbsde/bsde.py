@@ -124,28 +124,30 @@ def efficiency_bounds(model: ModelSpec, vf, theta0: float, t,
     with udot0 the theta-derivative of the limit value function along the
     limit flow x at theta0.  x_t and I(theta0, t) are read from limit, an
     estimation.limit_quantities pass built at t (one pass over the times t
-    when None).  Both derivatives come from one vf.limit_theta_derivatives
-    call per time, on the PDE backend one lockstep characteristics call of
-    six lanes.  t is a time or a sequence of them; returns (boundY, boundZ)
-    as floats for a time, as arrays over the sequence otherwise.  Raises
-    SingularInformationError when I(theta0, t) is below the floor.
+    when None).  Both derivatives at every time come from one
+    vf.limit_theta_derivatives call, on the PDE backend one lockstep
+    characteristics call of six lanes per time.  t is a time or a sequence
+    of them; returns (boundY, boundZ) as floats for a time, as arrays over
+    the sequence otherwise.  Raises SingularInformationError when
+    I(theta0, t) is below the floor.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(ts <= 0):
         raise ConfigurationError("bounds need t > 0")
     if limit is None:
         limit = limit_quantities(model, theta0, None, ts)
+    k = [limit.index(t_j) for t_j in ts.tolist()]
+    info, x_t = limit.info[k].tolist(), limit.x[k].tolist()
+    for t_j, info_j in zip(ts.tolist(), info):
+        if info_j < INFO_FLOOR:
+            raise SingularInformationError(
+                f"information {info_j:.3e} below floor {INFO_FLOOR} at t={t_j}")
+    udot0, udot0_x = (np.ravel(v).tolist()
+                      for v in vf.limit_theta_derivatives(ts, np.array(x_t), theta0))
     bounds = np.empty((2, ts.size))
     for j, t_j in enumerate(ts.tolist()):
-        k = limit.index(t_j)
-        info = float(limit.info[k])
-        if info < INFO_FLOOR:
-            raise SingularInformationError(
-                f"information {info:.3e} below floor {INFO_FLOOR} at t={t_j}")
-        x_t = float(limit.x[k])
-        udot0, udot0_x = (float(v) for v in vf.limit_theta_derivatives(t_j, x_t, theta0))
-        sig_t = float(model.diffusion(t_j, x_t))
-        bounds[:, j] = udot0**2 / info, udot0_x**2 * sig_t**2 / info
+        sig_t = float(model.diffusion(t_j, x_t[j]))
+        bounds[:, j] = udot0[j]**2 / info[j], udot0_x[j]**2 * sig_t**2 / info[j]
     if np.ndim(t) == 0:
         return float(bounds[0, 0]), float(bounds[1, 0])
     return bounds[0], bounds[1]

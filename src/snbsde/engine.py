@@ -396,16 +396,26 @@ class ThetaTable:
         """Information profiles at thetas on the grid nodes cols of [delta, T]
         (all of them by default), (k, len(cols)) rows: bit for bit those
         columns of the whole profiles.  out, a C-ordered (k, len(cols))
-        float64 array, receives them in place of a new array, so a caller
-        that reads row block after row block reuses one scratch buffer."""
+        float64 array, receives them in place of a new array."""
+        return self.info_reader(cols)(thetas, out)
+
+    def info_reader(self, cols=None):
+        """info(., cols, .) as a function of (thetas, out=None) that gathers
+        the nodes' columns cols once, C-ordered, for all its reads: a caller
+        that reads row block after row block into one scratch buffer pays
+        the gather once."""
         sel = slice(self.i_delta, None) if cols is None else np.asarray(cols)
         if self.grid_info is None:
-            info = self._direct_info(thetas)[0][0][:, sel]
-            if out is None:
-                return info
-            out[...] = info
-            return out
-        return _contract(_barycentric_rows(self.nodes, thetas), self.grid_info[:, sel], out=out)
+            def read(thetas, out=None):
+                info = self._direct_info(thetas)[0][0][:, sel]
+                if out is None:
+                    return info
+                out[...] = info
+                return out
+            return read
+        node_cols = np.ascontiguousarray(self.grid_info[:, sel])
+        return lambda thetas, out=None: _contract(_barycentric_rows(self.nodes, thetas),
+                                                  node_cols, out=out)
 
 
 def _table_for(model: ModelSpec, grid: TimeGrid, delta: float,
@@ -777,12 +787,13 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
     # one scratch set for every row block: the information read and the
     # whole tail profile, which the one-step then consumes
     info_buf = np.empty((rows_per_block, cols.size)) if info_all is None else None
+    read_info = table.info_reader(cols) if info_all is None else None
     prof_buf = np.empty((rows_per_block, n + 1 - i))
     for lo in range(0, m, rows_per_block):
         r = slice(lo, lo + rows_per_block)
         th = theta_pilot[r]
         k = th.size
-        info = table.info(th, cols, out=info_buf[:k]) if info_all is None else info_all[r]
+        info = read_info(th, out=info_buf[:k]) if info_all is None else info_all[r]
         tail = score_tail_profile_batch(model, th, X[r], grid, i, cols, out=prof_buf[:k])
         theta_cols, clamped[r], info_bad[r] = onestep_batch(model, th, tail, head[r], info, rep)
         th_rep[r] = theta_cols[:, rep]

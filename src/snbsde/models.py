@@ -172,7 +172,9 @@ def rk4(rhs, y0, grid: TimeGrid) -> np.ndarray:
     states at the nodes, shaped (n+1,) + y0.shape.  Each element of y is a
     lane stepped by elementwise arithmetic, so a lane that diverges ends
     non-finite without touching the others; nothing is raised (a caller
-    that must fail calls finite_or_raise)."""
+    that must fail calls finite_or_raise).  grid may also hold one grid per
+    lane: times (n+1, lanes) and h (lanes,), as characteristics_limit_value
+    builds them."""
     y = np.array(y0, dtype=float)
     h = grid.h
     out = np.empty((grid.n_steps + 1,) + y.shape)
@@ -195,8 +197,9 @@ def finite_or_raise(states: np.ndarray, grid: TimeGrid) -> np.ndarray:
     finite = np.isfinite(states).reshape(grid.n_steps + 1, -1).all(axis=1)
     if not finite.all():
         node = int(np.argmin(finite))
+        at = np.min(grid.times[node])  # the earliest lane's time on per-lane grids
         raise IntegrationDivergedError(f"limit ODE diverged at node {node} "
-                                       f"(t={grid.times[node]:.6g})", node_index=node)
+                                       f"(t={at:.6g})", node_index=node)
     return states
 
 

@@ -21,7 +21,7 @@ the efficiency bounds.  By convention u(T, x, theta) = Phi(x) exactly.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -265,47 +265,69 @@ class LinearValueFunction:
                 tau * self._limit_kernel(self.spec.terminal.d2f, t, x, theta))
 
 
+class _LaneGrids(NamedTuple):
+    """TimeGrids of one step count, one per lane, stepped together by rk4:
+    times[k] holds node k of every lane's grid and h every lane's step, each
+    bit for bit its own TimeGrid's."""
+
+    times: np.ndarray
+    h: np.ndarray
+    n_steps: int
+
+
+def _lane_grids(starts: np.ndarray, t_end: float, n_steps: int) -> _LaneGrids:
+    """The TimeGrid(t, t_end, n_steps) of each start t, built once per distinct t."""
+    distinct, lane = np.unique(starts, return_inverse=True)
+    grids = [TimeGrid(float(t), t_end, n_steps) for t in distinct]
+    return _LaneGrids(np.stack([g.times for g in grids], axis=1)[:, lane],
+                      np.array([g.h for g in grids])[lane], n_steps)
+
+
 def characteristics_limit_value(model: ModelSpec, driver: Callable, terminal: Callable,
-                                t: float, x, theta, n_steps: int = 256):
+                                t, x, theta, n_steps: int = 256):
     """epsilon -> 0 limit value for general coefficients by characteristics.
 
-    x and theta broadcast against each other into lanes that share the start
-    time t.  Integrates the limit flows from (t, x) to the horizon in lockstep,
-    then the scalar transport equations dy/ds = -f(s, x_s, y, 0) backward from
-    y(T) = Phi(x_T).  Both passes are fixed-step RK4 with elementwise
-    arithmetic, so a lane's value does not depend on the other lanes; the
-    forward pass is stored on half steps so the backward pass has exact stage
-    states.  Returns a float for scalar x and theta, else an array of their
-    broadcast shape; raises IntegrationDivergedError when either pass turns
-    non-finite.
+    t, x and theta broadcast against each other into lanes, each with its own
+    start time.  A lane with t < T integrates its limit flow from (t, x) to
+    the horizon, then the scalar transport equation dy/ds = -f(s, x_s, y, 0)
+    backward from y(T) = Phi(x_T), both by fixed-step RK4 on its own
+    TimeGrid(t, T, 2 n_steps): the forward pass on every node, so the
+    backward pass on full steps has exact stage states.  All such lanes step
+    together, node k of each lane's grid side by side, with elementwise
+    arithmetic, so a lane's value does not depend on the other lanes.  A lane
+    with t = T reads Phi(x).  Returns a float for scalar arguments, else an
+    array of their broadcast shape; raises IntegrationDivergedError when
+    either pass turns non-finite.
     """
     T = model.horizon
-    if t > T:
+    t, x, theta = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (t, x, theta)))
+    if np.any(t > T):
         raise ConfigurationError("t beyond horizon")
-    x, theta = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(theta, dtype=float))
-    shape = x.shape
-    if t == T:
-        y = broadcast_eval(terminal(x), shape)
-    else:
-        half_steps = TimeGrid(t, T, 2 * n_steps)
+    y = np.empty(x.shape)
+    at_T = t == T
+    if np.any(at_T):
+        y[at_T] = terminal(x[at_T])
+    live = ~at_T
+    if np.any(live):
+        half_steps = _lane_grids(t[live], T, 2 * n_steps)
         ts = half_steps.times
-        xs = finite_or_raise(rk4(*flow_ode(model, np.ravel(theta), np.ravel(x)), half_steps),
+        xs = finite_or_raise(rk4(*flow_ode(model, theta[live], x[live]), half_steps),
                              half_steps)
         # backward transport on full steps
         h = 2.0 * half_steps.h
-        y = broadcast_eval(terminal(xs[-1]), xs.shape[1:])
+        y_live = broadcast_eval(terminal(xs[-1]), xs.shape[1:])
 
         def g(idx, yv):
             return -np.asarray(driver(ts[idx], xs[idx], yv, 0.0), dtype=float)
 
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(half_steps.n_steps, 0, -2):
-                k1 = g(k, y)
-                k2 = g(k - 1, y - 0.5 * h * k1)
-                k3 = g(k - 1, y - 0.5 * h * k2)
-                k4 = g(k - 2, y - h * k3)
-                y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
+                k1 = g(k, y_live)
+                k2 = g(k - 1, y_live - 0.5 * h * k1)
+                k3 = g(k - 1, y_live - 0.5 * h * k2)
+                k4 = g(k - 2, y_live - h * k3)
+                y_live = y_live - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y_live)):
             raise IntegrationDivergedError("transport equation diverged on the characteristic")
-        y = y.reshape(shape)
+        y[live] = y_live
     return y if y.shape else float(y)

@@ -102,7 +102,8 @@ def test_efficiency_bounds_closed_form():
 
 def test_pde_bounds_take_one_characteristics_call(monkeypatch):
     # both theta-derivatives of a bound come from one six-lane call, bit for
-    # bit the centered differences of single-lane calls
+    # bit the centered differences of single-lane calls, and the bounds at
+    # three times from one call of eighteen lanes
     b = build_preset("custom-pde", {"drift_shape": "sine", "terminal": "cosine"})
     vf = pde.theta_derivatives_by_bundle(b.model, b.driver, b.terminal.f, 1.0, 0.05,
                                          pde.PdeGrid(-6.0, 8.0, 64, 1.0, 20))
@@ -115,6 +116,8 @@ def test_pde_bounds_take_one_characteristics_call(monkeypatch):
         return real(*args, **kw)
 
     monkeypatch.setattr(pde, "characteristics_limit_value", spy)
+    limit3 = limit_quantities(b.model, 1.0, None, (0.25, 0.5, 0.75))
+    single = []
     for t in (0.25, 0.5, 0.75):
         lanes.clear()
         by, bz = efficiency_bounds(b.model, vf, 1.0, t)
@@ -130,6 +133,14 @@ def test_pde_bounds_take_one_characteristics_call(monkeypatch):
                   - (lim(x_t - dx, 1.0 + d) - lim(x_t - dx, 1.0 - d)) / (2.0 * d)) / (2.0 * dx)
         assert by == udot**2 / info
         assert bz == udot_x**2 * float(b.model.diffusion(t, x_t)) ** 2 / info
+        single.append(efficiency_bounds(b.model, vf, 1.0, t, limit=limit3))
+    # a sequence of times takes one call too, each lane on its own time grid,
+    # and reads what each time reads alone from the same limit pass
+    lanes.clear()
+    by, bz = efficiency_bounds(b.model, vf, 1.0, (0.25, 0.5, 0.75), limit=limit3)
+    assert lanes == [18]
+    assert by.tolist() == [y for y, _ in single]
+    assert bz.tolist() == [z for _, z in single]
 
 
 def test_plugin_path_freezes_pilot():

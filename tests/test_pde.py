@@ -127,6 +127,67 @@ def test_linear_driver_is_second_order_in_time():
     assert errs[0] / errs[1] > 3.5
 
 
+def test_time_dependent_sigma_refactors_every_step():
+    # u_t + (sigma(t)^2 / 2) u_xx = 0 with sigma(t) = 0.5 (1 + t), u(T) = cos:
+    # u = exp(-(1/2) int_t^T sigma^2 ds) cos x.  r = (dt/4) (sigma / dx)^2
+    # changes at every step, so every step factors its own matrix; a stale
+    # factorization would diffuse at the wrong rate.  Measured maxima on
+    # |x| <= 4: 1.80e-5 at 25 rows and 2.95e-5 at 50 (the space step's share)
+    m = ModelSpec(drift=_ZERO3, drift_dtheta=_ZERO3, drift_dx=_ZERO3, drift_dtheta_dx=_ZERO3,
+                  diffusion=lambda t, x: 0.5 * (1.0 + t), diffusion_dx=_ZERO2,
+                  theta_interval=(0.1, 1.9), x0=0.0, horizon=1.0, kappa=1.0,
+                  growth_const=1.0)
+    for n_t, tol in ((25, 2.5e-5), (50, 4e-5)):
+        grid = PdeGrid(-8.0, 8.0, 320, 1.0, n_t)
+        sol = solve_semilinear_pde(m, _NO_DRIVER, TERMINALS["cosine"].f, 1.0, 1.0, grid)
+        t = np.linspace(0.0, 1.0, n_t + 1)[:, None]
+        exact = np.exp(-0.5 * 0.25 * (8.0 - (1.0 + t) ** 3) / 3.0) * np.cos(grid.xs)
+        inner = np.abs(grid.xs) <= 4.0
+        err = np.max(np.abs(sol.values - exact)[:, inner])
+        assert err < tol, f"{n_t} rows: {err:.3e}"
+
+
+def test_time_dependent_drift_rebuilds_the_stencil_every_step():
+    # pure transport u_t + theta (1 + t) u_x = 0, u(T) = cos:
+    # u = cos(x + theta ((T - t) + (T^2 - t^2) / 2)).  The departure points
+    # move at every step, so every step builds its own cubic stencil; a stale
+    # one would transport at the wrong speed.  Measured maxima on |x| <= 5:
+    # 7.8e-7 at 25 rows and 2.9e-6 at 50
+    m = ModelSpec(drift=lambda th, t, x: th * (1.0 + t), drift_dtheta=_ZERO3,
+                  drift_dx=_ZERO3, drift_dtheta_dx=_ZERO3,
+                  diffusion=lambda t, x: 1.0, diffusion_dx=_ZERO2,
+                  theta_interval=(0.1, 1.9), x0=0.0, horizon=1.0, kappa=1.0,
+                  growth_const=2.0)
+    theta = 0.7
+    for n_t, tol in ((25, 1.2e-6), (50, 4.5e-6)):
+        grid = PdeGrid(-8.0, 8.0, 400, 1.0, n_t)
+        sol = solve_semilinear_pde(m, _NO_DRIVER, TERMINALS["cosine"].f, theta, 0.0, grid)
+        t = np.linspace(0.0, 1.0, n_t + 1)[:, None]
+        exact = np.cos(grid.xs + theta * ((1.0 - t) + (1.0 - t**2) / 2.0))
+        inner = np.abs(grid.xs) <= 5.0
+        err = np.max(np.abs(sol.values - exact)[:, inner])
+        assert err < tol, f"{n_t} rows: {err:.3e}"
+
+
+def test_default_rows_read_between_rows():
+    # the default rows against an 800-row solve, read between rows, on the
+    # pde-block setting (sine drift, cosine payoff, eps = 0.05) at n_x = 400.
+    # Measured maxima: 1.71e-5 for u and 2.54e-4 for u_theta_x (6.5e-6 and
+    # 1.09e-4 at 200 rows); the bilinear x-read alone misses u_theta_x by
+    # about 1.8e-3 at this n_x, so the time step is not what limits it
+    b = build_preset("custom-pde", {"drift_shape": "sine", "terminal": "cosine"})
+    lo, hi = default_domain(b.model)
+    t = np.array([0.103, 0.305, 0.7525])[:, None]
+    x = np.linspace(-1.0, 3.0, 81)[None, :]
+    fine, default = (theta_derivatives_by_bundle(b.model, b.driver, b.terminal.f, 1.0, 0.05,
+                                                 PdeGrid(lo, hi, 400, 1.0, n_t))
+                     for n_t in (800, None))
+    assert default._solutions[1].values.shape == (DEFAULT_ROWS + 1, 401)
+    for meth, tol in (("value", 2.5e-5), ("value_theta_x", 3.5e-4)):
+        err = np.max(np.abs(getattr(default, meth)(t, x, 1.0) - getattr(fine, meth)(t, x, 1.0)))
+        assert err < tol, f"{meth}: {err:.3e}"
+
+
 def test_divergence_guard():
     m = _diffusion_model(0.5)
     quadratic = lambda t, x, y, z: y**2
