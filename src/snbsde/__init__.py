@@ -19,8 +19,7 @@ from .errors import (ConfigurationError, DiagnosticError, DomainError,
                      SnbsdeError)
 from .estimation import (EstimateTrace, EstimationWindow, fisher_information,
                          fisher_profile, full_mle, mde_asymptotic_variance,
-                         mde_estimate, one_step_mle, onestep_error_limit,
-                         onestep_trace)
+                         mde_estimate, one_step_mle, onestep_trace)
 from .experiment import (ExperimentConfig, ExperimentReport, NormalityReport,
                          StudyReport, normality_diagnostics, run_monte_carlo,
                          shrinking_window_study)
@@ -45,7 +44,7 @@ __all__ = [
     "SingularInformationError", "SnbsdeError",
     "EstimateTrace", "EstimationWindow", "fisher_information",
     "fisher_profile", "full_mle", "mde_asymptotic_variance", "mde_estimate",
-    "one_step_mle", "onestep_error_limit", "onestep_trace",
+    "one_step_mle", "onestep_trace",
     "ExperimentConfig", "ExperimentReport", "NormalityReport", "StudyReport",
     "normality_diagnostics", "run_monte_carlo", "shrinking_window_study",
     "NoiseSource", "Path", "TimeGrid", "brownian_path", "window_grid",

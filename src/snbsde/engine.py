@@ -27,6 +27,17 @@ The one-step, and the information and tail score it is formed from, are
 built only at the nodes some output reads: the report nodes, T and, for the
 sup statistic, the sup nodes.
 
+Two stages run on every CPU the process may use (grids.worker_count, W):
+the Philox draw, split into contiguous ranges of rows, and the row-block
+pass, whose blocks of ROW_BLOCK // W elements split into contiguous runs of
+blocks, each with a scratch set of its own.  Both release the interpreter
+lock.  Everything else (the Euler loop, the pilot, the head score and the
+report-time reads) stays on the calling thread.  No bit moves with W: rows
+are independent, and a block's operations are the same whichever worker
+runs it.  The model's coefficients and the value function's `value` are
+therefore called from worker threads, so they must not keep state between
+calls; a one-row batch, or a one-CPU process, starts no thread.
+
 No stage integrates a limit flow per replication.  The flow depends on a row
 only through one scalar theta, so a ThetaTable samples what the engine reads
 of it (the window flow and its RK4 sensitivity on [0, delta], the
@@ -50,6 +61,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import grids
 from .errors import ConfigurationError
 from .grids import TimeGrid, increment_rows
 from .models import (ModelSpec, broadcast_eval, finite_or_raise, flow_ode, rk4,
@@ -59,7 +71,8 @@ from .models import (ModelSpec, broadcast_eval, finite_or_raise, flow_ode, rk4,
 # work matrix (elements x nodes) around half a GB.
 EVAL_BLOCK = 500_000
 # Element cap of the row blocks that run_batch carries from the information
-# read through the sup sweep: 2 MB of float64 per (rows, n+1) array.
+# read through the sup sweep, shared by its workers: 2 MB of float64 per
+# (rows, n+1) array in all, ROW_BLOCK // W elements per worker's block.
 ROW_BLOCK = 262_144
 # Floor below which the information integral is treated as non-invertible.
 INFO_FLOOR = 1e-10
@@ -741,13 +754,18 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
     allocates its own paths.
 
     After the simulation, the pilot and the head score, rows go in blocks of
-    about ROW_BLOCK elements through the information read, the tail score,
-    the one-step and the sup sweep, so no array of the size of X is built
-    after it.  The information and the whole tail profile of every block are
-    written into one pair of scratch buffers allocated here, and the sup
-    sweep subtracts the value at theta0 in the array the value at the
-    one-step returned (vf's value methods return arrays the caller owns; a
-    read-only one is not written).  The one-step is formed only at the
+    about ROW_BLOCK // W elements through the information read, the tail
+    score, the one-step and the sup sweep, so no array of the size of X is
+    built after it.  W = grids.worker_count() workers each take a contiguous
+    run of the blocks (grids.run_parts; fewer when there are fewer blocks),
+    so the model's coefficients and vf.value are called from worker threads.
+    Each worker writes only its own rows of the outputs, and a block's
+    operations do not depend on the worker, so no bit depends on W.  The
+    information and the whole tail profile of a worker's blocks are written
+    into its pair of scratch buffers, allocated here, and the sup sweep
+    subtracts the value at theta0 in the array the value at the one-step
+    returned (vf's value methods return arrays the caller owns; a read-only
+    one is not written).  The one-step is formed only at the
     report nodes, T (the terminal identity, and the information test of
     onestep_batch) and the sup nodes, bit for bit the same columns of its
     whole profile.
@@ -783,29 +801,39 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
     x_sup, th_sup = _columns(sup_nodes), _columns(np.searchsorted(cols, sup_nodes))
     # the RK4 fallback integrates every row's flow in one lockstep pass
     info_all = table.info(theta_pilot, cols) if table.grid_info is None else None
-    rows_per_block = max(1, min(m, ROW_BLOCK // (n + 1)))
-    # one scratch set for every row block: the information read and the
-    # whole tail profile, which the one-step then consumes
-    info_buf = np.empty((rows_per_block, cols.size)) if info_all is None else None
     read_info = table.info_reader(cols) if info_all is None else None
-    prof_buf = np.empty((rows_per_block, n + 1 - i))
-    for lo in range(0, m, rows_per_block):
-        r = slice(lo, lo + rows_per_block)
-        th = theta_pilot[r]
-        k = th.size
-        info = read_info(th, out=info_buf[:k]) if info_all is None else info_all[r]
-        tail = score_tail_profile_batch(model, th, X[r], grid, i, cols, out=prof_buf[:k])
-        theta_cols, clamped[r], info_bad[r] = onestep_batch(model, th, tail, head[r], info, rep)
-        th_rep[r] = theta_cols[:, rep]
-        theta_T[r] = theta_cols[:, -1:]
-        if sup_stride > 0:
-            x_sel = X[r, x_sup]
-            # value methods return arrays the caller owns, so the difference
-            # is taken in the first one unless it is a read-only view
-            yh = vf.value(t_sup, x_sel, theta_cols[:, th_sup])
-            yh = np.subtract(yh, vf.value(t_sup, x_sel, theta0),
-                             out=yh if yh.flags.writeable else None)
-            sup_err[r] = np.max(np.abs(yh, out=yh), axis=1)
+    # one scratch set per worker, made here: the information read and the
+    # whole tail profile of its blocks, which the one-step then consumes
+    workers = grids.worker_count()
+    rows_per_block = max(1, min(m, ROW_BLOCK // workers // (n + 1)))
+    starts = range(0, m, rows_per_block)
+    parts = max(1, min(workers, len(starts)))
+    scratch = [(np.empty((rows_per_block, cols.size)) if info_all is None else None,
+                np.empty((rows_per_block, n + 1 - i))) for _ in range(parts)]
+
+    def sweep(part):
+        info_buf, prof_buf = scratch[part]
+        for lo in starts[part * len(starts) // parts: (part + 1) * len(starts) // parts]:
+            r = slice(lo, lo + rows_per_block)
+            th = theta_pilot[r]
+            k = th.size
+            info = read_info(th, out=info_buf[:k]) if info_all is None else info_all[r]
+            tail = score_tail_profile_batch(model, th, X[r], grid, i, cols, out=prof_buf[:k])
+            theta_cols, clamped[r], info_bad[r] = onestep_batch(model, th, tail, head[r],
+                                                                info, rep)
+            th_rep[r] = theta_cols[:, rep]
+            theta_T[r] = theta_cols[:, -1:]
+            if sup_stride > 0:
+                x_sel = X[r, x_sup]
+                # value methods return arrays the caller owns, so the
+                # difference is taken in the first one unless it is a
+                # read-only view
+                yh = vf.value(t_sup, x_sel, theta_cols[:, th_sup])
+                yh = np.subtract(yh, vf.value(t_sup, x_sel, theta0),
+                                 out=yh if yh.flags.writeable else None)
+                sup_err[r] = np.max(np.abs(yh, out=yh), axis=1)
+
+    grids.run_parts(sweep, parts)
 
     t_rep = grid.times[r_idx]
     x_rep = X[:, r_idx]

@@ -40,10 +40,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, FlatObjectiveError, SingularInformationError
-from .engine import (INFO_FLOOR, SCAN_POINTS, fisher_profile_batch, limit_weights,
-                     onestep_batch, pilot_batch, refine_scan, score_head_batch,
-                     score_tail_profile_batch, ThetaTable, _limit_factor, _step,
-                     _table_for)
+from .engine import (INFO_FLOOR, SCAN_POINTS, fisher_profile_batch, onestep_batch,
+                     pilot_batch, refine_scan, score_head_batch, score_tail_profile_batch,
+                     ThetaTable, _step, _table_for)
 from .grids import Path, TimeGrid
 from .models import ModelSpec, broadcast_eval, finite_or_raise, rk4
 
@@ -327,20 +326,3 @@ def mde_asymptotic_variance(model: ModelSpec, theta: float, delta: float) -> flo
     """Limit variance D^2 of the normalized pilot error on the window
     [0, delta]: the D^2 of limit_quantities, which states its formula."""
     return limit_quantities(model, theta, delta).d2
-
-
-def onestep_error_limit(model: ModelSpec, theta0: float, W: Path, t: float) -> float:
-    """Limit of the normalized one-step error for a given Brownian path:
-
-        xi_t = I(theta0, t)^{-1} int_0^t (S_theta/sigma)(theta0, s, x_s) dW_s,
-
-    with x the limit flow at theta0 and a left-point stochastic sum; the
-    engine's limiting factor at the node t.  Raises SingularInformationError
-    when I(theta0, t) is below the floor.
-    """
-    xi, info = _limit_factor(limit_weights(model, theta0, W.grid),
-                             np.diff(W.values)[None, :], np.array([W.grid.node_index(t)]))
-    if info[0] < INFO_FLOOR:
-        raise SingularInformationError(
-            f"information {info[0]:.3e} below floor {INFO_FLOOR} at t={t}")
-    return float(xi[0, 0])

@@ -1,7 +1,9 @@
 """Uniform time grids, discrete paths, and reproducible Brownian noise."""
 
+import os
+import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -81,6 +83,53 @@ def _check_u64(name: str, value) -> int:
     return v
 
 
+def worker_count() -> int:
+    """Number of CPUs this process may run on: the workers of a split pass."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def run_parts(fn: Callable[[int], None], parts: int) -> None:
+    """Call fn(0), ..., fn(parts - 1) at once: part 0 on the calling thread
+    and every other part on a plain thread of its own, each under the
+    caller's NumPy error state (it is per thread).  With one part fn(0) is
+    simply called and no thread is started.
+
+    Every thread is joined before this returns or raises.  If parts failed,
+    the exception of the lowest-numbered one is raised, so a caller that
+    hands its parts contiguous, increasing ranges of work gets the error a
+    single thread going through them in order would have met first.
+    """
+    if parts <= 1:
+        fn(0)
+        return
+    err = np.geterr()
+    failed = [None] * parts
+
+    def work(part):
+        try:
+            with np.errstate(**err):
+                fn(part)
+        except BaseException as exc:  # raised again in the calling thread
+            failed[part] = exc
+
+    threads = []
+    try:
+        for part in range(1, parts):
+            thread = threading.Thread(target=work, args=(part,))
+            thread.start()
+            threads.append(thread)
+        fn(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in failed:
+        if exc is not None:
+            raise exc
+
+
 def increment_rows(seed: int, stream_ids: Sequence[int], n_steps: int, h: float,
                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """Brownian increments for a block of streams, one C-ordered row each.
@@ -94,24 +143,42 @@ def increment_rows(seed: int, stream_ids: Sequence[int], n_steps: int, h: float,
     float64 array whose rows are each contiguous, such as the columns
     X[:, 1:] of a C-ordered (M, n_steps + 1) path array; it is filled in
     place and returned, and nothing outside it is written.
+
+    Every stream id is checked before any row is drawn.  The rows are then
+    split into up to W = worker_count() contiguous ranges, drawn at once by
+    run_parts, each range with a bit generator of its own made here; the
+    draw releases the interpreter lock.  A row's draws depend only on its
+    own key, so no bit depends on W, and a single row is drawn on the
+    calling thread.  The draw calls no model code; engine.run_batch's
+    row-block pass, the other stage split this way, calls the model's
+    coefficients and the value function from its workers.
     """
     if n_steps < 1:
         raise ConfigurationError("n_steps must be >= 1")
     if h <= 0:
         raise ConfigurationError("h must be positive")
     seed = _check_u64("seed", seed)
+    sids = [_check_u64("stream_id", sid) for sid in stream_ids]
+    m = len(sids)
     if out is None:
-        out = np.empty((len(stream_ids), n_steps))
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
-    key = [0, seed]
-    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for r, sid in enumerate(stream_ids):
-        key[0] = _check_u64("stream_id", sid)
-        bitgen.state = state
-        gen.standard_normal(out=out[r])
-    out *= np.sqrt(h)
+        out = np.empty((m, n_steps))
+    parts = max(1, min(worker_count(), m))
+    gens = [np.random.Generator(np.random.Philox(0)) for _ in range(parts)]
+    scale = np.sqrt(h)
+
+    def draw(part):
+        gen = gens[part]
+        bitgen = gen.bit_generator
+        key = [0, seed]
+        state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        for r in range(part * m // parts, (part + 1) * m // parts):
+            key[0] = sids[r]
+            bitgen.state = state
+            row = gen.standard_normal(out=out[r])
+            row *= scale
+
+    run_parts(draw, parts)
     return out
 
 

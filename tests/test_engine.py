@@ -1,15 +1,17 @@
 import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from snbsde import engine, models
+from snbsde import engine, grids, models
 from snbsde.bsde import approximate_bsde, residual_decomposition
 from snbsde.engine import (REFINE_FACTOR, pilot_batch, run_batch, score_head_batch,
                            simulate_batch, _trapezoid_weights)
-from snbsde.errors import (ConfigurationError, FlatObjectiveError,
+from snbsde.errors import (ConfigurationError, EvaluationError, FlatObjectiveError,
                            IntegrationDivergedError, SimulationDivergedError)
 from snbsde.estimation import EstimationWindow, mde_estimate, score_head
 from snbsde.grids import NoiseSource, Path, TimeGrid, increment_rows
@@ -1125,3 +1127,158 @@ def test_pilot_treats_a_trial_whose_window_flow_diverges_as_a_rise(monkeypatch):
     _sensitivity(STEEP, theta, table.wgrid)  # every pilot's window flow is finite
     for r in range(X.shape[0]):
         assert pilot_batch(STEEP, X[r:r + 1], grid, 0.1, table)[0][0] == theta[r]
+
+
+# -- worker threads ------------------------------------------------------
+
+
+def _set_workers(monkeypatch, w):
+    monkeypatch.setattr(grids, "worker_count", lambda: w)
+
+
+def _no_thread(*args, **kwargs):
+    raise AssertionError("a thread was started")
+
+
+def test_simulate_batch_xi_does_not_depend_on_the_worker_count(monkeypatch):
+    b = build_preset("linear-ou")
+    grid = TimeGrid(0.0, 1.0, 200)
+    limit = engine.limit_weights(b.model, 0.5, grid)
+    got = {}
+    for w in (1, 2, 3):
+        _set_workers(monkeypatch, w)
+        X, xi, diverged = simulate_batch(b.model, 0.5, 0.05, grid, SEED, range(37),
+                                         limit=limit, xi_nodes=[20, 100, 200])
+        got[w] = (X.tobytes(), xi.tobytes(), diverged.tobytes())
+    assert got[2] == got[1] and got[3] == got[1]
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("name,params,theta0", [
+    ("linear-constant-drift", {}, 1.0),
+    ("custom-pde", {"drift_shape": "sine"}, 1.0)], ids=["constant", "sine"])
+def test_run_batch_does_not_depend_on_the_worker_count(monkeypatch, name, params, theta0,
+                                                       stride):
+    # the draw and the row-block pass split among W workers; blocks of 3
+    # rows that split 10 rows unevenly, and a chunk of 2 rows in blocks of
+    # one row among 3 workers, must give every output bit for bit as W = 1,
+    # also with more workers than CPUs and a switch interval of 1 us
+    eps = 0.05
+    b = build_preset(name, params)
+    grid = TimeGrid(0.0, 1.0, 200)
+    vf = _vf_for(b, eps)
+    kw = dict(plugin=True, residuals=True, sup_stride=stride,
+              table=engine.ThetaTable(b.model, grid, 0.1),
+              limit=engine.limit_weights(b.model, theta0, grid))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for m, rows in ((10, 3), (2, 1)):
+            monkeypatch.setattr(engine, "ROW_BLOCK", rows * (grid.n_steps + 1))
+            args = (b.model, vf, theta0, eps, grid, 0.1, (0.5, 1.0), SEED, range(m))
+            _set_workers(monkeypatch, 1)
+            alone = run_batch(*args, **kw)
+            assert not np.any(alone.failed)
+            for w in (2, 3):
+                _set_workers(monkeypatch, w)
+                got = run_batch(*args, **kw)
+                for f in dataclasses.fields(engine.BatchResult):
+                    assert np.array_equal(getattr(got, f.name), getattr(alone, f.name)), \
+                        (m, w, f.name)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_worker_or_one_row_starts_no_thread(monkeypatch):
+    eps = 0.05
+    b = build_preset("linear-constant-drift")
+    grid = TimeGrid(0.0, 1.0, 200)
+    vf = _vf_for(b, eps)
+    monkeypatch.setattr(engine, "ROW_BLOCK", grid.n_steps + 1)
+    monkeypatch.setattr(threading, "Thread", _no_thread)
+    _set_workers(monkeypatch, 1)
+    res = run_batch(b.model, vf, 1.0, eps, grid, 0.1, (0.5, 1.0), SEED, range(6),
+                    residuals=True, sup_stride=1)
+    assert not np.any(res.failed)
+    # the scalar API is the engine on one row, whatever the CPUs
+    _set_workers(monkeypatch, 2)
+    X, W = simulate_forward(b.model, 1.0, eps, grid, NoiseSource(SEED, 0))
+    approx = approximate_bsde(b.model, vf, X, W, EstimationWindow(0.1), eps, theta0=1.0)
+    assert approx.trace.theta_onestep[-1] == res.theta_onestep[0, -1]
+
+
+class _FailingAtPath:
+    """A value function whose value raises on the block holding the path
+    that ends at x_T, and is vf everywhere else."""
+
+    def __init__(self, vf, x_T):
+        self.vf = vf
+        self.x_T = x_T
+
+    def value(self, t, x, theta):
+        if np.any(np.asarray(x)[..., -1] == self.x_T):
+            raise EvaluationError(f"no value on the path ending at {self.x_T!r}")
+        return self.vf.value(t, x, theta)
+
+    def __getattr__(self, name):
+        return getattr(self.vf, name)
+
+
+@pytest.mark.parametrize("w", [2, 3])
+def test_a_worker_failure_raises_as_on_one_thread(monkeypatch, w):
+    # blocks of one row: the third block's value raises in the sup sweep, in
+    # a worker thread when W > 1; the caller gets the exception one thread
+    # raises, and every worker has been joined
+    eps = 0.05
+    b = build_preset("linear-constant-drift")
+    grid = TimeGrid(0.0, 1.0, 200)
+    X, _, _ = simulate_batch(b.model, 1.0, eps, grid, SEED, range(4))
+    vf = _FailingAtPath(_vf_for(b, eps), X[2, -1])
+    monkeypatch.setattr(engine, "ROW_BLOCK", grid.n_steps + 1)
+    args = (b.model, vf, 1.0, eps, grid, 0.1, (0.5, 1.0), SEED, range(4))
+    caught = {}
+    before = threading.active_count()
+    for workers in (1, w):
+        _set_workers(monkeypatch, workers)
+        with pytest.raises(EvaluationError) as err:
+            run_batch(*args, sup_stride=1)
+        caught[workers] = err.value
+        assert threading.active_count() == before
+    assert type(caught[w]) is type(caught[1])
+    assert str(caught[w]) == str(caught[1])
+
+
+def test_the_callers_error_state_reaches_the_workers(monkeypatch):
+    # the drift overflows after t = 0.5 for rows whose pilot is above cut,
+    # and only the tail score reads it there outside the engine's own
+    # errstate blocks; with blocks of one row those rows fall to the last
+    # worker, so over="raise" must reach it
+    eps = 0.05
+    grid = TimeGrid(0.0, 1.0, 200)
+    cut = []
+
+    def drift(th, t, x):
+        hot = (np.asarray(t) > 0.5) & (np.asarray(th) > cut[0])
+        return th + 0.0 * x + np.exp(np.where(hot, 1000.0, 0.0))
+
+    model = ModelSpec(drift=drift,
+                      drift_dtheta=lambda th, t, x: 1.0 + 0.0 * (th + x),
+                      drift_dx=lambda th, t, x: 0.0 * (th + x),
+                      drift_dtheta_dx=lambda th, t, x: 0.0 * (th + x),
+                      diffusion=lambda t, x: 1.0 + 0.0 * x,
+                      diffusion_dx=lambda t, x: 0.0 * x,
+                      theta_interval=(0.0, 2.0), x0=0.0, horizon=1.0,
+                      kappa=1.0, growth_const=4.0)
+    cut.append(np.inf)
+    X, _, _ = simulate_batch(model, 1.0, eps, grid, SEED, range(4))
+    pilot, _ = pilot_batch(model, X, grid, 0.1)
+    cut[0] = max(pilot[:2])
+    assert max(pilot[2:]) > cut[0]
+    vf = LinearValueFunction(build_preset("linear-constant-drift").linear, eps)
+    monkeypatch.setattr(engine, "ROW_BLOCK", grid.n_steps + 1)
+    args = (model, vf, 1.0, eps, grid, 0.1, (1.0,), SEED, range(4))
+    for w in (1, 2):
+        _set_workers(monkeypatch, w)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                run_batch(*args)

@@ -10,8 +10,7 @@ from snbsde.errors import ConfigurationError, FlatObjectiveError, SingularInform
 from snbsde.estimation import (EstimationWindow, fisher_information,
                                fisher_profile, full_mle, limit_quantities,
                                mde_asymptotic_variance, mde_estimate,
-                               one_step_mle, onestep_error_limit,
-                               onestep_trace, score_head)
+                               one_step_mle, onestep_trace, score_head)
 from snbsde.grids import NoiseSource, TimeGrid, brownian_path
 from snbsde.models import ModelSpec, broadcast_eval, simulate_forward, solve_limit_ode
 from snbsde.presets import build_preset
@@ -252,9 +251,13 @@ def test_error_limit_factor_constant_drift():
     b = build_preset("linear-constant-drift")
     grid = TimeGrid(0.0, 1.0, 1000)
     W = brownian_path(NoiseSource(13, 0), grid)
-    xi = onestep_error_limit(b.model, 1.0, W, 0.5)
+    i = grid.node_index(0.5)
+    _, xi, _ = engine.simulate_batch(b.model, 1.0, 0.05, grid, 13, [0],
+                                     limit=engine.limit_weights(b.model, 1.0, grid),
+                                     xi_nodes=[i])
     # left-point sum of dW equals W_t exactly on the grid
-    assert abs(xi - W.at(0.5) / 0.5) < 1e-12
+    assert xi.shape == (1, 1)
+    assert abs(xi[0, 0] - W.at(0.5) / 0.5) < 1e-12
 
 
 def _info_free_model():

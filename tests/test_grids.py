@@ -1,7 +1,10 @@
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from snbsde import grids
 from snbsde.errors import ConfigurationError
 from snbsde.grids import (NoiseSource, Path, TimeGrid, brownian_path, increment_rows,
                           window_grid)
@@ -129,6 +132,59 @@ def test_increment_row_independent_of_its_position():
     assert np.shares_memory(got, wide)
     assert wide[:, 1:].tobytes() == rows.tobytes()
     assert np.all(np.isnan(wide[:, 0]))
+
+
+def _no_thread(*args, **kwargs):
+    raise AssertionError("a thread was started")
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 37, 1000])
+def test_increment_rows_do_not_depend_on_the_worker_count(monkeypatch, w, m):
+    # each row is bit for bit its stream's one-row draw, whatever the split;
+    # one worker, or one row, starts no thread
+    monkeypatch.setattr(grids, "worker_count", lambda: w)
+    if w == 1 or m == 1:
+        monkeypatch.setattr(threading, "Thread", _no_thread)
+    sids = [(r * 7919) % 2**20 for r in range(m)]
+    rows = increment_rows(31, sids, 64, 0.01)
+    for r, sid in enumerate(sids):
+        assert rows[r].tobytes() == NoiseSource(31, sid).increments(64, 0.01).tobytes()
+
+
+@pytest.mark.parametrize("w", [1, 2])
+def test_increment_rows_check_every_stream_id_before_drawing(monkeypatch, w):
+    monkeypatch.setattr(grids, "worker_count", lambda: w)
+    out = np.full((4, 8), np.nan)
+    with pytest.raises(ConfigurationError):
+        increment_rows(3, [0, 1, 2, 2**64], 8, 0.1, out=out)
+    assert np.all(np.isnan(out))
+
+
+def test_run_parts_raises_the_lowest_failing_part_after_joining_all():
+    ran = []
+    before = threading.active_count()
+
+    def fn(part):
+        ran.append(part)
+        if part in (2, 3):
+            raise ValueError(f"part {part}")
+
+    with pytest.raises(ValueError, match="part 2"):
+        grids.run_parts(fn, 4)
+    assert sorted(ran) == [0, 1, 2, 3]
+    assert threading.active_count() == before
+
+    def first_fails(part):
+        if part == 0:
+            raise KeyError(part)
+        ran.append(part)
+
+    ran.clear()
+    with pytest.raises(KeyError):
+        grids.run_parts(first_fails, 3)
+    assert sorted(ran) == [1, 2]
+    assert threading.active_count() == before
 
 
 def test_brownian_path_starts_at_zero():
