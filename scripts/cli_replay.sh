@@ -5,9 +5,6 @@
 # must match byte for byte.  The Monte Carlo subcommands (experiment,
 # delta-study) are also rerun in chunks of 7 replications, and their CSVs
 # must not move either: the chunking contract, checked through the CLI.
-# delta-study runs a second time with study.sup_stride=3, whose sup nodes
-# are not one contiguous range, so both ways the sup sweep reads its
-# columns are replayed.
 # The summary.txt of estimate is compared too: it holds delta_head, the only
 # output of the head score, and no wall time (the other summaries carry
 # wall_time_s, so they are not compared).
@@ -52,7 +49,8 @@ replay() {
 for cmd in simulate estimate approximate pde-solve experiment delta-study; do
     replay "$cmd" "$cmd"
 done
-replay delta-study-stride3 delta-study --set study.sup_stride=3
 # the PDE backend on a drift with no closed form: the march, its bundle and the
-# characteristics bounds go through the replay and the chunking contract too
+# characteristics bounds go through the replay and the chunking contract too,
+# and the single-path API reads the same bundle
 replay experiment-pde experiment --set backend=pde --set model=custom-pde
+replay approximate-pde approximate --set model=custom-pde --set backend=pde

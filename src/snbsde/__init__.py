@@ -10,7 +10,7 @@ comes to the small-noise efficiency bounds.
 """
 
 from .bsde import (BsdeApproximation, ResidualDecomposition, approximate_bsde,
-                   efficiency_bounds, plugin_value_path, residual_decomposition)
+                   efficiency_bounds, residual_decomposition)
 from .errors import (ConfigurationError, DiagnosticError, DomainError,
                      EvaluationError, ExperimentAbortedError,
                      FlatObjectiveError, IntegrationDivergedError,
@@ -18,12 +18,12 @@ from .errors import (ConfigurationError, DiagnosticError, DomainError,
                      SimulationDivergedError, SingularInformationError,
                      SnbsdeError)
 from .estimation import (EstimateTrace, EstimationWindow, fisher_information,
-                         fisher_profile, full_mle, mde_asymptotic_variance,
-                         mde_estimate, one_step_mle, onestep_trace)
+                         full_mle, mde_asymptotic_variance, mde_estimate,
+                         one_step_mle, onestep_trace)
 from .experiment import (ExperimentConfig, ExperimentReport, NormalityReport,
                          StudyReport, normality_diagnostics, run_monte_carlo,
                          shrinking_window_study)
-from .grids import NoiseSource, Path, TimeGrid, brownian_path, window_grid
+from .grids import NoiseSource, Path, TimeGrid, window_grid
 from .models import ModelSpec, simulate_forward, solve_limit_ode, validate_model
 from .pde import (PdeGrid, PdeSolution, PdeValueFunction, default_domain,
                   eval_solution, solve_semilinear_pde,
@@ -37,17 +37,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BsdeApproximation", "ResidualDecomposition", "approximate_bsde",
-    "efficiency_bounds", "plugin_value_path", "residual_decomposition",
+    "efficiency_bounds", "residual_decomposition",
     "ConfigurationError", "DiagnosticError", "DomainError", "EvaluationError",
     "ExperimentAbortedError", "FlatObjectiveError", "IntegrationDivergedError",
     "ModelValidationError", "PdeDivergenceError", "SimulationDivergedError",
     "SingularInformationError", "SnbsdeError",
-    "EstimateTrace", "EstimationWindow", "fisher_information",
-    "fisher_profile", "full_mle", "mde_asymptotic_variance", "mde_estimate",
-    "one_step_mle", "onestep_trace",
+    "EstimateTrace", "EstimationWindow", "fisher_information", "full_mle",
+    "mde_asymptotic_variance", "mde_estimate", "one_step_mle", "onestep_trace",
     "ExperimentConfig", "ExperimentReport", "NormalityReport", "StudyReport",
     "normality_diagnostics", "run_monte_carlo", "shrinking_window_study",
-    "NoiseSource", "Path", "TimeGrid", "brownian_path", "window_grid",
+    "NoiseSource", "Path", "TimeGrid", "window_grid",
     "ModelSpec", "simulate_forward", "solve_limit_ode", "validate_model",
     "PdeGrid", "PdeSolution", "PdeValueFunction", "default_domain",
     "eval_solution", "solve_semilinear_pde", "theta_derivatives_by_bundle",

@@ -60,11 +60,11 @@ def approximate_bsde(model: ModelSpec, vf, X: Path, W: Path,
                      theta0: Optional[float] = None) -> BsdeApproximation:
     """Pilot estimate, one-step profile, and value-function evaluation.
 
-    vf is any value-function backend exposing value/value_x (and the limit
-    accessors for bounds).  When theta0 is given the oracle Y, Z and the
-    limiting Gaussian factor xi are attached for risk evaluation.  Every
-    stage is the engine's on the one-row batch holding X, and the pilot and
-    the one-step read one engine.ThetaTable.
+    vf is any value-function backend exposing value/value_x (and
+    limit_theta_derivatives for bounds).  When theta0 is given the oracle Y,
+    Z and the limiting Gaussian factor xi are attached for risk evaluation.
+    Every stage is the engine's on the one-row batch holding X, and the
+    pilot and the one-step read one engine.ThetaTable.
     """
     delta = window.delta
     i = X.grid.node_index(delta)
@@ -152,19 +152,3 @@ def efficiency_bounds(model: ModelSpec, vf, theta0: float, t,
         return float(bounds[0, 0]), float(bounds[1, 0])
     return bounds[0], bounds[1]
 
-
-def plugin_value_path(model: ModelSpec, vf, X: Path, window: EstimationWindow,
-                      epsilon: float, theta_pilot: Optional[float] = None) -> Path:
-    """Plug-in comparator: freeze the pilot estimate in the value function.
-
-    Y_bar_t = u(t, X_t, theta_pilot) on [delta, T].  Inefficient relative to
-    the one-step construction; used as the risk comparator in experiments.
-    """
-    delta = window.delta
-    i = X.grid.node_index(delta)
-    if theta_pilot is None:
-        theta_pilot = mde_estimate(model, X, delta)
-    t_arr = X.times[i:]
-    x_arr = X.values[i:]
-    y_bar = np.asarray(vf.value(t_arr, x_arr, float(theta_pilot)), dtype=float)
-    return Path(window_grid(X.grid, delta), y_bar)

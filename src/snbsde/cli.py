@@ -3,9 +3,10 @@
 Subcommands: simulate, estimate, approximate, pde-solve, experiment,
 delta-study.  Configuration comes from a JSON file plus --set overrides;
 --full swaps the quick built-in defaults for acceptance-scale ones, and any
-explicit setting wins over either.  Every run writes an echo of its effective
-configuration next to its outputs, and rerunning from that echo reproduces
-the outputs byte for byte.
+explicit setting wins over either.  Each entry must have the type of its
+default, and each pde and study entry its key's type.  Every run writes an
+echo of its effective configuration next to its outputs, and rerunning from
+that echo reproduces the outputs byte for byte.
 
 Exit codes: 0 success, 1 configuration or validation problem, 2 runtime
 failure.
@@ -36,15 +37,17 @@ from .presets import build_preset
 _DEFAULTS = {key: value for key, value in config_to_dict(ExperimentConfig()).items()
              if key != "pde_params"}
 _DEFAULTS.update(epsilon=0.1, pde={}, study={})
-_TOP_KEYS = set(_DEFAULTS)
-_PDE_KEYS = set(PDE_KEYS) | {"theta"}
-_STUDY_KEYS = {"kappa_list", "sup_stride"}
+# the type of each key of the pde and study tables; a list is of numbers
+_TABLE_KINDS = {"pde": {key: int if key in ("n_x", "n_t") else float
+                        for key in PDE_KEYS + ("theta",)}, "study": {"kappa_list": list}}
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", list: "a list of numbers", dict: "a table"}
 # the subcommands whose pde table becomes ExperimentConfig.pde_params, so
 # that experiment.unread_pde_params rules which keys they read
 _STUDY_COMMANDS = {"approximate", "experiment", "delta-study"}
 # the pde keys each other subcommand reads: pde-solve solves at the one theta
 # pde.theta (theta0 by default), so it has no dtheta; the rest read none
-_PDE_READ = {"pde-solve": _PDE_KEYS - {"dtheta"}}
+_PDE_READ = {"pde-solve": set(_TABLE_KINDS["pde"]) - {"dtheta"}}
 
 # acceptance-scale replication count for --full; explicit settings still win
 _FULL_DEFAULTS = {
@@ -52,15 +55,38 @@ _FULL_DEFAULTS = {
 }
 
 
-def _check_keys(cfg: dict, command: str) -> None:
+def _typed(key: str, value, kind):
+    """value as kind: a bool only from true or false, an int from an
+    integral number, a float from a number, and a list of numbers as a list
+    of floats; anything else is a ConfigurationError that names key."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is list and isinstance(value, list):
+        return [_typed(key, v, float) for v in value]
+    if number and (kind is float or kind is int and float(value).is_integer()):
+        return kind(value)
+    if kind in (bool, str, dict) and isinstance(value, kind):
+        return value
+    raise ConfigurationError(f"configuration key '{key}' must be {_KIND_NAMES[kind]}, "
+                             f"got {json.dumps(value)}")
+
+
+def _typed_config(cfg: dict, command: str) -> dict:
+    """cfg with every entry of the type of its default and every pde and
+    study entry of its key's type, model_params left to the model's preset.
+    An unknown key, a value of another type and a pde key that command does
+    not read are ConfigurationErrors that name the key."""
     for key in cfg:
-        if key not in _TOP_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigurationError(f"unknown configuration key '{key}'")
-    pde = cfg.get("pde", {})
-    for key in pde:
-        if key not in _PDE_KEYS:
-            raise ConfigurationError(f"unknown configuration key 'pde.{key}'")
-    backend = cfg.get("backend")
+    cfg = {key: _typed(key, value, list if isinstance(_DEFAULTS[key], list)
+                       else type(_DEFAULTS[key])) for key, value in cfg.items()}
+    for table, kinds in _TABLE_KINDS.items():
+        for key in cfg[table]:
+            if key not in kinds:
+                raise ConfigurationError(f"unknown configuration key '{table}.{key}'")
+        cfg[table] = {key: _typed(f"{table}.{key}", value, kinds[key])
+                      for key, value in cfg[table].items()}
+    pde, backend = cfg["pde"], cfg["backend"]
     if command in _STUDY_COMMANDS:
         unread = unread_pde_params(backend, pde)
         where = "" if backend == "pde" else f" with backend {backend}"
@@ -69,10 +95,8 @@ def _check_keys(cfg: dict, command: str) -> None:
     if unread:
         raise ConfigurationError(
             f"configuration key 'pde.{unread[0]}' is not read by {command}{where}")
-    for key in cfg.get("study", {}):
-        if key not in _STUDY_KEYS:
-            raise ConfigurationError(f"unknown configuration key 'study.{key}'")
     # model_params keys are checked against the chosen model by the registry
+    return cfg
 
 
 def _parse_set(pairs):
@@ -118,8 +142,7 @@ def load_config(args) -> dict:
         _apply_override(cfg, key, value)
     if args.seed is not None:
         cfg["base_seed"] = args.seed
-    _check_keys(cfg, args.command)
-    return cfg
+    return _typed_config(cfg, args.command)
 
 
 def _outdir(args, command: str) -> str:
@@ -142,23 +165,16 @@ def _write_table(path, header, columns) -> None:
 
 
 def _experiment_config(cfg: dict) -> ExperimentConfig:
-    """ExperimentConfig of cfg, each entry coerced to the type of its default."""
-    def coerce(key):
-        default = _DEFAULTS[key]
-        if isinstance(default, list):
-            return tuple(float(v) for v in cfg[key])
-        return type(default)(cfg[key])
-
+    """ExperimentConfig of the typed cfg, its lists as tuples."""
     shared = [f.name for f in fields(ExperimentConfig) if f.name in _DEFAULTS]
-    return ExperimentConfig(pde_params=dict(cfg["pde"]),
-                            **{key: coerce(key) for key in shared})
+    return ExperimentConfig(pde_params=dict(cfg["pde"]), **{
+        key: tuple(cfg[key]) if isinstance(cfg[key], list) else cfg[key] for key in shared})
 
 
 def _simulate_path(cfg: dict, bundle):
-    grid = TimeGrid(0.0, bundle.model.horizon, int(cfg["n_steps"]))
-    noise = NoiseSource(int(cfg["base_seed"]), 0)
-    return simulate_forward(bundle.model, float(cfg["theta0"]),
-                            float(cfg["epsilon"]), grid, noise)
+    grid = TimeGrid(0.0, bundle.model.horizon, cfg["n_steps"])
+    return simulate_forward(bundle.model, cfg["theta0"], cfg["epsilon"], grid,
+                            NoiseSource(cfg["base_seed"], 0))
 
 
 def cmd_simulate(cfg: dict, outdir: str) -> None:
@@ -171,8 +187,7 @@ def cmd_simulate(cfg: dict, outdir: str) -> None:
 def cmd_estimate(cfg: dict, outdir: str) -> None:
     bundle = build_preset(cfg["model"], cfg["model_params"])
     X, _ = _simulate_path(cfg, bundle)
-    delta = float(cfg["delta"])
-    epsilon = float(cfg["epsilon"])
+    delta, epsilon = cfg["delta"], cfg["epsilon"]
     theta_pilot = mde_estimate(bundle.model, X, delta)
     trace = onestep_trace(bundle.model, theta_pilot, X, delta, epsilon)
     theta_full = full_mle(bundle.model, X, bundle.model.horizon, epsilon)
@@ -190,12 +205,10 @@ def cmd_estimate(cfg: dict, outdir: str) -> None:
 def cmd_approximate(cfg: dict, outdir: str) -> None:
     bundle = build_preset(cfg["model"], cfg["model_params"])
     X, W = _simulate_path(cfg, bundle)
-    epsilon = float(cfg["epsilon"])
-    exp_cfg = _experiment_config(cfg)
-    vf = build_value_function(bundle, exp_cfg, epsilon)
-    window = EstimationWindow(float(cfg["delta"]))
-    approx = approximate_bsde(bundle.model, vf, X, W, window, epsilon,
-                              theta0=float(cfg["theta0"]))
+    epsilon = cfg["epsilon"]
+    vf = build_value_function(bundle, _experiment_config(cfg), epsilon)
+    approx = approximate_bsde(bundle.model, vf, X, W, EstimationWindow(cfg["delta"]), epsilon,
+                              theta0=cfg["theta0"])
     _write_table(
         os.path.join(outdir, "approximation.csv"),
         ("t", "X", "Y_true", "Y_hat", "Z_true", "Z_hat", "theta_onestep"),
@@ -207,10 +220,10 @@ def cmd_approximate(cfg: dict, outdir: str) -> None:
 
 def cmd_pde_solve(cfg: dict, outdir: str) -> None:
     bundle = build_preset(cfg["model"], cfg["model_params"])
-    theta = float(cfg["pde"].get("theta", cfg["theta0"]))
+    theta = cfg["pde"].get("theta", cfg["theta0"])
     grid = pde_grid(bundle, {k: v for k, v in cfg["pde"].items() if k != "theta"})
     sol = solve_semilinear_pde(bundle.model, bundle.driver, bundle.terminal.f,
-                               theta, float(cfg["epsilon"]), grid)
+                               theta, cfg["epsilon"], grid)
     n_rows = sol.values.shape[0]
     stride = max(1, (n_rows - 1) // 100)
     keep = list(range(0, n_rows, stride))
@@ -237,10 +250,8 @@ def cmd_experiment(cfg: dict, outdir: str) -> None:
 
 
 def cmd_delta_study(cfg: dict, outdir: str) -> None:
-    study_cfg = cfg["study"]
-    kappa_list = tuple(float(k) for k in study_cfg.get("kappa_list", [3.0]))
-    report = shrinking_window_study(_experiment_config(cfg), kappa_list,
-                                    sup_stride=study_cfg.get("sup_stride"))
+    # each study key is a keyword of shrinking_window_study, whose default holds unless set
+    report = shrinking_window_study(_experiment_config(cfg), **cfg["study"])
     report.to_csv(os.path.join(outdir, "study.csv"))
     with open(os.path.join(outdir, "summary.txt"), "w") as fh:
         fh.write(report.summary_text())

@@ -24,8 +24,8 @@ it (`ThetaTable.info` and `score_tail_profile_batch` take out=), the
 one-step is formed in place over them, and the sup sweep takes the value
 difference in the array the value function returned.
 The one-step, and the information and tail score it is formed from, are
-built only at the nodes some output reads: the report nodes, T and, for the
-sup statistic, the sup nodes.
+built only at the nodes some output reads: the report nodes and T, or, for
+the sup statistic, every node of [delta, T].
 
 Two stages run on every CPU the process may use (grids.worker_count, W):
 the Philox draw, split into contiguous ranges of rows, and the row-block
@@ -283,9 +283,9 @@ class ThetaTable:
     not depend on the chunk or block it runs in.
 
     The information part depends on (model, grid) only: it holds the whole
-    profiles on [0, T], and `node_info` is its view on [delta, T].  The
-    tables that `for_window` derives for other windows share it, so a study
-    over several windows integrates the information flow once.
+    profiles on [0, T].  The tables that `for_window` derives for other
+    windows share it, so a study over several windows integrates the
+    information flow once.
 
     A node part is checked when it is built: its interpolant at the
     TABLE_PROBES fractions of theta_interval must match direct RK4 within
@@ -391,12 +391,6 @@ class ThetaTable:
             return self._info_owner.grid_info
         part = self._checked(self._direct_info)
         return None if part is None else part[0]
-
-    @property
-    def node_info(self):
-        """Information rows (K, n+1-i) at the nodes on [delta, T], or None."""
-        info = self.grid_info
-        return None if info is None else info[:, self.i_delta:]
 
     def window(self, thetas: np.ndarray):
         """Window flow and its RK4 sensitivity at thetas, C-ordered (k, i+1) rows."""
@@ -591,8 +585,9 @@ class BatchResult:
     """Per-replication outputs of one engine block (all arrays length M).
 
     y_plugin is set only with plugin=True, xi, r_y and r_z only with
-    residuals=True (r_y and r_z also need epsilon > 0), and sup_abs_y_err only
-    with sup_stride > 0; otherwise they are None.
+    residuals=True (r_y and r_z also need epsilon > 0), and sup_abs_y_err,
+    sup |Y_hat - Y| over every node of [delta, T], only with sup=True;
+    otherwise they are None.
     """
 
     diverged: np.ndarray
@@ -730,15 +725,14 @@ def onestep_batch(model: ModelSpec, theta_pilot: np.ndarray, tail: np.ndarray,
 def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGrid,
               delta: float, report_times: Sequence[float], seed: int,
               stream_ids: Sequence[int], *, plugin: bool = False,
-              residuals: bool = False, sup_stride: int = 0,
+              residuals: bool = False, sup: bool = False,
               table: Optional[ThetaTable] = None, limit=None,
               paths: Optional[np.ndarray] = None) -> BatchResult:
     """Full pipeline for one block of replications.
 
-    sup_stride > 0 additionally tracks sup |Y_hat - Y| over every
-    sup_stride-th node of [delta, T]; a contiguous range of sup nodes (every
-    sup_stride = 1 sweep) reads X and the one-step as views, and Y reads
-    theta0 as one scalar.
+    sup=True additionally tracks sup |Y_hat - Y| over every node of
+    [delta, T], one switch for the whole range: the sweep reads X and the
+    one-step there as views, and Y reads theta0 as one scalar.
 
     table is the ThetaTable of (model, grid, delta) and limit is
     limit_weights(model, theta0, grid); a caller running many chunks or
@@ -765,9 +759,9 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
     into its pair of scratch buffers, allocated here, and the sup sweep
     subtracts the value at theta0 in the array the value at the one-step
     returned (vf's value methods return arrays the caller owns; a read-only
-    one is not written).  The one-step is formed only at the
-    report nodes, T (the terminal identity, and the information test of
-    onestep_batch) and the sup nodes, bit for bit the same columns of its
+    one is not written).  Without the sup statistic the one-step is formed
+    only at the report nodes and T (the terminal identity, and the
+    information test of onestep_batch), bit for bit the same columns of its
     whole profile.
     """
     i = grid.node_index(delta)
@@ -777,10 +771,9 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
     if np.any(r_idx < i):
         raise ConfigurationError("report times must not precede delta")
     table = _table_for(model, grid, delta, table)
-    # every sup_stride-th node of [delta, T] and T
-    sup_nodes = np.union1d(np.arange(i, n + 1, sup_stride), n) if sup_stride > 0 else \
-        np.array([], int)
-    cols = np.unique(np.concatenate((r_idx, sup_nodes, [n])))
+    # the nodes some output reads: every node of [delta, T] for the sup
+    # statistic, else the report nodes and T
+    cols = np.arange(i, n + 1) if sup else np.union1d(r_idx, n)
     rep = np.searchsorted(cols, r_idx)
 
     if residuals and limit is None:
@@ -796,9 +789,8 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
     clamped = np.empty((m, rep.size), dtype=bool)
     info_bad = np.empty(m, dtype=bool)
     theta_T = np.empty((m, 1))
-    sup_err = np.empty(m) if sup_stride > 0 else None
-    t_sup = grid.times[None, sup_nodes]
-    x_sup, th_sup = _columns(sup_nodes), _columns(np.searchsorted(cols, sup_nodes))
+    sup_err = np.empty(m) if sup else None
+    t_sup = grid.times[None, i:]
     # the RK4 fallback integrates every row's flow in one lockstep pass
     info_all = table.info(theta_pilot, cols) if table.grid_info is None else None
     read_info = table.info_reader(cols) if info_all is None else None
@@ -823,12 +815,12 @@ def run_batch(model: ModelSpec, vf, theta0: float, epsilon: float, grid: TimeGri
                                                                 info, rep)
             th_rep[r] = theta_cols[:, rep]
             theta_T[r] = theta_cols[:, -1:]
-            if sup_stride > 0:
-                x_sel = X[r, x_sup]
+            if sup:
+                x_sel = X[r, i:]
                 # value methods return arrays the caller owns, so the
                 # difference is taken in the first one unless it is a
                 # read-only view
-                yh = vf.value(t_sup, x_sel, theta_cols[:, th_sup])
+                yh = vf.value(t_sup, x_sel, theta_cols)
                 yh = np.subtract(yh, vf.value(t_sup, x_sel, theta0),
                                  out=yh if yh.flags.writeable else None)
                 sup_err[r] = np.max(np.abs(yh, out=yh), axis=1)

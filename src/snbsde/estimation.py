@@ -84,9 +84,6 @@ class EstimateTrace:
             raise ConfigurationError(f"time {t} is not an evaluation node of the trace")
         return i
 
-    def at(self, t: float) -> float:
-        return float(self.theta_onestep[self.node_index(t)])
-
 
 def _window_end(X: Path, delta: float) -> int:
     i = X.grid.node_index(delta)
@@ -114,28 +111,17 @@ def mde_estimate(model: ModelSpec, X: Path, delta: float,
     return float(theta[0])
 
 
-def fisher_profile(model: ModelSpec, theta: float, x: Path) -> np.ndarray:
-    """Running information integral int_0^t S_theta^2/sigma^2 ds along x."""
-    return fisher_profile_batch(model, np.array([float(theta)]), x.values[None, :],
-                                x.grid)[0]
-
-
 def fisher_information(model: ModelSpec, theta: float, x: Path, t: float) -> float:
-    """Information integral at time t; raises below the invertibility floor."""
+    """Information integral int_0^t S_theta^2/sigma^2 ds along x, by
+    engine.fisher_profile_batch; raises below the invertibility floor."""
     i = x.grid.node_index(t)
-    value = float(fisher_profile(model, theta, x)[i])
+    value = float(fisher_profile_batch(model, np.array([float(theta)]), x.values[None, :],
+                                       x.grid)[0, i])
     if value < INFO_FLOOR:
         raise SingularInformationError(
             f"information {value:.3e} below floor {INFO_FLOOR} at t={t}"
         )
     return value
-
-
-def score_head(model: ModelSpec, theta: float, X: Path, delta: float, epsilon: float) -> float:
-    """Head score statistic on the learning window [0, delta]:
-    engine.score_head_batch, which states the form it computes."""
-    return float(score_head_batch(model, np.array([float(theta)]), X.values[None, :],
-                                  X.grid, _window_end(X, delta), epsilon)[0])
 
 
 def onestep_trace(model: ModelSpec, theta_pilot: float, X: Path, delta: float,
@@ -154,8 +140,8 @@ def onestep_trace(model: ModelSpec, theta_pilot: float, X: Path, delta: float,
     th = np.array([float(theta_pilot)])
     info = _table_for(model, grid, delta, table).info(th)
     tail = score_tail_profile_batch(model, th, X.values[None, :], grid, i)
-    head = score_head(model, theta_pilot, X, delta, epsilon)
-    theta, clamped, info_bad = onestep_batch(model, th, tail.copy(), np.array([head]),
+    head = score_head_batch(model, th, X.values[None, :], grid, i, epsilon)
+    theta, clamped, info_bad = onestep_batch(model, th, tail.copy(), head,
                                              info.copy(), slice(None))
     if info_bad[0]:
         raise SingularInformationError("information below floor on the whole window")
@@ -166,7 +152,7 @@ def onestep_trace(model: ModelSpec, theta_pilot: float, X: Path, delta: float,
         theta_onestep=theta[0],
         fisher=info[0],
         delta_tail=tail[0],
-        delta_head=head,
+        delta_head=float(head[0]),
         clamped=clamped[0],
     )
 

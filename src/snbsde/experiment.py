@@ -77,9 +77,8 @@ class ExperimentConfig:
     plugin: bool = True
     pde_params: dict = field(default_factory=dict)
 
-    def grid(self) -> TimeGrid:
-        horizon = float(self.model_params.get("horizon", 1.0))
-        return TimeGrid(0.0, horizon, self.n_steps)
+    def grid(self, bundle: ModelBundle) -> TimeGrid:
+        return TimeGrid(0.0, bundle.model.horizon, self.n_steps)
 
     def validate(self) -> ModelBundle:
         bundle = build_preset(self.model, self.model_params)
@@ -95,7 +94,7 @@ class ExperimentConfig:
                 f"n_replications must be at least {MIN_DIAGNOSTIC_SAMPLES}")
         if self.n_steps < 10:
             raise ConfigurationError("n_steps must be at least 10")
-        grid = self.grid()
+        grid = self.grid(bundle)
         i = grid.node_index(self.delta)  # raises if not a node
         if i < 1:
             raise ConfigurationError("delta must be positive")
@@ -242,19 +241,20 @@ def _path_buffer(config: ExperimentConfig) -> np.ndarray:
 def run_epsilon_block(bundle: ModelBundle, config: ExperimentConfig,
                       epsilon: float, eps_index: int, *, delta: Optional[float] = None,
                       report_times: Optional[Sequence[float]] = None,
-                      sup_stride: int = 0,
+                      sup: bool = False,
                       residuals: bool = False,
                       table: Optional[engine.ThetaTable] = None,
                       paths: Optional[np.ndarray] = None) -> EpsilonBlock:
     """Run all replications of one noise level through the engine.
 
-    table is the study's engine.ThetaTable of (bundle.model, config.grid(),
-    delta); a block builds its own when none is given.  paths is the run's
-    path buffer of min(n_replications, chunk_size) rows, which every chunk
-    simulates into in turn; a block allocates its own when none is given.
-    sup_stride is engine.run_batch's.
+    table is the study's engine.ThetaTable of (bundle.model, grid, delta); a
+    block builds its own when none is given.  paths is the run's path buffer
+    of min(n_replications, chunk_size) rows, which every chunk simulates
+    into in turn; a block allocates its own when none is given.
+    sup is engine.run_batch's: one switch for sup |Y_hat - Y| over every
+    node of [delta, T].
     """
-    grid = config.grid()
+    grid = config.grid(bundle)
     delta = config.delta if delta is None else delta
     report_times = config.t_report if report_times is None else report_times
     vf = build_value_function(bundle, config, epsilon)
@@ -270,7 +270,7 @@ def run_epsilon_block(bundle: ModelBundle, config: ExperimentConfig,
         parts.append(engine.run_batch(
             bundle.model, vf, config.theta0, epsilon, grid, delta,
             report_times, config.base_seed, ids, plugin=config.plugin,
-            residuals=residuals, sup_stride=sup_stride, table=table, limit=limit,
+            residuals=residuals, sup=sup, table=table, limit=limit,
             paths=paths))
     res = _concat_results(parts)
     n_failed = int(np.sum(res.failed))
@@ -339,7 +339,7 @@ def run_monte_carlo(config: ExperimentConfig) -> ExperimentReport:
     """
     t_start = time.perf_counter()
     bundle = config.validate()
-    grid = config.grid()
+    grid = config.grid(bundle)
     model = bundle.model
 
     rows: List[dict] = []
@@ -461,8 +461,7 @@ class StudyReport:
 
 
 def shrinking_window_study(config: ExperimentConfig,
-                           kappa_list: Sequence[float] = (3.0,),
-                           sup_stride: Optional[int] = None) -> StudyReport:
+                           kappa_list: Sequence[float] = (3.0,)) -> StudyReport:
     """Drive the window end toward zero along named schedules.
 
     A schedule whose decay-rate proxy eps/sqrt(delta) fails to decrease along
@@ -470,17 +469,14 @@ def shrinking_window_study(config: ExperimentConfig,
     the noise resolves the parameter, so its pilots do not concentrate.  For
     the remaining schedules each requested delta is snapped to the nearest
     grid node (windows below MIN_WINDOW_NODES steps are skipped) and the 95th
-    percentile of sup |Y_hat - Y| over [delta, T] is tracked per noise level.
+    percentile of sup |Y_hat - Y| over every node of [delta, T] is tracked
+    per noise level.
     Every window's engine.ThetaTable comes from ThetaTable.for_window of one
     study table, so the study integrates the information flow once.
     """
     t_start = time.perf_counter()
     bundle = config.validate()
-    grid = config.grid()
-    # the sup statistic peaks within a few nodes of delta, so subsampling the
-    # window flattens exactly the comparison this study is after
-    if sup_stride is None:
-        sup_stride = 1
+    grid = config.grid(bundle)
 
     schedules: List[Tuple[str, float, Callable]] = [("eps2-log", np.nan, _schedule_eps2log)]
     for kappa in kappa_list:
@@ -525,7 +521,7 @@ def shrinking_window_study(config: ExperimentConfig,
                 block = run_epsilon_block(
                     bundle, config, eps, (s_idx + 1) << 20 | e_idx,
                     delta=d_snap, report_times=(grid.t_end,),
-                    sup_stride=sup_stride, table=tables.for_window(d_snap), paths=paths)
+                    sup=True, table=tables.for_window(d_snap), paths=paths)
                 res = block.result
                 valid = ~res.failed
                 q95 = float(np.percentile(res.sup_abs_y_err[valid], 95.0))

@@ -72,9 +72,6 @@ class Path:
     def times(self) -> np.ndarray:
         return self.grid.times
 
-    def at(self, t: float) -> float:
-        return float(self.values[self.grid.node_index(t)])
-
 
 def _check_u64(name: str, value) -> int:
     v = int(value)
@@ -204,13 +201,6 @@ class NoiseSource:
     def increments(self, n_steps: int, h: float) -> np.ndarray:
         """n_steps Brownian increments with variance h each."""
         return increment_rows(self.seed, (self.stream_id,), n_steps, h)[0]
-
-
-def brownian_path(noise: NoiseSource, grid: TimeGrid) -> Path:
-    """Brownian motion W with W(t_start) = 0 sampled on the grid."""
-    dw = noise.increments(grid.n_steps, grid.h)
-    w = np.concatenate(([0.0], np.cumsum(dw)))
-    return Path(grid, w)
 
 
 def window_grid(grid: TimeGrid, t_from: float) -> TimeGrid:

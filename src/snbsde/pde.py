@@ -410,14 +410,6 @@ class PdeValueFunction:
             self.model, self.driver, self.terminal, np.broadcast_to(t, (len(offsets),) + t.shape),
             np.stack([x + a for a, _ in offsets]), np.stack([theta + b for _, b in offsets]))
 
-    def limit_value(self, t, x, theta):
-        return _scalar(self._limit(t, x, theta, ((0.0, 0.0),))[0])
-
-    def limit_value_x(self, t, x, theta):
-        dx = self._solutions[1].grid.dx
-        up, lo = self._limit(t, x, theta, ((dx, 0.0), (-dx, 0.0)))
-        return _scalar((up - lo) / (2.0 * dx))
-
     def limit_theta_derivatives(self, t, x, theta):
         """(udot, udot_x): the centered theta-difference of the limit value
         and its centered x-difference, from one lockstep characteristics call

@@ -284,7 +284,7 @@ def build_preset(name: str, params: Optional[dict] = None) -> ModelBundle:
     )
     linear = None
     if name == "linear-constant-drift":
-        linear = LinearModelSpec(sigma, beta, gamma, terminal, interval, x0, horizon)
+        linear = LinearModelSpec(sigma, beta, gamma, terminal, horizon)
 
     validate_model(model)
     driver = make_linear_driver(beta, gamma)

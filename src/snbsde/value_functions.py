@@ -15,7 +15,7 @@ Z_t = epsilon sigma(t, X_t) u_x(t, X_t, theta).  Two backends provide u:
 * PdeValueFunction (pde module): finite-difference solution bundle for
   general coefficients.
 
-Both expose the epsilon -> 0 limit u0 and its theta-derivatives, which enter
+Both expose the theta-derivatives of the epsilon -> 0 limit u0, which enter
 the efficiency bounds.  By convention u(T, x, theta) = Phi(x) exactly.
 """
 
@@ -101,7 +101,7 @@ class TerminalCondition:
 class LinearModelSpec:
     """Constant-drift forward model with linear driver, solvable in closed form.
 
-    Forward: dX = theta dt + eps sigma dW on [0, horizon], X_0 = x0.
+    Forward: dX = theta dt + eps sigma dW on [0, horizon].
     Backward driver: f(t, x, y, z) = beta y + gamma z.
     """
 
@@ -109,16 +109,11 @@ class LinearModelSpec:
     beta: float
     gamma: float
     terminal: TerminalCondition
-    theta_interval: Tuple[float, float]
-    x0: float
     horizon: float
 
     def __post_init__(self):
         if self.sigma <= 0:
             raise ConfigurationError("sigma must be positive")
-        a, b = self.theta_interval
-        if not a < b:
-            raise ConfigurationError("theta_interval must be a nonempty open interval")
         if self.horizon <= 0:
             raise ConfigurationError("horizon must be positive")
 
@@ -250,12 +245,6 @@ class LinearValueFunction:
         tau = self.spec.horizon - t
         out = np.exp(self.spec.beta * tau) * np.asarray(fn(x + theta * tau), dtype=float)
         return out if out.shape else float(out)
-
-    def limit_value(self, t, x, theta):
-        return self._limit_kernel(self.spec.terminal.f, t, x, theta)
-
-    def limit_value_x(self, t, x, theta):
-        return self._limit_kernel(self.spec.terminal.df, t, x, theta)
 
     def limit_theta_derivatives(self, t, x, theta):
         """(udot, udot_x): the theta-derivative of the limit value function

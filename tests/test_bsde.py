@@ -5,8 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from snbsde import bsde, engine, estimation, pde
-from snbsde.bsde import (approximate_bsde, efficiency_bounds,
-                         plugin_value_path, residual_decomposition)
+from snbsde.bsde import approximate_bsde, efficiency_bounds, residual_decomposition
 from snbsde.errors import ConfigurationError
 from snbsde.estimation import EstimationWindow, limit_quantities
 from snbsde.grids import NoiseSource, TimeGrid
@@ -144,19 +143,18 @@ def test_pde_bounds_take_one_characteristics_call(monkeypatch):
 
 
 def test_plugin_path_freezes_pilot():
+    # the plug-in comparator Y_bar_t = u(t, X_t, theta_pilot) of a block, with
+    # each row's pilot the distance minimizer on [0, delta] of its path
     eps = 0.1
     b, X, W, vf = _setup("identity", eps, 23)
-    window = EstimationWindow(0.1)
-    y_bar = plugin_value_path(b.model, vf, X, window, eps, theta_pilot=0.8)
-    tau = 1.0 - y_bar.times
-    want = np.exp(BETA * tau) * (X.values[50:] + (0.8 + eps * GAMMA) * tau)
-    npt.assert_allclose(y_bar.values, want, atol=1e-10)
-    # the default pilot is the distance minimizer on [0, delta]
-    default = plugin_value_path(b.model, vf, X, window, eps)
-    approx = approximate_bsde(b.model, vf, X, W, window, eps)
-    redone = plugin_value_path(b.model, vf, X, window, eps,
-                               theta_pilot=approx.trace.theta_pilot)
-    npt.assert_allclose(default.values, redone.values, atol=1e-12)
+    report = (0.1, 0.5, 1.0)
+    res = engine.run_batch(b.model, vf, 1.0, eps, X.grid, 0.1, report, 23, [0], plugin=True)
+    assert res.theta_pilot[0] == approximate_bsde(b.model, vf, X, W, EstimationWindow(0.1),
+                                                  eps).trace.theta_pilot
+    tau = 1.0 - np.array(report)
+    x_t = X.values[[X.grid.node_index(t) for t in report]]
+    want = np.exp(BETA * tau) * (x_t + (res.theta_pilot[0] + eps * GAMMA) * tau)
+    npt.assert_allclose(res.y_plugin[0], want, atol=1e-10)
 
 
 def test_efficiency_bounds_take_every_report_time_in_one_call():

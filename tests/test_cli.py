@@ -65,7 +65,6 @@ def test_full_flag_scales_defaults_but_yields_to_overrides(tmp_path):
 
 def test_defaults_come_from_experiment_config():
     shared = config_to_dict(ExperimentConfig())
-    assert cli._TOP_KEYS == set(cli._DEFAULTS)
     assert set(cli._DEFAULTS) - set(shared) == {"epsilon", "pde", "study"}
     for key in set(cli._DEFAULTS) & set(shared):
         assert cli._DEFAULTS[key] == shared[key], key
@@ -137,6 +136,36 @@ def test_configuration_exit_codes(tmp_path, capsys):
     assert main(["simulate", "--set", "noequals",
                  "--output", str(tmp_path / "o")]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["simulate", "--set", "n_steps=abc"], "n_steps"),
+    (["experiment", "--set", "epsilon_list=0.1"], "epsilon_list"),
+    (["delta-study", "--set", "study.kappa_list=3"], "study.kappa_list"),
+    (["experiment", "--set", "backend=pde", "--set", "pde.n_x=abc"], "pde.n_x"),
+    (["experiment", "--set", "plugin=no"], "plugin"),
+], ids=["n_steps", "epsilon_list", "kappa_list", "pde.n_x", "plugin"])
+def test_a_wrongly_typed_value_is_a_configuration_error(tmp_path, capsys, argv, key):
+    # the whole table is typed before anything is written: a bool only from
+    # true or false, an integer only from an integral number, a list only
+    # from a list
+    out = tmp_path / "o"
+    assert main(argv + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: configuration key '{key}' must be"), err
+    assert not (out / "echo.json").exists()
+
+
+def test_typed_values_are_echoed(tmp_path):
+    # an integral number for a float entry, and a float one for an integer
+    # entry, are echoed as the type the run reads
+    out = tmp_path / "o"
+    assert main(["simulate", "--set", "theta0=1", "--set", "n_steps=50.0",
+                 "--set", "plugin=false", "--output", str(out)]) == 0
+    echo = json.loads((out / "echo.json").read_text())
+    assert echo["theta0"] == 1.0 and isinstance(echo["theta0"], float)
+    assert echo["n_steps"] == 50 and isinstance(echo["n_steps"], int)
+    assert echo["plugin"] is False
 
 
 def test_runtime_failure_exit_code(tmp_path, capsys):

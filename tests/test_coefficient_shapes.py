@@ -81,14 +81,14 @@ def test_lean_coefficients_match_wide_twin_bit_for_bit(name, theta0):
     assert all(_same_bits(u, v) for u, v in zip(pilot, pilot_w))
 
     vf, vf_w = _vf(b, lean), _vf(b, wide)
-    for stride in (0, 1, 3):
-        kw = dict(plugin=True, residuals=True, sup_stride=stride)
+    for sup in (False, True):
+        kw = dict(plugin=True, residuals=True, sup=sup)
         res = run_batch(lean, vf, theta0, EPS, grid, 0.1, (0.5, 1.0), SEED, range(6), **kw)
         res_w = run_batch(wide, vf_w, theta0, EPS, grid, 0.1, (0.5, 1.0), SEED, range(6),
                           **kw)
         assert not np.any(res.failed)
         for f in dataclasses.fields(engine.BatchResult):
-            assert _same_bits(getattr(res, f.name), getattr(res_w, f.name)), (stride, f.name)
+            assert _same_bits(getattr(res, f.name), getattr(res_w, f.name)), (sup, f.name)
 
 
 # the coefficients of each preset that are constant in (theta, t, x)

@@ -13,7 +13,7 @@ from snbsde.engine import (REFINE_FACTOR, pilot_batch, run_batch, score_head_bat
                            simulate_batch, _trapezoid_weights)
 from snbsde.errors import (ConfigurationError, EvaluationError, FlatObjectiveError,
                            IntegrationDivergedError, SimulationDivergedError)
-from snbsde.estimation import EstimationWindow, mde_estimate, score_head
+from snbsde.estimation import EstimationWindow, mde_estimate
 from snbsde.grids import NoiseSource, Path, TimeGrid, increment_rows
 from snbsde.models import (ModelSpec, finite_or_raise, flow_ode, rk4, sensitivity_ode,
                            simulate_forward, validate_model)
@@ -85,7 +85,7 @@ def test_batch_results_chunk_invariant(name, params, theta0):
     b = build_preset(name, params)
     grid = TimeGrid(0.0, 1.0, 200)
     vf = _vf_for(b, eps)
-    kw = dict(plugin=True, residuals=True, sup_stride=3)
+    kw = dict(plugin=True, residuals=True, sup=True)
     args = (b.model, vf, theta0, eps, grid, 0.1, (0.5, 1.0), SEED)
     whole = run_batch(*args, range(10), **kw)
     table = engine.ThetaTable(b.model, grid, 0.1)
@@ -93,7 +93,7 @@ def test_batch_results_chunk_invariant(name, params, theta0):
     parts = [run_batch(*args, range(lo, hi), table=table, limit=limit, **kw)
              for lo, hi in ((0, 3), (3, 4), (4, 10))]
     assert not np.any(whole.failed)
-    assert table.node_window is not None and table.node_info is not None
+    assert table.node_window is not None and table.grid_info is not None
     for f in dataclasses.fields(engine.BatchResult):
         got = getattr(whole, f.name)
         if f.name == "report_times":
@@ -116,8 +116,8 @@ def test_sup_columns_move_no_other_output(name, params, theta0):
     grid = TimeGrid(0.0, 1.0, 200)
     vf = _vf_for(b, eps)
     args = (b.model, vf, theta0, eps, grid, 0.1, (0.25, 0.5), SEED, range(8))
-    lean = run_batch(*args, plugin=True, residuals=True, sup_stride=0)
-    full = run_batch(*args, plugin=True, residuals=True, sup_stride=1)
+    lean = run_batch(*args, plugin=True, residuals=True)
+    full = run_batch(*args, plugin=True, residuals=True, sup=True)
     assert lean.sup_abs_y_err is None and full.sup_abs_y_err is not None
     assert not np.any(full.failed)
     for f in dataclasses.fields(engine.BatchResult):
@@ -125,20 +125,22 @@ def test_sup_columns_move_no_other_output(name, params, theta0):
             assert np.array_equal(getattr(lean, f.name), getattr(full, f.name)), f.name
 
 
-@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("rows", [1, 3])
 @pytest.mark.parametrize("name,params,theta0", [
     ("linear-constant-drift", {}, 1.0),
     ("custom-pde", {"drift_shape": "sine"}, 1.0)], ids=["constant", "sine"])
-def test_sup_sweep_on_views_matches_gathered_copies(monkeypatch, name, params, theta0, stride):
-    # the sup sweep reads contiguous node ranges of X and of the one-step as
-    # views and passes theta0 as a scalar; it must give sup |Y_hat - Y| bit
-    # for bit as copies gathered by fancy indexing with theta0 broadcast to
-    # every element, and read views exactly when the sup nodes are a range
+def test_sup_sweep_on_views_matches_gathered_copies(monkeypatch, name, params, theta0, rows):
+    # the sup sweep reads the nodes of [delta, T] of X and of the one-step as
+    # views and passes theta0 as a scalar; in row blocks of 1 and of 3 rows
+    # it must read a view in every block, and give sup |Y_hat - Y| bit for
+    # bit as copies of X's rows with theta0 broadcast to every element
     eps = 0.05
     b = build_preset(name, params)
     grid = TimeGrid(0.0, 1.0, 200)
     vf = _vf_for(b, eps)
     args = (b.model, vf, theta0, eps, grid, 0.1, (0.5, 1.0), SEED, range(8))
+    monkeypatch.setattr(engine, "ROW_BLOCK", rows * (grid.n_steps + 1))
+    _set_workers(monkeypatch, 1)
     paths, views = [], []
     real_simulate, real_value = engine.simulate_batch, vf.value
 
@@ -154,26 +156,25 @@ def test_sup_sweep_on_views_matches_gathered_copies(monkeypatch, name, params, t
 
     monkeypatch.setattr(engine, "simulate_batch", simulate)
     monkeypatch.setattr(vf, "value", value)
-    got = run_batch(*args, sup_stride=stride)
-    assert views == [stride == 1] * 2
+    got = run_batch(*args, sup=True)
+    assert views == [True] * (2 * -(-8 // rows))
 
     def gathered(t, x, theta):
         th = np.broadcast_to(theta, np.shape(x)) if np.ndim(theta) == 0 else theta
-        return real_value(t, x, th)
+        return real_value(t, np.array(x), th)
 
-    monkeypatch.setattr(engine, "_columns", lambda idx: idx)
     monkeypatch.setattr(vf, "value", gathered)
-    want = run_batch(*args, sup_stride=stride)
+    want = run_batch(*args, sup=True)
     assert not np.any(got.failed)
     assert np.array_equal(got.sup_abs_y_err, want.sup_abs_y_err)
     assert np.all(got.sup_abs_y_err > 0.0)
 
 
-@pytest.mark.parametrize("stride", [0, 1, 3])
+@pytest.mark.parametrize("sup", [False, True], ids=["0", "1"])
 @pytest.mark.parametrize("name,params,theta0", [
     ("linear-constant-drift", {}, 1.0),
     ("custom-pde", {"drift_shape": "sine"}, 1.0)], ids=["constant", "sine"])
-def test_row_blocks_move_no_output(monkeypatch, name, params, theta0, stride):
+def test_row_blocks_move_no_output(monkeypatch, name, params, theta0, sup):
     # run_batch carries rows in blocks from the information read through the
     # sup sweep; one row per block, blocks of 3 that split 10 rows unevenly
     # and the default single block must give every output bit for bit
@@ -182,7 +183,7 @@ def test_row_blocks_move_no_output(monkeypatch, name, params, theta0, stride):
     grid = TimeGrid(0.0, 1.0, 200)
     vf = _vf_for(b, eps)
     args = (b.model, vf, theta0, eps, grid, 0.1, (0.5, 1.0), SEED, range(10))
-    kw = dict(plugin=True, residuals=True, sup_stride=stride,
+    kw = dict(plugin=True, residuals=True, sup=sup,
               table=engine.ThetaTable(b.model, grid, 0.1),
               limit=engine.limit_weights(b.model, theta0, grid))
     whole = run_batch(*args, **kw)
@@ -203,8 +204,8 @@ def test_residuals_feed_nothing_else():
     grid = TimeGrid(0.0, 1.0, 200)
     vf = _vf_for(b, eps)
     args = (b.model, vf, 0.5, eps, grid, 0.1, (0.5, 1.0), SEED, range(6))
-    lean = run_batch(*args, plugin=True, sup_stride=3)
-    full = run_batch(*args, plugin=True, residuals=True, sup_stride=3)
+    lean = run_batch(*args, plugin=True, sup=True)
+    full = run_batch(*args, plugin=True, residuals=True, sup=True)
     optional = ("xi", "r_y", "r_z")
     assert all(getattr(lean, name) is None for name in optional)
     assert all(getattr(full, name) is not None for name in optional)
@@ -238,7 +239,7 @@ def _traced_peak(fn):
 
 
 # Peak traced allocation of one closed-form block (M = 200, n = 2000,
-# sup_stride = 1, no residuals) in units of one (M, n+1) float64 array.  In
+# sup on, no residuals) in units of one (M, n+1) float64 array.  In
 # row blocks of 131 rows it reads 4.23 (numpy 2.4; 4.78 before the lazy
 # numpy imports were paid ahead of the trace); building the one-step on
 # every node of [delta, T] at once read 10.36, keeping the (M, n+1-i)
@@ -252,14 +253,14 @@ def test_run_batch_peak_memory():
     grid = TimeGrid(0.0, 1.0, n)
     vf = LinearValueFunction(b.linear, eps)
     res, peak = _traced_peak(lambda: run_batch(b.model, vf, 1.0, eps, grid, 0.1, (0.5, 1.0),
-                                               SEED, range(m), sup_stride=1))
+                                               SEED, range(m), sup=True))
     assert not np.any(res.failed)
     ratio = peak / (m * (n + 1) * 8)
     assert ratio < PEAK_PATH_ARRAYS, ratio
 
 
 # Peak traced allocation of the same block without the sup statistic
-# (sup_stride = 0), in units of one (M, n+1) float64 array.  The block reads
+# (sup off), in units of one (M, n+1) float64 array.  The block reads
 # 2.42 (numpy 2.4), set by the tail score of a row block on top of the
 # paths; the simulation, with the noise drawn into the paths, reads 1.42.
 # While the noise was a second path-sized array the simulation also read
@@ -282,7 +283,7 @@ def test_lean_run_batch_peak_memory():
 
 
 # Peak traced allocation of a closed-form block at M = 1200, n = 1000,
-# sup_stride = 1, plugin on, in units of one (M, n+1) float64 array.  It
+# sup on, plugin on, in units of one (M, n+1) float64 array.  It
 # reads 1.86 (numpy 2.4), set by the sup sweep of a 2 MB row block: value
 # at theta0 on top of the paths, the value at the one-step and the one
 # scratch set (information and tail profile) that every row block reuses;
@@ -301,7 +302,7 @@ def _row_block_peak(**kw):
     grid = TimeGrid(0.0, 1.0, n)
     vf = LinearValueFunction(b.linear, eps)
     res, peak = _traced_peak(lambda: run_batch(b.model, vf, 1.0, eps, grid, 0.1, (0.5, 1.0),
-                                               SEED, range(m), plugin=True, sup_stride=1, **kw))
+                                               SEED, range(m), plugin=True, sup=True, **kw))
     assert not np.any(res.failed)
     return res, peak / (m * (n + 1) * 8)
 
@@ -361,7 +362,7 @@ def test_no_batch_output_shares_memory_with_the_path_buffer():
     grid = TimeGrid(0.0, 1.0, 200)
     vf = _vf_for(b, eps)
     args = (b.model, vf, 0.5, eps, grid, 0.1, (0.5, 1.0), SEED, range(6))
-    kw = dict(plugin=True, residuals=True, sup_stride=1)
+    kw = dict(plugin=True, residuals=True, sup=True)
     paths = np.full((9, grid.n_steps + 1), np.nan)
     got = run_batch(*args, paths=paths, **kw)
     want = run_batch(*args, **kw)
@@ -390,7 +391,7 @@ def test_batch_closed_form_matches_gauss_hermite():
     gh = dataclasses.replace(b.linear, terminal=dataclasses.replace(b.linear.terminal,
                                                                     expectations=None))
     grid = TimeGrid(0.0, 1.0, 100)
-    kw = dict(plugin=True, residuals=True, sup_stride=3)
+    kw = dict(plugin=True, residuals=True, sup=True)
     closed = run_batch(b.model, LinearValueFunction(b.linear, eps), 1.0, eps, grid, 0.1,
                        (0.5, 0.9), SEED, range(6), **kw)
     quad = run_batch(b.model, LinearValueFunction(gh, eps), 1.0, eps, grid, 0.1,
@@ -527,8 +528,9 @@ def _head_window(model, seed):
 
 
 def _scalar_heads(model, X):
-    return np.array([score_head(model, th, Path(HEAD_GRID, X[r]), 0.1, HEAD_EPS)
-                     for r, th in enumerate(HEAD_THETAS)])
+    i = HEAD_GRID.node_index(0.1)
+    return np.array([score_head_batch(model, np.array([th]), X[r: r + 1], HEAD_GRID, i,
+                                      HEAD_EPS)[0] for r, th in enumerate(HEAD_THETAS)])
 
 
 def test_head_score_time_linear_closed_form():
@@ -834,7 +836,7 @@ def _direct_info(model, thetas, grid, i):
 def test_theta_table_matches_direct_rk4(name, params):
     model = build_preset(name, params).model
     table = engine.ThetaTable(model, TABLE_GRID, 0.1)
-    assert table.node_window is not None and table.node_info is not None
+    assert table.node_window is not None and table.grid_info is not None
     lo, hi = model.theta_interval
     thetas = np.random.default_rng(7).uniform(lo, hi, 200)
     x, xdot = table.window(thetas)
@@ -854,7 +856,7 @@ def test_theta_table_reads_columns_bit_for_bit(model):
     else:
         model, grid = build_preset("custom-pde", {"drift_shape": "sine"}).model, TABLE_GRID
     table = engine.ThetaTable(model, grid, 0.1)
-    assert (table.node_info is None) == (model is KINK)
+    assert (table.grid_info is None) == (model is KINK)
     n, i = grid.n_steps, table.i_delta
     thetas = np.random.default_rng(3).uniform(*model.theta_interval, 37)
     whole = table.info(thetas)
@@ -886,9 +888,9 @@ def test_theta_table_edge_pilots_read_node_values():
     assert np.array_equal(x, x_d.T) and np.array_equal(xdot, xdot_d.T)
     assert table.node_window is not None
     info = table.info(theta)
-    assert table.node_info is not None
+    assert table.grid_info is not None
     assert np.array_equal(info, _direct_info(model, theta, grid, table.i_delta))
-    assert np.array_equal(info, table.node_info[[0, 0, -1, -1]])
+    assert np.array_equal(info, table.grid_info[[0, 0, -1, -1], table.i_delta:])
 
 
 class _LinearValue:
@@ -930,7 +932,7 @@ def test_theta_table_guard_falls_back_to_rows_on_a_kink():
     grid = TimeGrid(0.0, 1.0, 200)
     i = grid.node_index(delta)
     table = engine.ThetaTable(KINK, grid, delta)
-    assert table.node_window is None and table.node_info is None
+    assert table.node_window is None and table.grid_info is None
     res = run_batch(KINK, _LinearValue(), theta0, eps, grid, delta, (0.5, 1.0), SEED,
                     range(6), table=table)
     assert not np.any(res.failed)
@@ -968,7 +970,7 @@ def test_theta_table_survives_a_flow_that_diverges_near_an_edge():
     # the window interpolant passes its check; the information on [delta, T]
     # falls back to RK4 per row
     table = engine.ThetaTable(BLOWUP, grid, 0.1)
-    assert table.node_window is not None and table.node_info is None
+    assert table.node_window is not None and table.grid_info is None
     res = run_batch(BLOWUP, _LinearValue(), 0.5, 0.05, grid, 0.1, (0.5, 1.0), SEED,
                     range(6), table=table)
     assert not np.any(res.failed)
@@ -1057,9 +1059,9 @@ def test_theta_table_fallback_fails_rows_whose_flow_diverges():
     grid = TimeGrid(0.0, 0.2, 200)
     table = engine.ThetaTable(STEEP, grid, 0.1)
     args = (STEEP, _LinearValue(), 4.95, 0.05, grid, 0.1, (0.15, 0.2), SEED)
-    kw = dict(plugin=True, sup_stride=1, table=table)
+    kw = dict(plugin=True, sup=True, table=table)
     res = run_batch(*args, range(64), **kw)
-    assert table.node_window is None and table.node_info is None
+    assert table.node_window is None and table.grid_info is None
     assert not np.any(res.diverged | res.flat)
     assert 0 < np.sum(res.failed) < 32
     # the failed rows are those whose flow, or its information, diverges on
@@ -1153,12 +1155,12 @@ def test_simulate_batch_xi_does_not_depend_on_the_worker_count(monkeypatch):
     assert got[2] == got[1] and got[3] == got[1]
 
 
-@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("sup", [False, True], ids=["0", "1"])
 @pytest.mark.parametrize("name,params,theta0", [
     ("linear-constant-drift", {}, 1.0),
     ("custom-pde", {"drift_shape": "sine"}, 1.0)], ids=["constant", "sine"])
 def test_run_batch_does_not_depend_on_the_worker_count(monkeypatch, name, params, theta0,
-                                                       stride):
+                                                       sup):
     # the draw and the row-block pass split among W workers; blocks of 3
     # rows that split 10 rows unevenly, and a chunk of 2 rows in blocks of
     # one row among 3 workers, must give every output bit for bit as W = 1,
@@ -1167,7 +1169,7 @@ def test_run_batch_does_not_depend_on_the_worker_count(monkeypatch, name, params
     b = build_preset(name, params)
     grid = TimeGrid(0.0, 1.0, 200)
     vf = _vf_for(b, eps)
-    kw = dict(plugin=True, residuals=True, sup_stride=stride,
+    kw = dict(plugin=True, residuals=True, sup=sup,
               table=engine.ThetaTable(b.model, grid, 0.1),
               limit=engine.limit_weights(b.model, theta0, grid))
     interval = sys.getswitchinterval()
@@ -1198,7 +1200,7 @@ def test_one_worker_or_one_row_starts_no_thread(monkeypatch):
     monkeypatch.setattr(threading, "Thread", _no_thread)
     _set_workers(monkeypatch, 1)
     res = run_batch(b.model, vf, 1.0, eps, grid, 0.1, (0.5, 1.0), SEED, range(6),
-                    residuals=True, sup_stride=1)
+                    residuals=True, sup=True)
     assert not np.any(res.failed)
     # the scalar API is the engine on one row, whatever the CPUs
     _set_workers(monkeypatch, 2)
@@ -1241,7 +1243,7 @@ def test_a_worker_failure_raises_as_on_one_thread(monkeypatch, w):
     for workers in (1, w):
         _set_workers(monkeypatch, workers)
         with pytest.raises(EvaluationError) as err:
-            run_batch(*args, sup_stride=1)
+            run_batch(*args, sup=True)
         caught[workers] = err.value
         assert threading.active_count() == before
     assert type(caught[w]) is type(caught[1])

@@ -8,10 +8,10 @@ from snbsde import engine
 from snbsde.bsde import approximate_bsde
 from snbsde.errors import ConfigurationError, FlatObjectiveError, SingularInformationError
 from snbsde.estimation import (EstimationWindow, fisher_information,
-                               fisher_profile, full_mle, limit_quantities,
+                               full_mle, limit_quantities,
                                mde_asymptotic_variance, mde_estimate,
-                               one_step_mle, onestep_trace, score_head)
-from snbsde.grids import NoiseSource, TimeGrid, brownian_path
+                               one_step_mle, onestep_trace)
+from snbsde.grids import NoiseSource, TimeGrid
 from snbsde.models import ModelSpec, broadcast_eval, simulate_forward, solve_limit_ode
 from snbsde.presets import build_preset
 from snbsde.value_functions import LinearValueFunction
@@ -66,7 +66,7 @@ def test_fisher_constant_drift_exact():
     b = build_preset("linear-constant-drift")
     grid = TimeGrid(0.0, 1.0, 1000)
     flow = solve_limit_ode(b.model, 1.0, grid)
-    prof = fisher_profile(b.model, 1.0, flow)
+    prof = engine.fisher_profile_batch(b.model, np.array([1.0]), flow.values[None, :], grid)[0]
     npt.assert_allclose(prof, grid.times, rtol=0, atol=1e-12)
     assert fisher_information(b.model, 1.0, flow, 0.5) == pytest.approx(0.5)
 
@@ -103,7 +103,8 @@ def test_score_head_constant_drift_algebra():
     grid = TimeGrid(0.0, 1.0, 1000)
     X, _ = simulate_forward(b.model, 1.0, 0.05, grid, NoiseSource(9, 0))
     for theta in (0.3, 1.0, 1.7):
-        got = score_head(b.model, theta, X, 0.1, 0.05)
+        got = engine.score_head_batch(b.model, np.array([theta]), X.values[None, :], grid,
+                                      grid.node_index(0.1), 0.05)[0]
         want = X.values[100] - theta * 0.1
         assert abs(got - want) < 1e-10
 
@@ -114,9 +115,10 @@ def test_onestep_constant_drift_closed_form():
     X, _ = simulate_forward(b.model, 1.0, 0.05, grid, NoiseSource(21, 0))
     trace = onestep_trace(b.model, 0.4, X, 0.1, 0.05)
     for t in (0.1, 0.5, 1.0):
-        want = X.at(t) / t
-        assert abs(trace.at(t) - want) < 1e-10
-    assert one_step_mle(b.model, 0.4, X, 0.1, 0.5, 0.05) == trace.at(0.5)
+        want = X.values[grid.node_index(t)] / t
+        assert abs(trace.theta_onestep[trace.node_index(t)] - want) < 1e-10
+    assert one_step_mle(b.model, 0.4, X, 0.1, 0.5, 0.05) == \
+        trace.theta_onestep[trace.node_index(0.5)]
 
 
 def test_onestep_pilot_independence():
@@ -250,14 +252,14 @@ def test_error_limit_factor_constant_drift():
     # xi_t = W_t / t for unit diffusion constant drift
     b = build_preset("linear-constant-drift")
     grid = TimeGrid(0.0, 1.0, 1000)
-    W = brownian_path(NoiseSource(13, 0), grid)
+    _, W = simulate_forward(b.model, 1.0, 0.05, grid, NoiseSource(13, 0))
     i = grid.node_index(0.5)
     _, xi, _ = engine.simulate_batch(b.model, 1.0, 0.05, grid, 13, [0],
                                      limit=engine.limit_weights(b.model, 1.0, grid),
                                      xi_nodes=[i])
     # left-point sum of dW equals W_t exactly on the grid
     assert xi.shape == (1, 1)
-    assert abs(xi[0, 0] - W.at(0.5) / 0.5) < 1e-12
+    assert abs(xi[0, 0] - W.values[i] / 0.5) < 1e-12
 
 
 def _info_free_model():

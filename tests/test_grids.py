@@ -6,8 +6,10 @@ import pytest
 
 from snbsde import grids
 from snbsde.errors import ConfigurationError
-from snbsde.grids import (NoiseSource, Path, TimeGrid, brownian_path, increment_rows,
+from snbsde.grids import (NoiseSource, Path, TimeGrid, increment_rows,
                           window_grid)
+from snbsde.models import simulate_forward
+from snbsde.presets import build_preset
 
 
 def test_grid_nodes_and_step():
@@ -50,8 +52,8 @@ def test_path_validation():
         Path(grid, np.zeros(4))  # wrong length
     with pytest.raises(ConfigurationError):
         Path(grid, np.array([0.0, 1.0, np.nan, 2.0, 3.0]))
-    p = Path(grid, np.arange(5.0))
-    assert p.at(0.5) == 2.0
+    p = Path(grid, np.arange(5))
+    assert p.values.dtype == np.float64 and np.array_equal(p.values, np.arange(5.0))
 
 
 def test_noise_reproducible_and_stream_separated():
@@ -188,7 +190,11 @@ def test_run_parts_raises_the_lowest_failing_part_after_joining_all():
 
 
 def test_brownian_path_starts_at_zero():
+    # the driving path simulate_forward returns: W(0) = 0, then the running
+    # sums of the stream's increments
     grid = TimeGrid(0.0, 1.0, 100)
-    w = brownian_path(NoiseSource(5, 0), grid)
+    _, w = simulate_forward(build_preset("linear-constant-drift").model, 1.0, 0.1, grid,
+                            NoiseSource(5, 0))
     assert w.values[0] == 0.0
     assert w.values.shape == (101,)
+    assert np.array_equal(w.values[1:], np.cumsum(NoiseSource(5, 0).increments(100, grid.h)))

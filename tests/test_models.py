@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -243,7 +244,7 @@ def test_validate_model_catches_wrong_derivative():
         x0=b.model.x0, horizon=b.model.horizon,
         kappa=b.model.kappa, growth_const=b.model.growth_const,
     )
-    with pytest.raises(ModelValidationError):
+    with pytest.raises(ModelValidationError, match="^drift_dtheta disagrees"):
         validate_model(broken)
 
 
@@ -258,5 +259,31 @@ def test_validate_model_catches_diffusion_floor():
         horizon=b.model.horizon, kappa=4.0,  # declares floor above actual sigma^2
         growth_const=b.model.growth_const,
     )
-    with pytest.raises(ModelValidationError):
+    with pytest.raises(ModelValidationError, match="below declared floor kappa"):
         validate_model(broken)
+
+
+# linear-ou (S = theta x, sigma = 1, L = 1.9 on theta in (0.1, 1.9), x on
+# [-3, 5]) with one declaration broken, and the message of the check that
+# must fire: L = 1 fails the drift growth bound first (|theta x| = 4.2 > 4
+# at theta = 1.405, x = -3), while L = 1.6 passes it but not the Lipschitz
+# bound (slope theta = 1.81 against 1.6)
+BROKEN_OU = {
+    "drift-growth": ({"growth_const": 1.0}, "^drift violates declared growth bound"),
+    "diffusion-growth": ({"diffusion": lambda t, x: 10.0},
+                         "^diffusion violates declared growth bound"),
+    "lipschitz": ({"growth_const": 1.6}, "^drift violates declared Lipschitz bound in x"),
+    "drift_dx": ({"drift_dx": lambda th, t, x: 2.0 * th}, "^drift_dx disagrees"),
+    "drift_dtheta_dx": ({"drift_dtheta_dx": lambda th, t, x: 2.0},
+                        "^drift_dtheta_dx disagrees"),
+    "diffusion_dx": ({"diffusion_dx": lambda t, x: 1.0}, "^diffusion_dx disagrees"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(BROKEN_OU))
+def test_validate_model_names_the_check_that_fails(check):
+    changes, message = BROKEN_OU[check]
+    model = build_preset("linear-ou").model
+    validate_model(model)
+    with pytest.raises(ModelValidationError, match=message):
+        validate_model(dataclasses.replace(model, **changes))

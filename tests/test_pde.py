@@ -213,8 +213,7 @@ def test_eval_solution_nodes_and_domain():
 
 def _linear_reference(terminal, epsilon):
     spec = LinearModelSpec(sigma=1.0, beta=0.1, gamma=0.2,
-                           terminal=TERMINALS[terminal],
-                           theta_interval=(0.1, 1.9), x0=0.0, horizon=1.0)
+                           terminal=TERMINALS[terminal], horizon=1.0)
     return LinearValueFunction(spec, epsilon)
 
 
@@ -232,10 +231,6 @@ def test_bundle_matches_closed_form():
         err = max(abs(getattr(vf, meth)(t, x, th) - getattr(ref, meth)(t, x, th))
                   for (t, x, th) in pts)
         assert err < tol, f"{meth}: {err:.3e}"
-    for meth in ("limit_value", "limit_value_x"):
-        err = max(abs(getattr(vf, meth)(t, x, th) - getattr(ref, meth)(t, x, th))
-                  for (t, x, th) in pts)
-        assert err < 1e-9, f"{meth}: {err:.3e}"
     for k, name in enumerate(("udot", "udot_x")):
         err = max(abs(vf.limit_theta_derivatives(t, x, th)[k]
                       - ref.limit_theta_derivatives(t, x, th)[k]) for (t, x, th) in pts)
@@ -364,17 +359,9 @@ def test_limit_accessors_match_scalar_characteristics(shape):
         return ((lim(tt, xx + dx, th + d) - lim(tt, xx + dx, th - d)) / (2.0 * d)
                 - (lim(tt, xx - dx, th + d) - lim(tt, xx - dx, th - d)) / (2.0 * d)) / (2.0 * dx)
 
-    loops = {
-        "limit_value": (lim,),
-        "limit_value_x": (lambda tt, xx, th: (lim(tt, xx + dx, th) - lim(tt, xx - dx, th)) / (2.0 * dx),),
-        "limit_theta_derivatives": (udot, udot_x),
-    }
-    for meth, fns in loops.items():
-        got = getattr(vf, meth)(t, x, theta)
-        scalar = getattr(vf, meth)(0.5, 0.4, 0.9)
-        if len(fns) == 1:
-            got, scalar = (got,), (scalar,)
-        for fn, g, sc in zip(fns, got, scalar):
-            want = np.array([fn(*p) for p in zip(t, x, theta)])
-            assert np.array_equal(g, want), (meth, fn.__name__)
-            assert isinstance(sc, float) and sc == fn(0.5, 0.4, 0.9), (meth, fn.__name__)
+    got = vf.limit_theta_derivatives(t, x, theta)
+    scalar = vf.limit_theta_derivatives(0.5, 0.4, 0.9)
+    for fn, g, sc in zip((udot, udot_x), got, scalar):
+        want = np.array([fn(*p) for p in zip(t, x, theta)])
+        assert np.array_equal(g, want), fn.__name__
+        assert isinstance(sc, float) and sc == fn(0.5, 0.4, 0.9), fn.__name__

@@ -15,8 +15,7 @@ from snbsde.value_functions import (LinearModelSpec, LinearValueFunction,
 
 def _linear_spec(terminal="cosine", sigma=1.0, beta=0.1, gamma=0.2):
     return LinearModelSpec(sigma=sigma, beta=beta, gamma=gamma,
-                           terminal=TERMINALS[terminal],
-                           theta_interval=(0.1, 1.9), x0=0.0, horizon=1.0)
+                           terminal=TERMINALS[terminal], horizon=1.0)
 
 
 def _both_paths(spec):
@@ -63,11 +62,9 @@ def test_terminal_growth_declaration_checked():
 
 def test_linear_spec_validation():
     good = _linear_spec()
-    for field, value in (("sigma", 0.0), ("horizon", -1.0),
-                         ("theta_interval", (1.0, 1.0))):
+    for field, value in (("sigma", 0.0), ("horizon", -1.0)):
         kwargs = dict(sigma=good.sigma, beta=good.beta, gamma=good.gamma,
-                      terminal=good.terminal, theta_interval=good.theta_interval,
-                      x0=good.x0, horizon=good.horizon)
+                      terminal=good.terminal, horizon=good.horizon)
         kwargs[field] = value
         with pytest.raises(ConfigurationError):
             LinearModelSpec(**kwargs)
@@ -175,10 +172,12 @@ def test_nonfinite_closed_form_rejected():
 def test_limit_is_small_epsilon_value():
     spec = _linear_spec("cosine")
     tiny = LinearValueFunction(spec, 1e-7)
-    limit = LinearValueFunction(spec, 0.3)  # limit_* ignores epsilon
+    limit = LinearValueFunction(spec, 0.3)  # the limit ignores epsilon
     t, x, theta = 0.3, 0.8, 1.4
-    assert abs(tiny.value(t, x, theta) - limit.limit_value(t, x, theta)) < 1e-6
-    assert abs(tiny.value_x(t, x, theta) - limit.limit_value_x(t, x, theta)) < 1e-6
+    # u0 = e^{beta tau} cos(x + theta tau) along the limit flow, and u0_x
+    tau = 1.0 - t
+    assert abs(tiny.value(t, x, theta) - np.exp(0.1 * tau) * np.cos(x + theta * tau)) < 1e-6
+    assert abs(tiny.value_x(t, x, theta) + np.exp(0.1 * tau) * np.sin(x + theta * tau)) < 1e-6
     udot, udot_x = limit.limit_theta_derivatives(t, x, theta)
     assert abs(tiny.value_theta(t, x, theta) - udot) < 1e-6
     assert abs(tiny.value_theta_x(t, x, theta) - udot_x) < 1e-6
@@ -186,12 +185,11 @@ def test_limit_is_small_epsilon_value():
 
 def test_characteristics_match_linear_limit():
     b = build_preset("linear-constant-drift", {"terminal": "cosine"})
-    spec = _linear_spec("cosine")
-    vf = LinearValueFunction(spec, 0.0)
     for t, x, theta in ((0.0, 0.0, 0.5), (0.4, 1.3, 1.1), (0.9, -0.6, 1.8)):
         got = characteristics_limit_value(b.model, b.driver, TERMINALS["cosine"].f,
                                           t, x, theta)
-        assert abs(got - vf.limit_value(t, x, theta)) < 1e-10
+        # u0 = e^{beta tau} Phi(x + theta tau), the closed-form limit
+        assert abs(got - np.exp(0.1 * (1.0 - t)) * np.cos(x + theta * (1.0 - t))) < 1e-10
 
 
 def test_characteristics_nonlinear_flow():
