@@ -4,9 +4,9 @@ Subcommands: simulate, estimate, approximate, pde-solve, experiment,
 delta-study.  Configuration comes from a JSON file plus --set overrides;
 --full swaps the quick built-in defaults for acceptance-scale ones, and any
 explicit setting wins over either.  Each entry must have the type of its
-default, and each pde and study entry its key's type.  Every run writes an
-echo of its effective configuration next to its outputs, and rerunning from
-that echo reproduces the outputs byte for byte.
+default, and each pde, study and model_params entry its key's type.  Every
+run writes an echo of its effective configuration next to its outputs, and
+rerunning from that echo reproduces the outputs byte for byte.
 
 Exit codes: 0 success, 1 configuration or validation problem, 2 runtime
 failure.
@@ -29,7 +29,7 @@ from .experiment import (PDE_KEYS, ExperimentConfig, build_value_function, confi
 from .grids import NoiseSource, TimeGrid
 from .models import simulate_forward
 from .pde import solve_semilinear_pde
-from .presets import build_preset
+from .presets import MODEL_PARAMS, build_preset
 
 # ExperimentConfig's defaults plus the keys only the command line has: the
 # single-path noise level epsilon, the pde table (ExperimentConfig.pde_params
@@ -71,10 +71,12 @@ def _typed(key: str, value, kind):
 
 
 def _typed_config(cfg: dict, command: str) -> dict:
-    """cfg with every entry of the type of its default and every pde and
-    study entry of its key's type, model_params left to the model's preset.
-    An unknown key, a value of another type and a pde key that command does
-    not read are ConfigurationErrors that name the key."""
+    """cfg with every entry of the type of its default, every pde and study
+    entry of its key's type and every model_params entry of the type
+    presets.MODEL_PARAMS declares for the model.  An unknown key, a value of
+    another type and a pde key that command does not read are
+    ConfigurationErrors that name the key; an unknown model or model
+    parameter is left to build_preset, which names it."""
     for key in cfg:
         if key not in _DEFAULTS:
             raise ConfigurationError(f"unknown configuration key '{key}'")
@@ -86,6 +88,10 @@ def _typed_config(cfg: dict, command: str) -> dict:
                 raise ConfigurationError(f"unknown configuration key '{table}.{key}'")
         cfg[table] = {key: _typed(f"{table}.{key}", value, kinds[key])
                       for key, value in cfg[table].items()}
+    kinds = MODEL_PARAMS.get(cfg["model"], {})
+    cfg["model_params"] = {key: _typed(f"model_params.{key}", value, kinds[key])
+                           if key in kinds else value
+                           for key, value in cfg["model_params"].items()}
     pde, backend = cfg["pde"], cfg["backend"]
     if command in _STUDY_COMMANDS:
         unread = unread_pde_params(backend, pde)
@@ -95,7 +101,6 @@ def _typed_config(cfg: dict, command: str) -> dict:
     if unread:
         raise ConfigurationError(
             f"configuration key 'pde.{unread[0]}' is not read by {command}{where}")
-    # model_params keys are checked against the chosen model by the registry
     return cfg
 
 

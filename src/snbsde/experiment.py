@@ -233,9 +233,10 @@ def _concat_results(parts: List[engine.BatchResult]) -> engine.BatchResult:
     return engine.BatchResult(report_times=parts[0].report_times, **merged)
 
 
-def _path_buffer(config: ExperimentConfig) -> np.ndarray:
-    """The (min(M, chunk_size), n+1) paths every chunk of a run simulates into."""
-    return np.empty((min(config.n_replications, config.chunk_size), config.n_steps + 1))
+def _path_buffer(config: ExperimentConfig, last: int) -> np.ndarray:
+    """The (min(M, chunk_size), last+1) paths every chunk of a run simulates
+    into, last the run's engine.last_node."""
+    return np.empty((min(config.n_replications, config.chunk_size), last + 1))
 
 
 def run_epsilon_block(bundle: ModelBundle, config: ExperimentConfig,
@@ -249,7 +250,8 @@ def run_epsilon_block(bundle: ModelBundle, config: ExperimentConfig,
 
     table is the study's engine.ThetaTable of (bundle.model, grid, delta); a
     block builds its own when none is given.  paths is the run's path buffer
-    of min(n_replications, chunk_size) rows, which every chunk simulates
+    of min(n_replications, chunk_size) rows and last+1 columns, last =
+    engine.last_node(grid, report_times, sup), which every chunk simulates
     into in turn; a block allocates its own when none is given.
     sup is engine.run_batch's: one switch for sup |Y_hat - Y| over every
     node of [delta, T].
@@ -263,7 +265,8 @@ def run_epsilon_block(bundle: ModelBundle, config: ExperimentConfig,
     # unless the study shares its own
     table = engine.ThetaTable(bundle.model, grid, delta) if table is None else table
     limit = engine.limit_weights(bundle.model, config.theta0, grid) if residuals else None
-    paths = _path_buffer(config) if paths is None else paths
+    if paths is None:
+        paths = _path_buffer(config, engine.last_node(grid, report_times, sup))
     parts = []
     for lo in range(0, m, config.chunk_size):
         ids = [(eps_index << 32) | r for r in range(lo, min(lo + config.chunk_size, m))]
@@ -353,8 +356,9 @@ def run_monte_carlo(config: ExperimentConfig) -> ExperimentReport:
     bounds = None
     # the limit flow does not depend on epsilon: one table serves every block
     table = engine.ThetaTable(model, grid, config.delta)
-    # and one path buffer every chunk of every block simulates into
-    paths = _path_buffer(config)
+    # and one path buffer every chunk of every block simulates into, as far
+    # as the last report reads
+    paths = _path_buffer(config, engine.last_node(grid, report_times))
 
     for e_idx, eps in enumerate(config.epsilon_list):
         block = run_epsilon_block(bundle, config, eps, e_idx,
@@ -491,7 +495,8 @@ def shrinking_window_study(config: ExperimentConfig,
     # owns the information part of (model, grid) that every window's table
     # shares; its own window parts are never read, so never built
     tables = engine.ThetaTable(bundle.model, grid, config.delta)
-    paths = _path_buffer(config)
+    # the sup statistic reads every node to T
+    paths = _path_buffer(config, grid.n_steps)
 
     for s_idx, (name, kappa, fn) in enumerate(schedules):
         deltas = [fn(e) for e in eps_list]

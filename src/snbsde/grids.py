@@ -11,6 +11,8 @@ from .errors import ConfigurationError
 
 # Relative tolerance used when matching a requested time to a grid node.
 NODE_ATOL = 1e-9
+# Element cap of the groups of rows the draw scales in one multiply each.
+SCALE_BLOCK = 32_768
 
 
 @dataclass(frozen=True)
@@ -144,9 +146,12 @@ def increment_rows(seed: int, stream_ids: Sequence[int], n_steps: int, h: float,
     Every stream id is checked before any row is drawn.  The rows are then
     split into up to W = worker_count() contiguous ranges, drawn at once by
     run_parts, each range with a bit generator of its own made here; the
-    draw releases the interpreter lock.  A row's draws depend only on its
-    own key, so no bit depends on W, and a single row is drawn on the
-    calling thread.  The draw calls no model code; engine.run_batch's
+    draw releases the interpreter lock.  Each range scales its rows to
+    variance h in groups of about SCALE_BLOCK elements, one multiply per
+    group while it is still in cache, so short rows do not pay a call per
+    row; a product is the same whatever its group.  A row's draws depend
+    only on its own key, so no bit depends on W, and a single row is drawn
+    on the calling thread.  The draw calls no model code; engine.run_batch's
     row-block pass, the other stage split this way, calls the model's
     coefficients and the value function from its workers.
     """
@@ -162,6 +167,7 @@ def increment_rows(seed: int, stream_ids: Sequence[int], n_steps: int, h: float,
     parts = max(1, min(worker_count(), m))
     gens = [np.random.Generator(np.random.Philox(0)) for _ in range(parts)]
     scale = np.sqrt(h)
+    group = max(1, SCALE_BLOCK // n_steps)
 
     def draw(part):
         gen = gens[part]
@@ -169,11 +175,14 @@ def increment_rows(seed: int, stream_ids: Sequence[int], n_steps: int, h: float,
         key = [0, seed]
         state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
                  "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        for r in range(part * m // parts, (part + 1) * m // parts):
-            key[0] = sids[r]
-            bitgen.state = state
-            row = gen.standard_normal(out=out[r])
-            row *= scale
+        lo, hi = part * m // parts, (part + 1) * m // parts
+        for g in range(lo, hi, group):
+            end = min(g + group, hi)
+            for r in range(g, end):
+                key[0] = sids[r]
+                bitgen.state = state
+                gen.standard_normal(out=out[r])
+            out[g: end] *= scale
 
     run_parts(draw, parts)
     return out

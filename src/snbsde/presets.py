@@ -218,12 +218,14 @@ class ModelBundle:
 
 MODEL_NAMES = ("linear-constant-drift", "linear-ou", "custom-pde")
 
-_COMMON_PARAMS = {"sigma", "beta", "gamma", "terminal", "theta_interval",
-                  "x0", "horizon"}
-_ALLOWED_PARAMS = {
+# the parameters each model accepts, with each one's type: a number, a
+# name, or a list of numbers
+_COMMON_PARAMS = {"sigma": float, "beta": float, "gamma": float, "terminal": str,
+                  "theta_interval": list, "x0": float, "horizon": float}
+MODEL_PARAMS = {
     "linear-constant-drift": _COMMON_PARAMS,
     "linear-ou": _COMMON_PARAMS,
-    "custom-pde": _COMMON_PARAMS | {"drift_shape"},
+    "custom-pde": {**_COMMON_PARAMS, "drift_shape": str},
 }
 
 
@@ -239,7 +241,7 @@ def build_preset(name: str, params: Optional[dict] = None) -> ModelBundle:
             f"unknown model '{name}'; choose from {', '.join(MODEL_NAMES)}")
     params = dict(params or {})
     for key in params:
-        if key not in _ALLOWED_PARAMS[name]:
+        if key not in MODEL_PARAMS[name]:
             raise ConfigurationError(f"unknown model parameter '{key}' for {name}")
 
     sigma = float(params.get("sigma", 1.0))

@@ -51,7 +51,8 @@ def _verdict(capsys, num, passed, detail):
 @pytest.fixture(scope="module")
 def core():
     """One shared run: 5000 replications of the constant-drift linear model
-    with identity terminal at epsilon = 0.02, closed-form backend.
+    with identity terminal at epsilon = 0.02, closed-form backend, reporting
+    at T_REPORT (column 0) and at T (column 1).
 
     Criteria 1, 2, 3, 6 and 9 all read from this block, so the wall time
     recorded here is the cost of the whole group.
@@ -71,7 +72,7 @@ def core():
     )
     bundle = cfg.validate()
     t0 = time.perf_counter()
-    block = run_epsilon_block(bundle, cfg, CORE_EPS, 0)
+    block = run_epsilon_block(bundle, cfg, CORE_EPS, 0, report_times=(T_REPORT, 1.0))
     wall = time.perf_counter() - t0
     res = block.result
     good = ~res.failed
@@ -220,8 +221,9 @@ def test_criterion_05_pde_solver_cross_checks(capsys):
 
 
 def test_criterion_06_terminal_value_matches_payoff(core, capsys):
+    # the report at T: Y_hat(T) = u(T, X_T, theta*_T) against Y(T) = Phi(X_T)
     res, good = core["res"], core["good"]
-    worst = float(np.max(res.terminal_abs_err[good]))
+    worst = float(np.max(np.abs(res.y_hat[good, 1] - res.y_true[good, 1])))
     _verdict(capsys, 6, worst <= 1e-12,
              f"max |Y_hat(T) - Phi(X_T)| = {worst:.2e} over {int(good.sum())} paths")
 

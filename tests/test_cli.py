@@ -144,7 +144,10 @@ def test_configuration_exit_codes(tmp_path, capsys):
     (["delta-study", "--set", "study.kappa_list=3"], "study.kappa_list"),
     (["experiment", "--set", "backend=pde", "--set", "pde.n_x=abc"], "pde.n_x"),
     (["experiment", "--set", "plugin=no"], "plugin"),
-], ids=["n_steps", "epsilon_list", "kappa_list", "pde.n_x", "plugin"])
+    (["simulate", "--set", "model_params.sigma=abc"], "model_params.sigma"),
+    (["simulate", "--set", "model_params.theta_interval=3"], "model_params.theta_interval"),
+], ids=["n_steps", "epsilon_list", "kappa_list", "pde.n_x", "plugin", "sigma",
+        "theta_interval"])
 def test_a_wrongly_typed_value_is_a_configuration_error(tmp_path, capsys, argv, key):
     # the whole table is typed before anything is written: a bool only from
     # true or false, an integer only from an integral number, a list only

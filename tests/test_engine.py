@@ -125,6 +125,89 @@ def test_sup_columns_move_no_other_output(name, params, theta0):
             assert np.array_equal(getattr(lean, f.name), getattr(full, f.name)), f.name
 
 
+@pytest.mark.parametrize("residuals", [False, True], ids=["0", "1"])
+@pytest.mark.parametrize("name,params,theta0", [
+    ("linear-constant-drift", {}, 1.0),
+    ("custom-pde", {"drift_shape": "sine"}, 1.0)], ids=["constant", "sine"])
+def test_a_block_reads_nothing_after_its_last_report(name, params, theta0, residuals):
+    # a block reporting at 0.5 simulates and scores its paths only to 0.5;
+    # every per-row output must be bit for bit column 0 of the same rows
+    # reporting at (0.5, 1.0), which simulates to T
+    eps = 0.05
+    b = build_preset(name, params)
+    grid = TimeGrid(0.0, 1.0, 200)
+    vf = _vf_for(b, eps)
+    args = (b.model, vf, theta0, eps, grid, 0.1)
+    kw = dict(plugin=True, residuals=residuals)
+    short = run_batch(*args, (0.5,), SEED, range(8), **kw)
+    full = run_batch(*args, (0.5, 1.0), SEED, range(8), **kw)
+    assert not np.any(full.failed)
+    for f in dataclasses.fields(engine.BatchResult):
+        got, want = getattr(short, f.name), getattr(full, f.name)
+        if f.name == "report_times":
+            assert np.array_equal(got, want[:1])
+        elif want is None:
+            assert got is None, f.name
+        elif want.ndim == 2:
+            assert got.shape == (8, 1) and np.array_equal(got[:, 0], want[:, 0]), f.name
+        else:
+            assert np.array_equal(got, want), f.name
+
+
+def test_simulate_batch_to_a_node_gives_the_first_columns_of_the_paths_to_t():
+    b = build_preset("custom-pde", {"drift_shape": "sine"})
+    grid = TimeGrid(0.0, 1.0, 200)
+    limit = engine.limit_weights(b.model, 1.0, grid)
+    full, xi_full, _ = simulate_batch(b.model, 1.0, 0.05, grid, SEED, range(5),
+                                      limit=limit, xi_nodes=[20, 87])
+    short, xi, _ = simulate_batch(b.model, 1.0, 0.05, grid, SEED, range(5), last=87,
+                                  limit=limit, xi_nodes=[20, 87])
+    assert short.shape == (5, 88) and np.array_equal(short, full[:, :88])
+    assert np.array_equal(xi, xi_full)
+    for last in (0, 201):
+        with pytest.raises(ConfigurationError):
+            simulate_batch(b.model, 1.0, 0.05, grid, SEED, range(5), last=last)
+
+
+def test_a_row_that_blows_up_after_the_last_report_is_not_flagged():
+    # after t = 0.75 the drift throws a path more than 0.04 off its limit
+    # flow x0 + theta t past the blow-up guard in one step; the flow itself
+    # never moves off, so the pilot, the information and the table do not
+    # see it.  Reporting at 0.5 no row is flagged; reporting at (0.5, 1.0)
+    # the rows thrown are diverged, and only they
+    eps = 0.05
+    grid = TimeGrid(0.0, 1.0, 200)
+    kick = 2.0 * models.BLOWUP_GUARD / grid.h
+
+    def drift(th, t, x):
+        off = np.abs(x - th * t) > 0.04
+        return th + 0.0 * x + np.where((np.asarray(t) > 0.75) & off, kick, 0.0)
+
+    model = ModelSpec(drift=drift,
+                      drift_dtheta=lambda th, t, x: 1.0 + 0.0 * (th + x),
+                      drift_dx=lambda th, t, x: 0.0 * (th + x),
+                      drift_dtheta_dx=lambda th, t, x: 0.0 * (th + x),
+                      diffusion=lambda t, x: 1.0 + 0.0 * x,
+                      diffusion_dx=lambda t, x: 0.0 * x,
+                      theta_interval=(0.1, 1.9), x0=0.0, horizon=1.0,
+                      kappa=1.0, growth_const=4.0)
+    vf = LinearValueFunction(build_preset("linear-constant-drift").linear, eps)
+    args = (model, vf, 1.0, eps, grid, 0.1)
+    short = run_batch(*args, (0.5,), SEED, range(12))
+    full = run_batch(*args, (0.5, 1.0), SEED, range(12))
+    assert not np.any(short.diverged) and not np.any(short.failed)
+    assert np.array_equal(full.failed, full.diverged)
+    # the rows thrown are those whose path without the kick leaves the band
+    # at a node after 0.75 before T
+    calm = dataclasses.replace(model, drift=lambda th, t, x: th + 0.0 * x)
+    X, _, _ = simulate_batch(calm, 1.0, eps, grid, SEED, range(12))
+    t = grid.times[:-1]
+    off = np.abs(X[:, :-1] - t) > 0.04
+    thrown = np.any(off & (t > 0.75), axis=1)
+    assert 0 < np.sum(thrown) < 12
+    assert np.array_equal(full.diverged, thrown)
+
+
 @pytest.mark.parametrize("rows", [1, 3])
 @pytest.mark.parametrize("name,params,theta0", [
     ("linear-constant-drift", {}, 1.0),
@@ -150,7 +233,7 @@ def test_sup_sweep_on_views_matches_gathered_copies(monkeypatch, name, params, t
         return out
 
     def value(t, x, theta):
-        if np.size(t) > 2:  # a sup block; the report and terminal reads have 1-2 nodes
+        if np.size(t) > 2:  # a sup block; the report reads have 1-2 nodes
             views.append(np.shares_memory(x, paths[-1]))
         return real_value(t, x, theta)
 

@@ -336,10 +336,13 @@ def test_window_tables_share_the_information_bit_for_bit(monkeypatch):
 def test_shared_path_buffer_matches_fresh_buffers(monkeypatch, chunk):
     # every chunk of a block simulates into the one path buffer it is handed;
     # with residuals each must be bit for bit the chunk that allocates its
-    # own paths, the short last chunk too (150 = 21 * 7 + 3 = 2 * 64 + 22)
+    # own paths, the short last chunk too (150 = 21 * 7 + 3 = 2 * 64 + 22);
+    # the paths end at the last report node
     config = ExperimentConfig(**{**BASE, "chunk_size": chunk})
     bundle = config.validate()
-    shared = np.full((chunk, config.n_steps + 1), np.nan)
+    last = engine.last_node(config.grid(bundle), config.t_report)
+    assert last < config.n_steps
+    shared = np.full((chunk, last + 1), np.nan)
     got = run_epsilon_block(bundle, config, 0.1, 0, residuals=True, paths=shared).result
 
     handed = []
@@ -372,8 +375,31 @@ def test_a_run_hands_one_path_buffer_to_every_chunk(monkeypatch):
     shrinking_window_study(ExperimentConfig(**WINDOWS), kappa_list=(3.0,))
     assert len(handed) == 6 + 3
     runs = (handed[:6], handed[6:])
-    assert [r[0].shape for r in runs] == [(60, 201), (100, 4001)]
+    # the risk table's paths end at its last report, 0.5; the study's sup
+    # statistic reads every node to T
+    assert [r[0].shape for r in runs] == [(60, 101), (100, 4001)]
     assert all(p is r[0] for r in runs for p in r)
+
+
+def test_a_run_draws_and_keeps_its_paths_only_to_the_last_report(monkeypatch):
+    # reports at 0.25 and 0.5 on a 1000-step grid: every chunk draws 500
+    # increments per path into a buffer of 501 columns
+    drawn, handed = [], []
+    real_draw, real_run = engine.increment_rows, engine.run_batch
+
+    def draw(seed, sids, n_steps, h, out=None):
+        drawn.append(n_steps)
+        return real_draw(seed, sids, n_steps, h, out=out)
+
+    def run(*args, **kw):
+        handed.append(kw["paths"].shape)
+        return real_run(*args, **kw)
+
+    monkeypatch.setattr(engine, "increment_rows", draw)
+    monkeypatch.setattr(engine, "run_batch", run)
+    run_monte_carlo(ExperimentConfig(**{**BASE, "n_steps": 1000, "t_report": (0.25, 0.5),
+                                        "n_replications": 100, "plugin": False}))
+    assert drawn == [500] and handed == [(100, 501)]
 
 
 def test_config_round_trip():

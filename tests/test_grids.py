@@ -154,6 +154,20 @@ def test_increment_rows_do_not_depend_on_the_worker_count(monkeypatch, w, m):
         assert rows[r].tobytes() == NoiseSource(31, sid).increments(64, 0.01).tobytes()
 
 
+@pytest.mark.parametrize("w", [1, 2, 3])
+@pytest.mark.parametrize("group", [1, 3, 64])
+def test_increment_rows_scale_each_row_once_in_groups(monkeypatch, w, group):
+    # a worker scales its rows in groups of SCALE_BLOCK // n_steps rows; a
+    # group that does not divide a worker's range stops at the range's end,
+    # so no row is scaled twice or left unscaled
+    monkeypatch.setattr(grids, "worker_count", lambda: w)
+    monkeypatch.setattr(grids, "SCALE_BLOCK", group * 50)
+    sids = list(range(37))
+    rows = increment_rows(9, sids, 50, 0.02)
+    for r, sid in enumerate(sids):
+        assert rows[r].tobytes() == _philox_oracle(9, sid, 50, 0.02).tobytes()
+
+
 @pytest.mark.parametrize("w", [1, 2])
 def test_increment_rows_check_every_stream_id_before_drawing(monkeypatch, w):
     monkeypatch.setattr(grids, "worker_count", lambda: w)
