@@ -8,6 +8,8 @@
 # The summary.txt of estimate is compared too: it holds delta_head, the only
 # output of the head score, and no wall time (the other summaries carry
 # wall_time_s, so they are not compared).
+# Last, three configurations that a subcommand rejects must exit with code 1
+# and write no echo.json: a rejected configuration is not replayable.
 #
 #   bash scripts/cli_replay.sh [work_dir]     (from the repository root)
 set -euo pipefail
@@ -54,3 +56,20 @@ done
 # and the single-path API reads the same bundle
 replay experiment-pde experiment --set backend=pde --set model=custom-pde
 replay approximate-pde approximate --set model=custom-pde --set backend=pde
+# reject NAME CMD [ARGS...]: CMD with ARGS must be a configuration error that
+# leaves no echo.json in $work/NAME
+reject() {
+    local name=$1 cmd=$2
+    shift 2
+    local dir="$work/$name" rc=0
+    python -m snbsde.cli "$cmd" "$@" --output "$dir" 2>"$work/$name.err" || rc=$?
+    if [ "$rc" -ne 1 ] || [ -e "$dir/echo.json" ]; then
+        echo "$name: want exit code 1 and no echo.json, got exit code $rc and: $(ls "$dir")" >&2
+        exit 1
+    fi
+    echo "$name: rejected, no echo.json: $(cat "$work/$name.err")"
+}
+
+reject reject-model-param simulate --set model_params.bogus=1
+reject reject-epsilon-list experiment --set 'epsilon_list=[]'
+reject reject-kappa delta-study --set 'study.kappa_list=[-1]'

@@ -5,8 +5,9 @@ delta-study.  Configuration comes from a JSON file plus --set overrides;
 --full swaps the quick built-in defaults for acceptance-scale ones, and any
 explicit setting wins over either.  Each entry must have the type of its
 default, and each pde, study and model_params entry its key's type.  Every
-run writes an echo of its effective configuration next to its outputs, and
-rerunning from that echo reproduces the outputs byte for byte.
+run whose configuration its command accepts writes an echo of that
+configuration next to its outputs, and rerunning from that echo reproduces
+the outputs byte for byte; a rejected configuration writes no echo.
 
 Exit codes: 0 success, 1 configuration or validation problem, 2 runtime
 failure.
@@ -75,8 +76,10 @@ def _typed_config(cfg: dict, command: str) -> dict:
     entry of its key's type and every model_params entry of the type
     presets.MODEL_PARAMS declares for the model.  An unknown key, a value of
     another type and a pde key that command does not read are
-    ConfigurationErrors that name the key; an unknown model or model
-    parameter is left to build_preset, which names it."""
+    ConfigurationErrors that name the key.  The rest is the command's to
+    check (an unknown model or model parameter in build_preset, which names
+    it, and values out of range where the command reads them); main writes
+    the echo only once the command has not rejected the configuration."""
     for key in cfg:
         if key not in _DEFAULTS:
             raise ConfigurationError(f"unknown configuration key '{key}'")
@@ -294,8 +297,15 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         outdir = _outdir(args, args.command)
+        try:
+            _COMMANDS[args.command](cfg, outdir)
+        except ConfigurationError:
+            raise  # a rejected configuration is not echoed
+        except BaseException:
+            # a run that failed or was stopped is still replayed from its echo
+            _echo(cfg, args.command, outdir)
+            raise
         _echo(cfg, args.command, outdir)
-        _COMMANDS[args.command](cfg, outdir)
     except (ConfigurationError, json.JSONDecodeError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

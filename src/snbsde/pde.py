@@ -226,7 +226,8 @@ def _march(model: ModelSpec, driver: Callable, terminal: Callable,
       difference are scratch arrays allocated once.
     The finiteness check still runs at every step.
     """
-    # scipy.linalg costs about 0.1 s to import; only a solve pays it
+    # scipy.linalg.lapack takes 0.25-0.35 s and adds about 28 MB of peak RSS
+    # to import after numpy (2-core x86-64, scipy 1.17); only a solve pays it
     from scipy.linalg.lapack import dgttrf, dgttrs
 
     xs = grid.xs

@@ -159,6 +159,31 @@ def test_a_wrongly_typed_value_is_a_configuration_error(tmp_path, capsys, argv, 
     assert not (out / "echo.json").exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "--set", "model_params.bogus=1"],
+     "unknown model parameter 'bogus' for linear-constant-drift"),
+    (["simulate", "--set", "model_params.theta_interval=[0.5,1.5,2]"],
+     "theta_interval must have two entries"),
+    (["simulate", "--set", "model=bogus"],
+     "unknown model 'bogus'; choose from linear-constant-drift, linear-ou, custom-pde"),
+    (["simulate", "--set", "model_params.terminal=nosuch"],
+     "unknown terminal 'nosuch'; choose from cosine, identity, square"),
+    (["simulate", "--set", "epsilon=-1"], "epsilon must be nonnegative"),
+    (["experiment", "--set", "epsilon_list=[]"], "epsilon_list must be nonempty"),
+    (["experiment", "--set", "delta=5"], "time 5.0 outside grid [0.0, 1.0]"),
+    (["experiment", "--set", "n_replications=0"], "n_replications must be at least 100"),
+    (["delta-study", "--set", "study.kappa_list=[-1]"], "kappa must be positive"),
+], ids=["model-param", "theta-interval", "model", "terminal", "epsilon", "epsilon-list",
+        "delta", "n-replications", "kappa"])
+def test_a_rejected_value_writes_no_echo(tmp_path, capsys, argv, message):
+    # a well-typed value that the subcommand rejects is a configuration
+    # error too, and a rejected configuration is not echoed
+    out = tmp_path / "o"
+    assert main(argv + ["--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (out / "echo.json").exists()
+
+
 def test_typed_values_are_echoed(tmp_path):
     # an integral number for a float entry, and a float one for an integer
     # entry, are echoed as the type the run reads
@@ -178,6 +203,9 @@ def test_runtime_failure_exit_code(tmp_path, capsys):
                "--output", str(tmp_path / "o")])
     assert rc == 2
     assert "runtime error" in capsys.readouterr().err
+    # the configuration was accepted, so the failed run can be replayed
+    echo = json.loads((tmp_path / "o" / "echo.json").read_text())
+    assert echo["model_params"] == {"beta": 1e4}
 
 
 def test_estimate_command(tmp_path):

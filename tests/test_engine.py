@@ -1134,6 +1134,29 @@ def test_contracted_scan_gives_the_pilots_of_the_candidate_loop():
         assert np.array_equal(theta, want)
 
 
+@pytest.mark.parametrize("m,k,n", [(1024, 101, 64), (1024, 24, 101), (32, 24, 3601),
+                                   (1000, 24, 2), (1024, 24, 1), (7, 24, 901)],
+                         ids=["scan", "window-read", "info-read", "info-read-2",
+                              "one-column", "odd-rows"])
+def test_contract_sums_the_nodes_in_their_order(m, k, n):
+    # the bit-identity rule stated at engine._contract, against its oracle:
+    # out = c[:, 0] v[0], then out += c[:, j] v[j] node by node.  The shapes
+    # are the pilot's scan, the window and information reads of the table and
+    # the one-column path; the node values span six decades, so a summation
+    # in another order would move last bits.  This checks the einsum of the
+    # numpy build it runs on.
+    rng = np.random.default_rng(m * k + n)
+    c = rng.standard_normal((m, k))
+    v = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (k, n))
+    want = c[:, :1] * v[0]
+    for j in range(1, k):
+        want += c[:, j:j + 1] * v[j]
+    assert np.array_equal(engine._contract(c, v), want)
+    out = np.empty((m, n))
+    assert engine._contract(c, v, out=out) is out
+    assert np.array_equal(out, want)
+
+
 def test_theta_table_fallback_fails_rows_whose_flow_diverges():
     # at theta0 = 4.95 some pilots exceed 1/T = 5, so their flow 1/(1 - theta t)
     # blows up before T: the per-row information gives those rows 0, so they

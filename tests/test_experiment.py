@@ -84,6 +84,33 @@ def test_normality_diagnostics_on_normal_sample():
     assert normality_diagnostics(s, 1.0).ks_p < 1e-6
 
 
+def test_normal_cdf_matches_scipy_ndtr():
+    # the reports' normal CDF comes from math.erfc; scipy.special.ndtr is
+    # the independent oracle
+    from scipy.special import ndtr
+    z = np.linspace(-38.0, 38.0, 400_001)
+    assert np.max(np.abs(experiment._normal_cdf(z) - ndtr(z))) <= 4.5e-16
+    assert experiment._normal_cdf(0.0) == 0.5
+    assert experiment._normal_cdf(-40.0) == 0.0 and experiment._normal_cdf(40.0) == 1.0
+
+
+def test_p_values_match_the_scipy_computation():
+    # ks_p and the plug-in p_value against the same formulas on ndtr
+    from scipy.special import ndtr
+    rng = np.random.default_rng(29)
+    for n, scale, target in ((100, 1.0, 1.0), (1000, 1.3, 1.5), (5000, 0.8, 0.7)):
+        s = rng.normal(0.0, scale, n)
+        cdf = ndtr(np.sort(s) / np.sqrt(target))
+        d = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+        want = _ks_uniform_p(np.sqrt(n) * d)
+        assert abs(normality_diagnostics(s, target).ks_p - want) <= 1e-12
+    t = rng.normal(0.0, 3.0, 10_000)
+    assert np.max(np.abs((1.0 - experiment._normal_cdf(t)) - (1.0 - ndtr(t)))) <= 1e-12
+    rep = run_monte_carlo(ExperimentConfig(**{**BASE, "t_report": (0.25, 0.5, 0.75)}))
+    for row in rep.plugin_rows:
+        assert abs(row["p_value"] - float(1.0 - ndtr(row["t_stat"]))) <= 1e-12, row
+
+
 def test_normality_diagnostics_guards():
     rng = np.random.default_rng(8)
     s = rng.normal(size=500)
